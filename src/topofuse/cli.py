@@ -129,8 +129,7 @@ def _parse_override(text: str):
 
 
 def _resolve_config(args):
-    from .dataio import RunConfig, load_config
-    from .dataio import _CONFIG_SPEC  # noqa: F401  (key validation)
+    from .dataio import _CONFIG_SPEC, RunConfig, load_config
     from .errors import UnknownKey
 
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
@@ -148,6 +147,8 @@ def _resolve_config(args):
 
 
 def _write_manifest(args, cfg, extra=None):
+    from .dataio import write_json
+
     payload = {
         "artifact": "topofuse",
         "version": VERSION,
@@ -165,11 +166,7 @@ def _write_manifest(args, cfg, extra=None):
     if extra:
         payload.update(extra)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+    write_json(os.path.join(args.out, "manifest.json"), payload)
 
 
 def _load_data(args):
@@ -188,29 +185,16 @@ def _load_data(args):
     )
 
 
-def _spatial_graph(coords, cfg):
+def _model_inputs(ds, cfg):
+    """Preprocessed data, spatial graph and the radius it used: what the network runs on."""
+    from .preprocess import preprocess_dataset
     from .topology import auto_epsilon, build_spatial_graph
 
+    pre = preprocess_dataset(ds, cfg)
     eps = cfg.epsilon_radius
     if eps == "auto":
-        eps = auto_epsilon(coords)
-    return build_spatial_graph(coords, float(eps)), float(eps)
-
-
-def _resolve_n_clusters(cfg, ds):
-    # Default to the annotated domain count when the user did not pin one.
-    if "n_clusters" not in cfg.explicit and ds.labels is not None:
-        return len(set(ds.labels.tolist()))
-    return cfg.n_clusters
-
-
-def _read_labels_csv(path):
-    import numpy as np
-
-    from .dataio import read_matrix_csv
-
-    _, ids, mat = read_matrix_csv(path, "labels")
-    return ids, np.rint(mat[:, 0]).astype(np.int64)
+        eps = auto_epsilon(ds.coords)
+    return pre, build_spatial_graph(ds.coords, float(eps)), float(eps)
 
 
 def cmd_synth(args) -> int:
@@ -259,12 +243,74 @@ def cmd_preprocess(args) -> int:
 
 def _train_once(ds, cfg):
     from .objective import train
-    from .preprocess import preprocess_dataset
 
-    pre = preprocess_dataset(ds, cfg)
-    spatial, eps = _spatial_graph(ds.coords, cfg)
+    pre, spatial, eps = _model_inputs(ds, cfg)
     state, emb = train(pre, spatial, cfg)
     return pre, spatial, eps, state, emb
+
+
+def _save_model(out, spot_ids, emb, params):
+    """Write embedding.csv and ckpt.json, the training outputs later subcommands read."""
+    from .dataio import write_matrix_csv
+    from .network import save_checkpoint
+
+    os.makedirs(out, exist_ok=True)
+    cols = [f"z{i}" for i in range(emb.z.shape[1])]
+    write_matrix_csv(os.path.join(out, "embedding.csv"), spot_ids, cols, emb.z)
+    save_checkpoint(params, os.path.join(out, "ckpt.json"))
+
+
+def _cluster(ds, z, cfg, restarts):
+    """Mixture-model labels for `z` (rows in dataset order); returns (k, labels)."""
+    import numpy as np
+
+    from .downstream import gmm_cluster, refine_labels
+
+    # Default to the annotated domain count when the user did not pin one.
+    k = cfg.n_clusters
+    if "n_clusters" not in cfg.explicit and ds.labels is not None:
+        k = len(set(ds.labels.tolist()))
+    labels = gmm_cluster(z, k, restarts=restarts, rng=np.random.default_rng([cfg.seed, 3])).labels
+    if cfg.refine:
+        labels = refine_labels(labels, ds.coords)
+    return k, labels
+
+
+def _marker_rows(pre, params, spatial, labels, top_n):
+    """Marker table as (cluster, rank, gene_id, importance) rows, clusters ascending."""
+    from .downstream import marker_tables
+
+    tables = marker_tables(pre, params, spatial, labels, top_n=top_n)
+    return [
+        (c, rank, gene, imp) for c in sorted(tables) for rank, (gene, imp) in enumerate(tables[c], start=1)
+    ]
+
+
+def _paga_edges(z, labels, k):
+    """PAGA cluster ids and one {"c", "d", "connectivity"} edge per cluster pair."""
+    from .downstream import paga_connectivity
+
+    paga = paga_connectivity(z, labels, k=k)
+    ids = paga.cluster_ids
+    edges = [
+        {"c": ids[i], "d": ids[j], "connectivity": float(paga.connectivity[i, j])}
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+    ]
+    return ids, edges
+
+
+def _metrics(x, z, truth, predicted, mrre_k):
+    """MRRE between `x` and `z`, plus ARI when both labelings are given."""
+    from .evaluate import ari, mrre
+
+    metrics = {}
+    k = min(mrre_k, (z.shape[0] - 1) // 2)  # mrre needs 1 <= k < n / 2
+    if k >= 1:
+        metrics["mrre"] = mrre(x, z, k)
+    if truth is not None and predicted is not None:
+        metrics["ari"] = ari(truth, predicted)
+    return metrics
 
 
 def _write_losses(path, history):
@@ -287,32 +333,14 @@ def _write_losses(path, history):
 
 def cmd_train(args) -> int:
     from .dataio import write_matrix_csv
-    from .network import save_checkpoint
 
     ds = _load_data(args)
     cfg = _resolve_config(args)
     pre, spatial, eps, state, emb = _train_once(ds, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    write_matrix_csv(
-        os.path.join(args.out, "embedding.csv"),
-        ds.spot_ids,
-        [f"z{i}" for i in range(emb.z.shape[1])],
-        emb.z,
-    )
-    write_matrix_csv(
-        os.path.join(args.out, "y_tra.csv"),
-        ds.spot_ids,
-        [f"y{i}" for i in range(emb.y_tra.shape[1])],
-        emb.y_tra,
-    )
-    if emb.y_mor is not None:
-        write_matrix_csv(
-            os.path.join(args.out, "y_mor.csv"),
-            ds.spot_ids,
-            [f"y{i}" for i in range(emb.y_mor.shape[1])],
-            emb.y_mor,
-        )
-    save_checkpoint(state.params, os.path.join(args.out, "ckpt.json"))
+    _save_model(args.out, ds.spot_ids, emb, state.params)
+    for name, y in (("y_tra.csv", emb.y_tra), ("y_mor.csv", emb.y_mor)):
+        if y is not None:
+            write_matrix_csv(os.path.join(args.out, name), ds.spot_ids, [f"y{i}" for i in range(y.shape[1])], y)
     _write_losses(os.path.join(args.out, "losses.csv"), state.history)
     _write_manifest(
         args,
@@ -324,43 +352,31 @@ def cmd_train(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    import numpy as np
-
-    from .dataio import read_matrix_csv
-    from .downstream import gmm_cluster, refine_labels
+    from .dataio import read_spot_csv, write_labels_csv
 
     ds = _load_data(args)
     cfg = _resolve_config(args)
-    _, ids, z = read_matrix_csv(args.emb, "embedding")
-    k = _resolve_n_clusters(cfg, ds)
-    model = gmm_cluster(z, k, restarts=args.restarts, rng=np.random.default_rng([cfg.seed, 3]))
-    labels = model.labels
-    if cfg.refine:
-        index = {sid: i for i, sid in enumerate(ds.spot_ids)}
-        coords = ds.coords[[index[sid] for sid in ids]]
-        labels = refine_labels(labels, coords)
+    _, z = read_spot_csv(args.emb, "embedding", ds.spot_ids, args.data)
+    k, labels = _cluster(ds, z, cfg, args.restarts)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "labels.csv"), "w", encoding="utf-8") as fh:
-        fh.write("spot_id,label\n")
-        for sid, lab in zip(ids, labels):
-            fh.write(f"{sid},{int(lab)}\n")
+    write_labels_csv(os.path.join(args.out, "labels.csv"), ds.spot_ids, labels)
     _write_manifest(args, cfg, extra={"n_clusters": k})
-    print(f"assigned {k} clusters over {len(ids)} spots")
+    print(f"assigned {k} clusters over {ds.n_spots} spots")
     return 0
 
 
 def cmd_visualize(args) -> int:
     import numpy as np
 
-    from .dataio import plot_scatter, read_matrix_csv, write_matrix_csv
-    from .downstream import fit_visualization
+    from .dataio import plot_scatter, read_spot_csv, write_matrix_csv
+    from .downstream import _fit_vis
 
     cfg = _resolve_config(args)
-    _, ids, z = read_matrix_csv(args.emb, "embedding")
-    vis = fit_visualization(z, cfg)
+    ids, z = read_spot_csv(args.emb, "embedding", None, None)
     labels = np.zeros(len(ids), dtype=np.int64)
     if args.labels:
-        _, labels = _read_labels_csv(args.labels)
+        _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
+    vis, _ = _fit_vis(z, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "vis.csv"), ids, ["v0", "v1"], vis)
     plot_scatter(vis, labels, os.path.join(args.out, "vis.svg"))
@@ -370,92 +386,65 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_deconvolve(args) -> int:
-    from .dataio import read_matrix_csv, write_matrix_csv
+    from .dataio import read_spot_csv, write_deconvolution_csv
     from .downstream import deconvolve
 
     cfg = _resolve_config(args)
-    _, ids, z = read_matrix_csv(args.emb, "embedding")
-    _, labels = _read_labels_csv(args.labels)
+    ids, z = read_spot_csv(args.emb, "embedding", None, None)
+    _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
     res = deconvolve(z, labels, args.l1)
     os.makedirs(args.out, exist_ok=True)
-    import numpy as np
-
-    cols = [f"w_{c}" for c in res.cluster_ids] + ["weight_dispersion"]
-    body = np.column_stack([res.weights, res.impurity])
-    write_matrix_csv(os.path.join(args.out, "deconvolution.csv"), ids, cols, body)
+    path = os.path.join(args.out, "deconvolution.csv")
+    write_deconvolution_csv(path, ids, res.cluster_ids, res.weights, res.impurity)
     _write_manifest(args, cfg, extra={"l1": args.l1, "kkt": res.kkt, "converged": res.converged})
     print(f"deconvolved {len(ids)} spots onto {len(res.cluster_ids)} cluster means")
     return 0
 
 
 def cmd_markers(args) -> int:
-    import csv
-
-    from .downstream import marker_tables
+    from .dataio import read_spot_csv, write_markers_csv
     from .network import load_checkpoint
-    from .preprocess import preprocess_dataset
 
     ds = _load_data(args)
     cfg = _resolve_config(args)
     params = load_checkpoint(args.ckpt)
-    pre = preprocess_dataset(ds, cfg)
-    spatial, _ = _spatial_graph(ds.coords, cfg)
-    _, labels = _read_labels_csv(args.labels)
-    tables = marker_tables(pre, params, spatial, labels, top_n=args.top_n)
+    _, labels = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
+    pre, spatial, _ = _model_inputs(ds, cfg)
+    rows = _marker_rows(pre, params, spatial, labels, args.top_n)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "markers.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster", "rank", "gene_id", "importance"])
-        for c in sorted(tables):
-            for rank, (gene, imp) in enumerate(tables[c], start=1):
-                w.writerow([c, rank, gene, "%.17g" % imp])
+    write_markers_csv(os.path.join(args.out, "markers.csv"), rows)
     _write_manifest(args, cfg, extra={"top_n": args.top_n})
-    print(f"ranked markers for {len(tables)} clusters")
+    print(f"ranked markers for {len(set(labels.tolist()))} clusters")
     return 0
 
 
 def cmd_trajectory(args) -> int:
-    from .dataio import read_matrix_csv
-    from .downstream import paga_connectivity
+    from .dataio import read_spot_csv, write_json
 
     cfg = _resolve_config(args)
-    _, _, z = read_matrix_csv(args.emb, "embedding")
-    _, labels = _read_labels_csv(args.labels)
-    paga = paga_connectivity(z, labels, k=args.paga_k)
+    ids, z = read_spot_csv(args.emb, "embedding", None, None)
+    _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
+    cluster_ids, edges = _paga_edges(z, labels, args.paga_k)
     os.makedirs(args.out, exist_ok=True)
-    edges = []
-    ids = paga.cluster_ids
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            edges.append({"c": ids[i], "d": ids[j], "connectivity": float(paga.connectivity[i, j])})
-    with open(os.path.join(args.out, "paga.json"), "w", encoding="utf-8") as fh:
-        json.dump({"cluster_ids": ids, "edges": edges}, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "paga.json"), {"cluster_ids": cluster_ids, "edges": edges})
     _write_manifest(args, cfg, extra={"paga_k": args.paga_k})
-    print(f"connectivity over {len(ids)} clusters")
+    print(f"connectivity over {len(cluster_ids)} clusters")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    from .dataio import read_matrix_csv
-    from .evaluate import ari, mrre
+    from .dataio import read_spot_csv, write_json
     from .preprocess import preprocess_dataset
 
     ds = _load_data(args)
     cfg = _resolve_config(args)
-    _, ids, z = read_matrix_csv(args.emb, "embedding")
-    pre = preprocess_dataset(ds, cfg)
-    metrics = {}
-    k = min(args.mrre_k, (len(ids) - 1) // 2)
-    if k >= 1 and len(ids) >= k + 2:
-        metrics["mrre"] = mrre(pre.tra, z, k)
+    _, z = read_spot_csv(args.emb, "embedding", ds.spot_ids, args.data)
+    predicted = None
     if args.labels and ds.labels is not None:
-        _, predicted = _read_labels_csv(args.labels)
-        metrics["ari"] = ari(ds.labels, predicted)
+        _, predicted = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
+    metrics = _metrics(preprocess_dataset(ds, cfg).tra, z, ds.labels, predicted, args.mrre_k)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "metrics.json"), metrics)
     _write_manifest(args, cfg, extra={"metrics": metrics})
     print(json.dumps(metrics))
     return 0
@@ -465,88 +454,43 @@ def cmd_report(args) -> int:
     import numpy as np
 
     from .dataio import AnalysisReport, write_report
-    from .downstream import (
-        _fit_vis,
-        deconvolve,
-        gmm_cluster,
-        marker_tables,
-        paga_connectivity,
-        refine_labels,
-    )
-    from .evaluate import ari, modality_contribution, mrre
-    from .network import save_checkpoint
+    from .downstream import _fit_vis, deconvolve
+    from .evaluate import modality_contribution
 
     ds = _load_data(args)
     cfg = _resolve_config(args)
     pre, spatial, eps, state, emb = _train_once(ds, cfg)
-
-    k = _resolve_n_clusters(cfg, ds)
-    model = gmm_cluster(emb.z, k, restarts=args.restarts, rng=np.random.default_rng([cfg.seed, 3]))
-    labels = model.labels
-    if cfg.refine:
-        labels = refine_labels(labels, ds.coords)
-
+    k, labels = _cluster(ds, emb.z, cfg, args.restarts)
     vis, vis_history = _fit_vis(emb.z, cfg)
     dec = deconvolve(emb.z, labels, args.l1)
-    tables = marker_tables(pre, state.params, spatial, labels, top_n=args.top_n)
-    marker_rows = []
-    for c in sorted(tables):
-        for rank, (gene, imp) in enumerate(tables[c], start=1):
-            marker_rows.append((c, rank, gene, imp))
-    paga = None
+    markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
+    paga_edges = None
     if len(set(labels.tolist())) >= 2:
-        paga = paga_connectivity(emb.z, labels, k=args.paga_k)
-
-    metrics = {}
-    mk = min(args.mrre_k, (ds.n_spots - 1) // 2)
-    if mk >= 1 and ds.n_spots >= mk + 2:
-        metrics["mrre"] = mrre(pre.tra, emb.z, mk)
-    if ds.labels is not None:
-        metrics["ari"] = ari(ds.labels, labels)
+        _, paga_edges = _paga_edges(emb.z, labels, args.paga_k)
+    metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
 
     contrib_labels = ds.labels if ds.labels is not None else labels
     contributions = None
-    contrib_summary = {}
     if pre.mor is not None and len(set(contrib_labels.tolist())) >= 2:
-        on_inputs = modality_contribution(
-            [pre.tra, pre.mor], contrib_labels, names=["tra", "mor"], seed=cfg.seed
-        )
-        on_embeddings = modality_contribution(
-            [emb.y_tra, emb.y_mor], contrib_labels, names=["tra", "mor"], seed=cfg.seed
-        )
-        contrib_summary = {
-            "inputs": {"summary": on_inputs.summary, "train_accuracy": on_inputs.train_accuracy},
-            "embeddings": {
-                "summary": on_embeddings.summary,
-                "train_accuracy": on_embeddings.train_accuracy,
-            },
+        parts = {
+            key: modality_contribution(mats, contrib_labels, names=["tra", "mor"], seed=cfg.seed)
+            for key, mats in (("inputs", [pre.tra, pre.mor]), ("embeddings", [emb.y_tra, emb.y_mor]))
         }
         contributions = {
             "names": ["tra_input", "mor_input", "tra_emb", "mor_emb"],
-            "per_spot": np.column_stack([on_inputs.per_spot, on_embeddings.per_spot]),
-            **contrib_summary,
+            "per_spot": np.column_stack([part.per_spot for part in parts.values()]),
+            **{key: {"summary": part.summary, "train_accuracy": part.train_accuracy} for key, part in parts.items()},
         }
-
-    paga_edges = None
-    if paga is not None:
-        paga_edges = []
-        ids = paga.cluster_ids
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                paga_edges.append(
-                    {"c": ids[i], "d": ids[j], "connectivity": float(paga.connectivity[i, j])}
-                )
 
     report = AnalysisReport(
         spot_ids=ds.spot_ids,
-        embedding=emb.z,
         labels=labels,
         coords=ds.coords,
         vis=vis,
         metrics=metrics,
         loss_history=state.history,
         paga_edges=paga_edges,
-        markers=marker_rows,
+        markers=markers,
         deconvolution={"cluster_ids": dec.cluster_ids, "weights": dec.weights, "impurity": dec.impurity},
         contributions=contributions,
         notes={
@@ -560,7 +504,7 @@ def cmd_report(args) -> int:
         config=cfg.to_dict(),
     )
     write_report(report, args.out)
-    save_checkpoint(state.params, os.path.join(args.out, "ckpt.json"))
+    _save_model(args.out, ds.spot_ids, emb, state.params)
     _write_manifest(args, cfg, extra={"n_clusters": k, "epsilon_used": eps})
     summary = {key: round(val, 4) for key, val in metrics.items()}
     print(f"report written to {args.out} {json.dumps(summary)}")

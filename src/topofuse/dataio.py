@@ -210,15 +210,6 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
-def write_config(cfg: RunConfig, path: str):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cfg.to_dict(), fh, indent=2)
-            fh.write("\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
-
-
 def _read_table(path: str, what: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read a CSV into (column names, row ids, float matrix)."""
     if not os.path.isfile(path):
@@ -263,14 +254,21 @@ def _read_table(path: str, what: str) -> tuple[list[str], list[str], np.ndarray]
     return cols, ids, data
 
 
-def _align(ids: list[str], other_ids: list[str], other: np.ndarray, what: str) -> np.ndarray:
+def _align(ids: list[str], other_ids: list[str], other: np.ndarray, what: str, ref: str) -> np.ndarray:
     index = {sid: i for sid, i in zip(other_ids, range(len(other_ids)))}
     missing = [sid for sid in ids if sid not in index]
     if missing:
         raise RowCountMismatch(
-            f"{what} is missing {len(missing)} spot id(s) present in expression, e.g. {missing[0]!r}"
+            f"{what} is missing {len(missing)} spot id(s) present in {ref}, e.g. {missing[0]!r}"
         )
     return other[[index[sid] for sid in ids]]
+
+
+def _integer_labels(values: np.ndarray, path: str) -> np.ndarray:
+    rounded = np.rint(values)
+    if not np.allclose(values, rounded, atol=1e-9):
+        raise NonNumericCell(f"labels in {path} must be integers")
+    return rounded.astype(np.int64)
 
 
 def load_dataset(
@@ -288,21 +286,18 @@ def load_dataset(
     _, coord_ids, coords = _read_table(coords_path, "coordinates")
     if coords.shape[1] != 2:
         raise InvalidDataset(f"coordinates file {coords_path} must have exactly x and y columns")
-    coords = _align(spot_ids, coord_ids, coords, "coordinates")
+    coords = _align(spot_ids, coord_ids, coords, "coordinates", "expression")
 
     mor = None
     if mor_path is not None:
         _, mor_ids, mor_raw = _read_table(mor_path, "morphology")
-        mor = _align(spot_ids, mor_ids, mor_raw, "morphology")
+        mor = _align(spot_ids, mor_ids, mor_raw, "morphology", "expression")
 
     labels = None
     if labels_path is not None:
         _, label_ids, lab_raw = _read_table(labels_path, "labels")
-        lab = _align(spot_ids, label_ids, lab_raw, "labels")[:, 0]
-        rounded = np.rint(lab)
-        if not np.allclose(lab, rounded, atol=1e-9):
-            raise NonNumericCell(f"labels in {labels_path} must be integers")
-        labels = rounded.astype(np.int64)
+        lab = _align(spot_ids, label_ids, lab_raw, "labels", "expression")[:, 0]
+        labels = _integer_labels(lab, labels_path)
 
     return SpotDataset(tra=tra, coords=coords, spot_ids=spot_ids, gene_ids=gene_ids, mor=mor, labels=labels)
 
@@ -324,6 +319,63 @@ def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[st
     return _read_table(path, what)
 
 
+def read_spot_csv(
+    path: str, what: str, ref_ids: list[str] | None, ref: str | None
+) -> tuple[list[str], np.ndarray]:
+    """Read an `embedding` or `labels` CSV with its rows joined to `ref_ids` by spot_id.
+
+    The file must hold exactly the reference ids, in any order; `ref` names
+    where they came from. `ref_ids` None keeps the file's own rows. Labels
+    come back as an int64 vector, after the integer check of load_dataset.
+    """
+    _, ids, m = read_matrix_csv(path, what)
+    if ref_ids is not None:
+        known = set(ref_ids)
+        extra = [sid for sid in ids if sid not in known]
+        if extra:
+            raise RowCountMismatch(
+                f"{what} file {path} has {len(extra)} spot id(s) absent from {ref}, e.g. {extra[0]!r}"
+            )
+        m = _align(ref_ids, ids, m, f"{what} file {path}", ref)
+        ids = list(ref_ids)
+    if what == "labels":
+        return ids, _integer_labels(m[:, 0], path)
+    return ids, m
+
+
+def write_labels_csv(path: str, spot_ids: list[str], labels: np.ndarray):
+    # %.17g prints an integer-valued float as its integer digits.
+    write_matrix_csv(path, spot_ids, ["label"], np.asarray(labels, dtype=np.float64).reshape(-1, 1))
+
+
+def write_markers_csv(path: str, rows: list):
+    """Write marker rows of (cluster, rank, gene_id, importance)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["cluster", "rank", "gene_id", "importance"])
+            for cluster, rank, gene_id, imp in rows:
+                w.writerow([int(cluster), int(rank), gene_id, FLOAT_FMT % imp])
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e
+
+
+def write_deconvolution_csv(
+    path: str, spot_ids: list[str], cluster_ids: list, weights: np.ndarray, impurity: np.ndarray
+):
+    cols = [f"w_{c}" for c in cluster_ids] + ["weight_dispersion"]
+    write_matrix_csv(path, spot_ids, cols, np.column_stack([np.asarray(weights), np.asarray(impurity)]))
+
+
+def write_json(path: str, payload: dict):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e
+
+
 def write_dataset(ds: SpotDataset, out_dir: str) -> list[str]:
     """Write a dataset as tra/coords(/mor/labels) CSVs; returns written paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -340,24 +392,16 @@ def write_dataset(ds: SpotDataset, out_dir: str) -> list[str]:
         paths.append(p)
     if ds.labels is not None:
         p = os.path.join(out_dir, "labels.csv")
-        try:
-            with open(p, "w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["spot_id", "label"])
-                for sid, lab in zip(ds.spot_ids, ds.labels):
-                    w.writerow([sid, int(lab)])
-        except OSError as e:
-            raise IoFailure(f"cannot write {p}: {e}") from e
+        write_labels_csv(p, ds.spot_ids, ds.labels)
         paths.append(p)
     return paths
 
 
 @dataclass
 class AnalysisReport:
-    """Everything one analysis run wants to persist."""
+    """The analysis artifacts of one run; training writes embedding and checkpoint itself."""
 
     spot_ids: list[str]
-    embedding: np.ndarray | None = None
     labels: np.ndarray | None = None
     coords: np.ndarray | None = None
     vis: np.ndarray | None = None
@@ -394,58 +438,27 @@ def write_report(report: AnalysisReport, out_dir: str) -> list[str]:
     except OSError as e:
         raise IoFailure(f"cannot create {out_dir}: {e}") from e
     paths = []
-    n = len(report.spot_ids)
 
-    if report.embedding is not None:
-        emb = np.asarray(report.embedding, dtype=np.float64)
-        p = os.path.join(out_dir, "embedding.csv")
-        write_matrix_csv(p, report.spot_ids, [f"z{i}" for i in range(emb.shape[1])], emb)
-        paths.append(p)
+    def out(name):
+        paths.append(os.path.join(out_dir, name))
+        return paths[-1]
 
     if report.labels is not None:
-        if len(report.labels) != n:
-            raise RowCountMismatch("labels do not match spot ids")
-        p = os.path.join(out_dir, "labels.csv")
-        try:
-            with open(p, "w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["spot_id", "label"])
-                for sid, lab in zip(report.spot_ids, report.labels):
-                    w.writerow([sid, int(lab)])
-        except OSError as e:
-            raise IoFailure(f"cannot write {p}: {e}") from e
-        paths.append(p)
-
+        write_labels_csv(out("labels.csv"), report.spot_ids, report.labels)
     if report.vis is not None:
-        p = os.path.join(out_dir, "vis.csv")
-        write_matrix_csv(p, report.spot_ids, ["v0", "v1"], np.asarray(report.vis))
-        paths.append(p)
-
+        write_matrix_csv(out("vis.csv"), report.spot_ids, ["v0", "v1"], np.asarray(report.vis))
     if report.markers is not None:
-        p = os.path.join(out_dir, "markers.csv")
-        try:
-            with open(p, "w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["cluster", "rank", "gene_id", "importance"])
-                for cluster, rank, gene_id, imp in report.markers:
-                    w.writerow([int(cluster), int(rank), gene_id, FLOAT_FMT % imp])
-        except OSError as e:
-            raise IoFailure(f"cannot write {p}: {e}") from e
-        paths.append(p)
-
+        write_markers_csv(out("markers.csv"), report.markers)
     if report.deconvolution is not None:
         dec = report.deconvolution
-        p = os.path.join(out_dir, "deconvolution.csv")
-        cols = [f"w_{c}" for c in dec["cluster_ids"]] + ["weight_dispersion"]
-        body = np.column_stack([np.asarray(dec["weights"]), np.asarray(dec["impurity"])])
-        write_matrix_csv(p, report.spot_ids, cols, body)
-        paths.append(p)
-
+        write_deconvolution_csv(
+            out("deconvolution.csv"), report.spot_ids, dec["cluster_ids"], dec["weights"], dec["impurity"]
+        )
     if report.contributions is not None and "per_spot" in report.contributions:
         contrib = report.contributions
-        p = os.path.join(out_dir, "contributions.csv")
-        write_matrix_csv(p, report.spot_ids, list(contrib["names"]), np.asarray(contrib["per_spot"]))
-        paths.append(p)
+        write_matrix_csv(
+            out("contributions.csv"), report.spot_ids, list(contrib["names"]), np.asarray(contrib["per_spot"])
+        )
 
     payload = {
         "metrics": _jsonable(report.metrics),
@@ -464,23 +477,12 @@ def write_report(report: AnalysisReport, out_dir: str) -> list[str]:
     if report.contributions is not None:
         summary = {k: _jsonable(v) for k, v in report.contributions.items() if k != "per_spot"}
         payload["modality_contribution"] = summary
-    p = os.path.join(out_dir, "report.json")
-    try:
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {p}: {e}") from e
-    paths.append(p)
+    write_json(out("report.json"), payload)
 
     if report.coords is not None and report.labels is not None:
-        p = os.path.join(out_dir, "domains.svg")
-        plot_scatter(np.asarray(report.coords), np.asarray(report.labels), p)
-        paths.append(p)
+        plot_scatter(np.asarray(report.coords), np.asarray(report.labels), out("domains.svg"))
     if report.vis is not None and report.labels is not None:
-        p = os.path.join(out_dir, "vis.svg")
-        plot_scatter(np.asarray(report.vis), np.asarray(report.labels), p)
-        paths.append(p)
+        plot_scatter(np.asarray(report.vis), np.asarray(report.labels), out("vis.svg"))
     return paths
 
 

@@ -19,7 +19,6 @@ from .dataio import RunConfig
 from .errors import (
     DegenerateComponent,
     LengthMismatch,
-    NegativeSum,
     NonConvergenceWarning,
     NonFiniteLoss,
     OutOfRange,
@@ -52,9 +51,10 @@ class ClusterModel:
     loglik_history: list
 
     def __post_init__(self):
+        # em_fit counts a change below GMM_TOL as convergence, either sign.
         hist = self.loglik_history
         for a, b in zip(hist, hist[1:]):
-            if b < a - 1e-9:
+            if b < a - GMM_TOL:
                 raise DegenerateComponent("log-likelihood decreased during EM")
 
 
@@ -198,7 +198,10 @@ def _vis_pairs(n: int, graph: NeighborGraph, rng: np.random.Generator) -> PairBa
 
 
 def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
-    """Train the 2-D head; returns coordinates and the per-epoch loss history."""
+    """Map embeddings to 2-D with a small MLP trained on the topology loss.
+
+    Returns the coordinates and the per-epoch loss history.
+    """
     z = np.asarray(z, dtype=np.float64)
     n, d = z.shape
     rng = np.random.default_rng([cfg.seed, 7])
@@ -236,12 +239,6 @@ class _VisParams:
         for _, layer in self.named_layers():
             layer.gw[...] = 0.0
             layer.gb[...] = 0.0
-
-
-def fit_visualization(z: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """Map embeddings to 2-D with a small MLP trained on the topology loss."""
-    coords, _ = _fit_vis(z, cfg)
-    return coords
 
 
 def _soft(x: float, thr: float) -> float:
@@ -334,21 +331,6 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     return shifts
 
 
-def marker_importance(
-    data: PreprocessedData,
-    params: ModelParams,
-    spatial: NeighborGraph,
-    labels: np.ndarray,
-    cluster: int,
-    top_n: int = 10,
-) -> list:
-    """Rank genes for one cluster by mean knockout displacement."""
-    tables = marker_tables(data, params, spatial, labels, top_n)
-    if cluster not in tables:
-        raise OutOfRange(f"cluster {cluster} has no spots")
-    return tables[cluster]
-
-
 def marker_tables(
     data: PreprocessedData,
     params: ModelParams,
@@ -423,20 +405,3 @@ def denoise(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph)
     a_hat = normalized_adjacency(spatial)
     es, _ = forward_all(params, data.tra, data.mor, a_hat)
     return es.x_hat
-
-
-def region_statistic(x_tr: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Fourth root of the cluster-mean total expression, broadcast to spots."""
-    x = np.asarray(x_tr, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.shape[0] != len(labels):
-        raise LengthMismatch("labels and expression disagree on length")
-    sums = x.sum(axis=1)
-    neg = np.flatnonzero(sums < 0)
-    if neg.size:
-        raise NegativeSum(f"spot {int(neg[0])} has a negative expression sum")
-    out = np.empty(len(labels))
-    for c in set(int(v) for v in labels):
-        mask = labels == c
-        out[mask] = sums[mask].mean() ** 0.25
-    return out

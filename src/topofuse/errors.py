@@ -67,10 +67,6 @@ class DegenerateComponent(TopofuseError):
     pass
 
 
-class NegativeSum(TopofuseError):
-    pass
-
-
 class LengthMismatch(TopofuseError):
     pass
 

@@ -235,12 +235,6 @@ def dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray
     return keep / (1.0 - p)
 
 
-def dropout(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted dropout: zero a fraction p, rescale the rest by 1/(1-p)."""
-    mask = dropout_mask(x.shape, p, rng)
-    return x if mask is None else x * mask
-
-
 def save_checkpoint(params: ModelParams, path: str):
     tensors = {}
     for name, layer in params.named_layers():

@@ -33,9 +33,6 @@ class NeighborGraph:
                 if not 0 <= j < self.n or j == i:
                     raise OutOfRange(f"node {i} has invalid neighbor {j}")
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
-
 
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     y = x if y is None else y

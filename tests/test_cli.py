@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -175,6 +176,137 @@ class TestPipelineOutputs:
             first = fh.read()
         with open(os.path.join(out, "embedding.csv"), "rb") as fh:
             assert fh.read() == first
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _rewrite_rows(src, dst, tamper):
+    """Copy a spot CSV with its data rows in a fixed random order.
+
+    `tamper` "missing" drops the first row of the new order, "extra" appends a
+    row for the foreign id x9999; returns the id dropped or added.
+    """
+    with open(src, "r", encoding="utf-8", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    body = [body[i] for i in np.random.default_rng(7).permutation(len(body))]
+    touched = None
+    if tamper == "missing":
+        touched = body.pop(0)[0]
+    elif tamper == "extra":
+        touched = "x9999"
+        body.append([touched] + body[0][1:])
+    with open(dst, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header] + body)
+    return touched
+
+
+# command argv (with {data}/{emb}/{labels}/{ckpt} slots), the inputs joined
+# to a reference by spot_id (and so shuffled), and the outputs compared.
+# Commands without --data take the embedding's rows as the reference.
+_JOINS = {
+    "evaluate": (
+        ["evaluate", "--data", "{data}", "--emb", "{emb}", "--labels", "{labels}", "--set", "tau=1"],
+        ("emb", "labels"),
+        ("metrics.json",),
+    ),
+    "trajectory": (
+        ["trajectory", "--emb", "{emb}", "--labels", "{labels}", "--paga-k", "5"],
+        ("labels",),
+        ("paga.json",),
+    ),
+    "markers": (
+        ["markers", "--data", "{data}", "--labels", "{labels}", "--ckpt", "{ckpt}",
+         "--set", "tau=1", "--top-n", "3"],
+        ("labels",),
+        ("markers.csv",),
+    ),
+    "deconvolve": (
+        ["deconvolve", "--emb", "{emb}", "--labels", "{labels}", "--l1", "0.05"],
+        ("labels",),
+        ("deconvolution.csv",),
+    ),
+    "visualize": (
+        ["visualize", "--emb", "{emb}", "--labels", "{labels}"],
+        ("labels",),
+        ("vis.csv", "vis.svg"),
+    ),
+    "cluster-refine": (
+        ["cluster", "--data", "{data}", "--emb", "{emb}", "--set", "refine=true"],
+        ("emb",),
+        ("labels.csv",),
+    ),
+}
+
+
+def _run_join(pipeline, case, out, files):
+    argv, _, _ = _JOINS[case]
+    slots = {"data": pipeline["data"], "ckpt": pipeline["ckpt"], **files}
+    return cli.run([a.format(**slots) for a in argv] + ["--out", out, "--threads", "1"])
+
+
+class TestJoinBySpotId:
+    @pytest.mark.parametrize("case", sorted(_JOINS))
+    def test_shuffled_rows_give_the_same_output(self, pipeline, tmp_path, case):
+        _, joined, outputs = _JOINS[case]
+        files = {"emb": pipeline["emb"], "labels": pipeline["labels"]}
+        assert _run_join(pipeline, case, str(tmp_path / "in_order"), files) == 0
+        for key in joined:
+            files[key] = str(tmp_path / f"shuffled_{key}.csv")
+            _rewrite_rows(pipeline[key], files[key], None)
+        assert _read(files[joined[-1]]) != _read(pipeline[joined[-1]])
+        assert _run_join(pipeline, case, str(tmp_path / "shuffled"), files) == 0
+        for name in outputs:
+            assert _read(tmp_path / "shuffled" / name) == _read(tmp_path / "in_order" / name), name
+
+    @pytest.mark.parametrize("tamper", ["missing", "extra"])
+    @pytest.mark.parametrize("case", sorted(_JOINS))
+    def test_id_mismatch_names_the_file(self, pipeline, tmp_path, capsys, case, tamper):
+        key = _JOINS[case][1][-1]
+        files = {"emb": pipeline["emb"], "labels": pipeline["labels"]}
+        files[key] = str(tmp_path / f"{tamper}_{key}.csv")
+        sid = _rewrite_rows(pipeline[key], files[key], tamper)
+        capsys.readouterr()
+        assert _run_join(pipeline, case, str(tmp_path / "out"), files) == 1
+        err = capsys.readouterr().err
+        assert files[key] in err and repr(sid) in err
+
+
+class TestReportMatchesSubcommands:
+    def test_subcommands_reproduce_report_artifacts(self, pipeline, tmp_path):
+        rep = pipeline["rep"]
+        emb, labels, ckpt = (os.path.join(rep, n) for n in ("embedding.csv", "labels.csv", "ckpt.json"))
+        data = pipeline["data"]
+        shared = ["--set", "epochs=5", "--set", "d_emb=6", "--set", "tau=1", "--threads", "1"]
+        out = {name: str(tmp_path / name) for name in (
+            "cluster", "visualize", "deconvolve", "markers", "trajectory", "evaluate"
+        )}
+        runs = [
+            ["cluster", "--data", data, "--emb", emb],
+            ["visualize", "--emb", emb, "--labels", labels],
+            ["deconvolve", "--emb", emb, "--labels", labels],
+            ["markers", "--data", data, "--labels", labels, "--ckpt", ckpt, "--top-n", "3"],
+            ["trajectory", "--emb", emb, "--labels", labels],
+            ["evaluate", "--data", data, "--emb", emb, "--labels", labels],
+        ]
+        for argv in runs:
+            assert cli.run(argv + ["--out", out[argv[0]]] + shared) == 0
+        for command, name in [
+            ("cluster", "labels.csv"),
+            ("visualize", "vis.csv"),
+            ("visualize", "vis.svg"),
+            ("deconvolve", "deconvolution.csv"),
+            ("markers", "markers.csv"),
+        ]:
+            assert _read(os.path.join(out[command], name)) == _read(os.path.join(rep, name)), name
+        with open(os.path.join(rep, "report.json")) as fh:
+            report = json.load(fh)
+        with open(os.path.join(out["trajectory"], "paga.json")) as fh:
+            assert json.load(fh)["edges"] == report["paga_edges"]
+        with open(os.path.join(out["evaluate"], "metrics.json")) as fh:
+            assert json.load(fh) == report["metrics"]
 
 
 class TestExitCodes:

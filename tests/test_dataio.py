@@ -63,7 +63,7 @@ class TestRunConfig:
     def test_round_trip_through_file(self, tmp_path):
         cfg = dataio.RunConfig().replace(nu=0.2, epochs=33, epsilon_radius=1.25, refine=True)
         path = tmp_path / "config.json"
-        dataio.write_config(cfg, str(path))
+        path.write_text(json.dumps(cfg.to_dict()))
         assert dataio.load_config(str(path)) == cfg
 
     def test_load_config_errors(self, tmp_path):
@@ -189,13 +189,12 @@ class TestReport:
     def test_minimal_report_files(self, tmp_path, rng):
         rep = dataio.AnalysisReport(
             spot_ids=["a", "b", "c"],
-            embedding=rng.normal(size=(3, 4)),
             metrics={"ari": np.float64(0.5)},
             notes={"count": np.int64(3)},
         )
         paths = dataio.write_report(rep, str(tmp_path))
         names = {p.split("/")[-1] for p in paths}
-        assert names == {"embedding.csv", "report.json"}
+        assert names == {"report.json"}
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["metrics"] == {"ari": 0.5}
         assert payload["notes"] == {"count": 3}
@@ -204,7 +203,6 @@ class TestReport:
         n = 5
         rep = dataio.AnalysisReport(
             spot_ids=[f"s{i}" for i in range(n)],
-            embedding=rng.normal(size=(n, 3)),
             labels=np.array([0, 0, 1, 1, 1]),
             coords=rng.uniform(size=(n, 2)),
             vis=rng.normal(size=(n, 2)),
@@ -227,7 +225,6 @@ class TestReport:
         paths = dataio.write_report(rep, str(tmp_path))
         names = {p.split("/")[-1] for p in paths}
         assert names == {
-            "embedding.csv",
             "labels.csv",
             "vis.csv",
             "markers.csv",

@@ -5,7 +5,6 @@ from topofuse import dataio, downstream, network, preprocess, topology
 from topofuse.errors import (
     DegenerateComponent,
     LengthMismatch,
-    NegativeSum,
     NonConvergenceWarning,
     OutOfRange,
     ShapeMismatch,
@@ -39,16 +38,27 @@ class TestEmFit:
         res = downstream.em_fit(z, 2, means0)
         assert not res.ok
 
+    @staticmethod
+    def _model(history):
+        return downstream.ClusterModel(
+            k=1,
+            means=np.zeros((1, 2)),
+            covariances=np.ones((1, 2)),
+            weights=np.ones(1),
+            labels=np.zeros(3, dtype=np.int64),
+            loglik_history=history,
+        )
+
     def test_decreasing_history_rejected(self):
         with pytest.raises(DegenerateComponent):
-            downstream.ClusterModel(
-                k=1,
-                means=np.zeros((1, 2)),
-                covariances=np.ones((1, 2)),
-                weights=np.ones(1),
-                labels=np.zeros(3, dtype=np.int64),
-                loglik_history=[0.0, -1.0],
-            )
+            self._model([0.0, -1.0])
+
+    def test_drop_below_convergence_tolerance_accepted(self):
+        # em_fit stops on a step that moves the log-likelihood by less than
+        # GMM_TOL, down as well as up; the best restart of a report on synth
+        # seed 10 at 150 epochs ends on such a drop.
+        ll = 4584.028950607923
+        self._model([ll, ll - 3.49e-9])
 
 
 class TestGmmCluster:
@@ -178,13 +188,6 @@ class TestMarkers:
         assert np.array_equal(shifts[:, 2], np.zeros(pre.n_spots))
         assert np.all(shifts >= 0.0)
 
-    def test_single_cluster_lookup(self, rng):
-        pre, graph, params, labels = _marker_setup(rng)
-        rows = downstream.marker_importance(pre, params, graph, labels, cluster=1, top_n=2)
-        assert rows == downstream.marker_tables(pre, params, graph, labels, top_n=2)[1]
-        with pytest.raises(OutOfRange):
-            downstream.marker_importance(pre, params, graph, labels, cluster=9)
-
     def test_label_length_checked(self, rng):
         pre, graph, params, _ = _marker_setup(rng)
         with pytest.raises(LengthMismatch):
@@ -244,27 +247,13 @@ class TestDenoise:
         assert np.array_equal(out, es.x_hat)
 
 
-class TestRegionStatistic:
-    def test_hand_values(self):
-        x = np.array([[10.0, 6.0], [8.0, 8.0], [1.0, 0.0]])
-        out = downstream.region_statistic(x, np.array([0, 0, 1]))
-        assert np.array_equal(out, np.array([2.0, 2.0, 1.0]))
-
-    def test_negative_sum_names_the_spot(self):
-        with pytest.raises(NegativeSum, match="spot 1"):
-            downstream.region_statistic(np.array([[1.0], [-2.0]]), np.array([0, 0]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            downstream.region_statistic(np.zeros((3, 2)), np.zeros(2))
-
-
 class TestVisualization:
     def test_shape_and_determinism(self, rng):
         z, _ = _blobs(rng, [(0.0, 0.0, 0.0), (6.0, 0.0, 0.0)], per=12)
         cfg = dataio.RunConfig().replace(seed=9)
-        a = downstream.fit_visualization(z, cfg)
-        b = downstream.fit_visualization(z, cfg)
+        a, history = downstream._fit_vis(z, cfg)
+        b, _ = downstream._fit_vis(z, cfg)
+        assert len(history) == downstream.VIS_EPOCHS
         assert a.shape == (24, 2)
         assert np.all(np.isfinite(a))
         assert np.array_equal(a, b)

@@ -213,8 +213,6 @@ class TestBackward:
 class TestDropout:
     def test_zero_rate_is_identity(self, rng):
         assert network.dropout_mask((3, 3), 0.0, rng) is None
-        x = rng.normal(size=(3, 3))
-        assert network.dropout(x, 0.0, rng) is x
 
     def test_mask_values_and_rate(self):
         rng = np.random.default_rng(0)
@@ -223,11 +221,6 @@ class TestDropout:
         assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 0.9, 12)}
         drop_rate = (mask == 0).mean()
         assert 0.07 < drop_rate < 0.13
-
-    def test_dropout_applies_mask(self):
-        x = np.ones((50, 20))
-        out = network.dropout(x, 0.25, np.random.default_rng(3))
-        assert set(np.round(np.unique(out), 12)) <= {0.0, round(1.0 / 0.75, 12)}
 
 
 class TestCheckpoint:
