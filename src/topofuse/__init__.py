@@ -7,12 +7,10 @@ before numpy is first imported.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "AnalysisReport": "dataio",
     "RunConfig": "dataio",
     "SpotDataset": "dataio",
     "load_config": "dataio",
     "load_dataset": "dataio",
-    "write_report": "dataio",
     "TopofuseError": "errors",
     "ari": "evaluate",
     "modality_contribution": "evaluate",

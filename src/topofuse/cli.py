@@ -1,8 +1,10 @@
 """Command line interface.
 
 Heavy imports happen inside handlers so --threads can pin the BLAS pool
-before numpy loads. Every run writes a manifest.json with the resolved
-configuration; re-running the recorded argv reproduces the outputs.
+before numpy loads. `run` resolves the configuration, calls the handler,
+which writes its artifacts and returns its manifest extras, then writes
+manifest.json with the resolved configuration; re-running the recorded
+argv reproduces the outputs.
 """
 
 from __future__ import annotations
@@ -129,24 +131,19 @@ def _parse_override(text: str):
 
 
 def _resolve_config(args):
-    from .dataio import _CONFIG_SPEC, RunConfig, load_config
-    from .errors import UnknownKey
+    """File keys, then --set overrides, then --seed, built as one RunConfig."""
+    from .dataio import config_from_dict, load_config
 
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for item in getattr(args, "set", None) or []:
+    values = load_config(args.config) if args.config else {}
+    for item in args.set or []:
         key, value = _parse_override(item)
-        if key not in _CONFIG_SPEC:
-            raise UnknownKey(f"unknown config key {key!r}")
-        overrides[key] = value
+        values[key] = value
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    return cfg
+        values["seed"] = args.seed
+    return config_from_dict(values)
 
 
-def _write_manifest(args, cfg, extra=None):
+def _write_manifest(args, cfg, extra):
     from .dataio import write_json
 
     payload = {
@@ -163,9 +160,7 @@ def _write_manifest(args, cfg, extra=None):
         "threads": args.threads,
         "config": cfg.to_dict() if cfg is not None else None,
     }
-    if extra:
-        payload.update(extra)
-    os.makedirs(args.out, exist_ok=True)
+    payload.update(extra)
     write_json(os.path.join(args.out, "manifest.json"), payload)
 
 
@@ -197,7 +192,7 @@ def _model_inputs(ds, cfg):
     return pre, build_spatial_graph(ds.coords, float(eps)), float(eps)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, cfg) -> dict:
     from .dataio import write_dataset, write_matrix_csv
     from .synth import SynthSpec, generate
 
@@ -213,32 +208,27 @@ def cmd_synth(args) -> int:
         seed=args.seed if args.seed is not None else 42,
     )
     ds, truth = generate(spec)
-    os.makedirs(args.out, exist_ok=True)
     write_dataset(ds, args.out)
     write_matrix_csv(os.path.join(args.out, "truth_tra.csv"), ds.spot_ids, ds.gene_ids, truth["tra"])
     if truth["mor"] is not None:
         cols = [f"m{i}" for i in range(truth["mor"].shape[1])]
         write_matrix_csv(os.path.join(args.out, "truth_mor.csv"), ds.spot_ids, cols, truth["mor"])
-    _write_manifest(args, None, extra={"synth_spec": spec.__dict__ | {}})
     print(f"wrote {ds.n_spots} spots x {len(ds.gene_ids)} genes to {args.out}")
-    return 0
+    return {"synth_spec": spec.__dict__ | {}}
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args, cfg) -> dict:
     from .dataio import write_matrix_csv
     from .preprocess import preprocess_dataset
 
     ds = _load_data(args)
-    cfg = _resolve_config(args)
     pre = preprocess_dataset(ds, cfg)
-    os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "pre_tra.csv"), ds.spot_ids, pre.gene_ids, pre.tra)
     if pre.mor is not None:
         cols = [f"pc{i}" for i in range(pre.mor.shape[1])]
         write_matrix_csv(os.path.join(args.out, "pre_mor.csv"), ds.spot_ids, cols, pre.mor)
-    _write_manifest(args, cfg)
     print(f"kept {len(pre.gene_ids)} genes for {pre.n_spots} spots")
-    return 0
+    return {}
 
 
 def _train_once(ds, cfg):
@@ -254,7 +244,6 @@ def _save_model(out, spot_ids, emb, params):
     from .dataio import write_matrix_csv
     from .network import save_checkpoint
 
-    os.makedirs(out, exist_ok=True)
     cols = [f"z{i}" for i in range(emb.z.shape[1])]
     write_matrix_csv(os.path.join(out, "embedding.csv"), spot_ids, cols, emb.z)
     save_checkpoint(params, os.path.join(out, "ckpt.json"))
@@ -313,187 +302,125 @@ def _metrics(x, z, truth, predicted, mrre_k):
     return metrics
 
 
-def _write_losses(path, history):
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "l_topo_tra", "l_topo_mor", "l_recon", "total"])
-        for rec in history:
-            w.writerow(
-                [
-                    rec["epoch"],
-                    "%.17g" % rec["l_topo_tra"],
-                    "" if rec["l_topo_mor"] is None else "%.17g" % rec["l_topo_mor"],
-                    "%.17g" % rec["l_recon"],
-                    "%.17g" % rec["total"],
-                ]
-            )
-
-
-def cmd_train(args) -> int:
-    from .dataio import write_matrix_csv
+def cmd_train(args, cfg) -> dict:
+    from .dataio import write_losses_csv, write_matrix_csv
 
     ds = _load_data(args)
-    cfg = _resolve_config(args)
     pre, spatial, eps, state, emb = _train_once(ds, cfg)
     _save_model(args.out, ds.spot_ids, emb, state.params)
     for name, y in (("y_tra.csv", emb.y_tra), ("y_mor.csv", emb.y_mor)):
         if y is not None:
             write_matrix_csv(os.path.join(args.out, name), ds.spot_ids, [f"y{i}" for i in range(y.shape[1])], y)
-    _write_losses(os.path.join(args.out, "losses.csv"), state.history)
-    _write_manifest(
-        args,
-        cfg,
-        extra={"epsilon_used": eps, "isolated_nodes": len(spatial.isolated), "notes": state.notes},
-    )
+    write_losses_csv(os.path.join(args.out, "losses.csv"), state.history)
     print(f"trained {cfg.epochs} epochs; final loss {state.history[-1]['total']:.6g}")
-    return 0
+    return {"epsilon_used": eps, "isolated_nodes": len(spatial.isolated), "notes": state.notes}
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_labels_csv
 
     ds = _load_data(args)
-    cfg = _resolve_config(args)
     _, z = read_spot_csv(args.emb, "embedding", ds.spot_ids, args.data)
     k, labels = _cluster(ds, z, cfg, args.restarts)
-    os.makedirs(args.out, exist_ok=True)
     write_labels_csv(os.path.join(args.out, "labels.csv"), ds.spot_ids, labels)
-    _write_manifest(args, cfg, extra={"n_clusters": k})
     print(f"assigned {k} clusters over {ds.n_spots} spots")
-    return 0
+    return {"n_clusters": k}
 
 
-def cmd_visualize(args) -> int:
+def cmd_visualize(args, cfg) -> dict:
     import numpy as np
 
     from .dataio import plot_scatter, read_spot_csv, write_matrix_csv
     from .downstream import _fit_vis
 
-    cfg = _resolve_config(args)
     ids, z = read_spot_csv(args.emb, "embedding", None, None)
     labels = np.zeros(len(ids), dtype=np.int64)
     if args.labels:
         _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
     vis, _ = _fit_vis(z, cfg)
-    os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "vis.csv"), ids, ["v0", "v1"], vis)
     plot_scatter(vis, labels, os.path.join(args.out, "vis.svg"))
-    _write_manifest(args, cfg)
     print(f"embedded {len(ids)} spots in 2-D")
-    return 0
+    return {}
 
 
-def cmd_deconvolve(args) -> int:
+def cmd_deconvolve(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_deconvolution_csv
     from .downstream import deconvolve
 
-    cfg = _resolve_config(args)
     ids, z = read_spot_csv(args.emb, "embedding", None, None)
     _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
     res = deconvolve(z, labels, args.l1)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "deconvolution.csv")
     write_deconvolution_csv(path, ids, res.cluster_ids, res.weights, res.impurity)
-    _write_manifest(args, cfg, extra={"l1": args.l1, "kkt": res.kkt, "converged": res.converged})
     print(f"deconvolved {len(ids)} spots onto {len(res.cluster_ids)} cluster means")
-    return 0
+    return {"l1": args.l1, "kkt": res.kkt, "converged": res.converged}
 
 
-def cmd_markers(args) -> int:
+def cmd_markers(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_markers_csv
     from .network import load_checkpoint
 
     ds = _load_data(args)
-    cfg = _resolve_config(args)
     params = load_checkpoint(args.ckpt)
     _, labels = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
     pre, spatial, _ = _model_inputs(ds, cfg)
     rows = _marker_rows(pre, params, spatial, labels, args.top_n)
-    os.makedirs(args.out, exist_ok=True)
     write_markers_csv(os.path.join(args.out, "markers.csv"), rows)
-    _write_manifest(args, cfg, extra={"top_n": args.top_n})
     print(f"ranked markers for {len(set(labels.tolist()))} clusters")
-    return 0
+    return {"top_n": args.top_n}
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_json
 
-    cfg = _resolve_config(args)
     ids, z = read_spot_csv(args.emb, "embedding", None, None)
     _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
     cluster_ids, edges = _paga_edges(z, labels, args.paga_k)
-    os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "paga.json"), {"cluster_ids": cluster_ids, "edges": edges})
-    _write_manifest(args, cfg, extra={"paga_k": args.paga_k})
     print(f"connectivity over {len(cluster_ids)} clusters")
-    return 0
+    return {"paga_k": args.paga_k}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_json
     from .preprocess import preprocess_dataset
 
     ds = _load_data(args)
-    cfg = _resolve_config(args)
     _, z = read_spot_csv(args.emb, "embedding", ds.spot_ids, args.data)
     predicted = None
     if args.labels and ds.labels is not None:
         _, predicted = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
     metrics = _metrics(preprocess_dataset(ds, cfg).tra, z, ds.labels, predicted, args.mrre_k)
-    os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "metrics.json"), metrics)
-    _write_manifest(args, cfg, extra={"metrics": metrics})
     print(json.dumps(metrics))
-    return 0
+    return {"metrics": metrics}
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, cfg) -> dict:
     import numpy as np
 
-    from .dataio import AnalysisReport, write_report
+    from .dataio import (
+        plot_scatter,
+        write_deconvolution_csv,
+        write_json,
+        write_labels_csv,
+        write_markers_csv,
+        write_matrix_csv,
+    )
     from .downstream import _fit_vis, deconvolve
     from .evaluate import modality_contribution
 
     ds = _load_data(args)
-    cfg = _resolve_config(args)
     pre, spatial, eps, state, emb = _train_once(ds, cfg)
     k, labels = _cluster(ds, emb.z, cfg, args.restarts)
     vis, vis_history = _fit_vis(emb.z, cfg)
     dec = deconvolve(emb.z, labels, args.l1)
     markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
-    paga_edges = None
-    if len(set(labels.tolist())) >= 2:
-        _, paga_edges = _paga_edges(emb.z, labels, args.paga_k)
     metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
-
-    contrib_labels = ds.labels if ds.labels is not None else labels
-    contributions = None
-    if pre.mor is not None and len(set(contrib_labels.tolist())) >= 2:
-        parts = {
-            key: modality_contribution(mats, contrib_labels, names=["tra", "mor"], seed=cfg.seed)
-            for key, mats in (("inputs", [pre.tra, pre.mor]), ("embeddings", [emb.y_tra, emb.y_mor]))
-        }
-        contributions = {
-            "names": ["tra_input", "mor_input", "tra_emb", "mor_emb"],
-            "per_spot": np.column_stack([part.per_spot for part in parts.values()]),
-            **{key: {"summary": part.summary, "train_accuracy": part.train_accuracy} for key, part in parts.items()},
-        }
-
-    report = AnalysisReport(
-        spot_ids=ds.spot_ids,
-        labels=labels,
-        coords=ds.coords,
-        vis=vis,
-        metrics=metrics,
-        loss_history=state.history,
-        paga_edges=paga_edges,
-        markers=markers,
-        deconvolution={"cluster_ids": dec.cluster_ids, "weights": dec.weights, "impurity": dec.impurity},
-        contributions=contributions,
-        notes={
+    payload = {
+        "metrics": metrics,
+        "notes": {
             "epsilon_used": eps,
             "isolated_nodes": len(spatial.isolated),
             "augment_fallbacks": state.notes.get("augment_fallbacks", 0),
@@ -501,14 +428,42 @@ def cmd_report(args) -> int:
             "deconvolution_converged": dec.converged,
             "vis_final_loss": vis_history[-1],
         },
-        config=cfg.to_dict(),
-    )
-    write_report(report, args.out)
+        "config": cfg.to_dict(),
+        "loss_history": state.history,
+    }
+    if len(set(labels.tolist())) >= 2:
+        _, payload["paga_edges"] = _paga_edges(emb.z, labels, args.paga_k)
+    payload["markers"] = [{"cluster": c, "rank": r, "gene_id": g, "importance": v} for c, r, g, v in markers]
+    contrib_labels = ds.labels if ds.labels is not None else labels
+    per_spot = None
+    if pre.mor is not None and len(set(contrib_labels.tolist())) >= 2:
+        parts = {
+            key: modality_contribution(mats, contrib_labels, names=["tra", "mor"], seed=cfg.seed)
+            for key, mats in (("inputs", [pre.tra, pre.mor]), ("embeddings", [emb.y_tra, emb.y_mor]))
+        }
+        per_spot = np.column_stack([part.per_spot for part in parts.values()])
+        payload["modality_contribution"] = {
+            "names": ["tra_input", "mor_input", "tra_emb", "mor_emb"],
+            **{key: {"summary": part.summary, "train_accuracy": part.train_accuracy} for key, part in parts.items()},
+        }
+
+    def out(name):
+        return os.path.join(args.out, name)
+
+    write_labels_csv(out("labels.csv"), ds.spot_ids, labels)
+    write_matrix_csv(out("vis.csv"), ds.spot_ids, ["v0", "v1"], vis)
+    write_markers_csv(out("markers.csv"), markers)
+    write_deconvolution_csv(out("deconvolution.csv"), ds.spot_ids, dec.cluster_ids, dec.weights, dec.impurity)
+    if per_spot is not None:
+        names = payload["modality_contribution"]["names"]
+        write_matrix_csv(out("contributions.csv"), ds.spot_ids, names, per_spot)
+    write_json(out("report.json"), payload)
+    plot_scatter(ds.coords, labels, out("domains.svg"))
+    plot_scatter(vis, labels, out("vis.svg"))
     _save_model(args.out, ds.spot_ids, emb, state.params)
-    _write_manifest(args, cfg, extra={"n_clusters": k, "epsilon_used": eps})
     summary = {key: round(val, 4) for key, val in metrics.items()}
     print(f"report written to {args.out} {json.dumps(summary)}")
-    return 0
+    return {"n_clusters": k, "epsilon_used": eps}
 
 
 _HANDLERS = {
@@ -531,7 +486,10 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         args._argv = list(argv)
-        return _HANDLERS[args.command](args)
+        cfg = _resolve_config(args) if "config" in args else None  # synth takes no config
+        extra = _HANDLERS[args.command](args, cfg)
+        _write_manifest(args, cfg, extra)
+        return 0
     except CliError as e:
         print(f"topofuse: {e}", file=sys.stderr)
         return 1

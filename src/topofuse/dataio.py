@@ -6,6 +6,7 @@ spot id. Numbers are written with %.17g so a load/write cycle is lossless.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -63,27 +64,26 @@ class SpotDataset:
         return self.tra.shape[0]
 
 
-# Defaults target a 10x-style section; epsilon_radius "auto" picks the
-# smallest radius giving the median spot at least 4 spatial neighbors.
+# Value kind per config key; the defaults are RunConfig's field defaults.
 _CONFIG_SPEC = {
-    "k_tr": (int, 7),
-    "k_mo": (int, 7),
-    "r_u_tr": (float, 0.1),
-    "r_u_mo": (float, 0.1),
-    "nu": (float, 0.05),
-    "d_emb": (int, 72),
-    "theta": (float, 0.9),
-    "lambda_": (float, 0.01),
-    "alpha": (float, 2.0),
-    "tau": (int, 50),
-    "n_mlp": (int, 1),
-    "lr": (float, 0.001),
-    "epochs": (int, 600),
-    "seed": (int, 42),
-    "epsilon_radius": (object, "auto"),
-    "n_clusters": (int, 7),
-    "refine": (bool, False),
-    "fusion_mode": (str, "sum"),
+    "k_tr": int,
+    "k_mo": int,
+    "r_u_tr": float,
+    "r_u_mo": float,
+    "nu": float,
+    "d_emb": int,
+    "theta": float,
+    "lambda_": float,
+    "alpha": float,
+    "tau": int,
+    "n_mlp": int,
+    "lr": float,
+    "epochs": int,
+    "seed": int,
+    "epsilon_radius": object,
+    "n_clusters": int,
+    "refine": bool,
+    "fusion_mode": str,
 }
 
 
@@ -91,6 +91,8 @@ _CONFIG_SPEC = {
 class RunConfig:
     """Validated hyperparameters for one run.
 
+    The defaults target a 10x-style section; epsilon_radius "auto" picks the
+    smallest radius giving the median spot at least 4 spatial neighbors.
     `explicit` records which keys were set by the user rather than filled
     from defaults; it is ignored for equality so round-trips compare clean.
     """
@@ -134,7 +136,7 @@ def _validate_config_values(d: dict):
     def bad(key, why):
         raise OutOfRange(f"config key {key!r}: {why}")
 
-    for key, (kind, _) in _CONFIG_SPEC.items():
+    for key, kind in _CONFIG_SPEC.items():
         v = d[key]
         if kind is int:
             if isinstance(v, bool) or not isinstance(v, int):
@@ -188,14 +190,15 @@ def config_from_dict(d: dict) -> RunConfig:
         raise UnknownKey(f"unknown config keys: {', '.join(unknown)}")
     values = {k: d[k] for k in d}
     # JSON has no int/float distinction worth fighting over; coerce whole floats.
-    for key, (kind, _) in _CONFIG_SPEC.items():
+    for key, kind in _CONFIG_SPEC.items():
         if key in values and kind is int and isinstance(values[key], float) and not isinstance(values[key], bool):
             if float(values[key]).is_integer():
                 values[key] = int(values[key])
     return RunConfig(**values, explicit=frozenset(values))
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> dict:
+    """Read a config file's flat JSON object; config_from_dict validates it."""
     if not os.path.isfile(path):
         raise MissingFile(f"config file not found: {path}")
     try:
@@ -207,7 +210,7 @@ def load_config(path: str) -> RunConfig:
         raise NonNumericCell(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise NonNumericCell(f"config {path} must hold a flat JSON object")
-    return config_from_dict(raw)
+    return raw
 
 
 def _read_table(path: str, what: str) -> tuple[list[str], list[str], np.ndarray]:
@@ -302,17 +305,30 @@ def load_dataset(
     return SpotDataset(tra=tra, coords=coords, spot_ids=spot_ids, gene_ids=gene_ids, mor=mor, labels=labels)
 
 
+@contextlib.contextmanager
+def open_for_write(path: str):
+    """Open `path` for writing text, creating its directory first.
+
+    The directory appears only with the first file written into it. Any
+    OSError, from the directory, the open or a write, becomes IoFailure
+    naming the path.
+    """
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e
+
+
 def write_matrix_csv(path: str, row_ids: list[str], col_names: list[str], m: np.ndarray):
     if m.shape != (len(row_ids), len(col_names)):
         raise RowCountMismatch(f"matrix shape {m.shape} does not match ids for {path}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["spot_id"] + list(col_names))
-            for sid, row in zip(row_ids, m):
-                w.writerow([sid] + [FLOAT_FMT % v for v in row])
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with open_for_write(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["spot_id"] + list(col_names))
+        for sid, row in zip(row_ids, m):
+            w.writerow([sid] + [FLOAT_FMT % v for v in row])
 
 
 def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[str], np.ndarray]:
@@ -350,14 +366,21 @@ def write_labels_csv(path: str, spot_ids: list[str], labels: np.ndarray):
 
 def write_markers_csv(path: str, rows: list):
     """Write marker rows of (cluster, rank, gene_id, importance)."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cluster", "rank", "gene_id", "importance"])
-            for cluster, rank, gene_id, imp in rows:
-                w.writerow([int(cluster), int(rank), gene_id, FLOAT_FMT % imp])
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with open_for_write(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["cluster", "rank", "gene_id", "importance"])
+        for cluster, rank, gene_id, imp in rows:
+            w.writerow([int(cluster), int(rank), gene_id, FLOAT_FMT % imp])
+
+
+def write_losses_csv(path: str, history: list):
+    """Write one row per training epoch; a single-modality run leaves l_topo_mor empty."""
+    cols = ["epoch", "l_topo_tra", "l_topo_mor", "l_recon", "total"]
+    with open_for_write(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        for rec in history:
+            w.writerow([rec["epoch"]] + ["" if rec[c] is None else FLOAT_FMT % rec[c] for c in cols[1:]])
 
 
 def write_deconvolution_csv(
@@ -368,17 +391,13 @@ def write_deconvolution_csv(
 
 
 def write_json(path: str, payload: dict):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with open_for_write(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def write_dataset(ds: SpotDataset, out_dir: str) -> list[str]:
     """Write a dataset as tra/coords(/mor/labels) CSVs; returns written paths."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     p = os.path.join(out_dir, "tra.csv")
     write_matrix_csv(p, ds.spot_ids, ds.gene_ids, ds.tra)
@@ -394,95 +413,6 @@ def write_dataset(ds: SpotDataset, out_dir: str) -> list[str]:
         p = os.path.join(out_dir, "labels.csv")
         write_labels_csv(p, ds.spot_ids, ds.labels)
         paths.append(p)
-    return paths
-
-
-@dataclass
-class AnalysisReport:
-    """The analysis artifacts of one run; training writes embedding and checkpoint itself."""
-
-    spot_ids: list[str]
-    labels: np.ndarray | None = None
-    coords: np.ndarray | None = None
-    vis: np.ndarray | None = None
-    metrics: dict = field(default_factory=dict)
-    loss_history: list | None = None
-    paga_edges: list | None = None
-    markers: list | None = None  # rows of (cluster, rank, gene_id, importance)
-    deconvolution: dict | None = None  # cluster_ids, weights, impurity
-    contributions: dict | None = None
-    notes: dict = field(default_factory=dict)
-    config: dict | None = None
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def write_report(report: AnalysisReport, out_dir: str) -> list[str]:
-    """Serialize a report to CSV/JSON/SVG files; returns the written paths."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise IoFailure(f"cannot create {out_dir}: {e}") from e
-    paths = []
-
-    def out(name):
-        paths.append(os.path.join(out_dir, name))
-        return paths[-1]
-
-    if report.labels is not None:
-        write_labels_csv(out("labels.csv"), report.spot_ids, report.labels)
-    if report.vis is not None:
-        write_matrix_csv(out("vis.csv"), report.spot_ids, ["v0", "v1"], np.asarray(report.vis))
-    if report.markers is not None:
-        write_markers_csv(out("markers.csv"), report.markers)
-    if report.deconvolution is not None:
-        dec = report.deconvolution
-        write_deconvolution_csv(
-            out("deconvolution.csv"), report.spot_ids, dec["cluster_ids"], dec["weights"], dec["impurity"]
-        )
-    if report.contributions is not None and "per_spot" in report.contributions:
-        contrib = report.contributions
-        write_matrix_csv(
-            out("contributions.csv"), report.spot_ids, list(contrib["names"]), np.asarray(contrib["per_spot"])
-        )
-
-    payload = {
-        "metrics": _jsonable(report.metrics),
-        "notes": _jsonable(report.notes),
-    }
-    if report.config is not None:
-        payload["config"] = _jsonable(report.config)
-    if report.loss_history is not None:
-        payload["loss_history"] = _jsonable(report.loss_history)
-    if report.paga_edges is not None:
-        payload["paga_edges"] = _jsonable(report.paga_edges)
-    if report.markers is not None:
-        payload["markers"] = _jsonable(
-            [{"cluster": c, "rank": r, "gene_id": g, "importance": v} for c, r, g, v in report.markers]
-        )
-    if report.contributions is not None:
-        summary = {k: _jsonable(v) for k, v in report.contributions.items() if k != "per_spot"}
-        payload["modality_contribution"] = summary
-    write_json(out("report.json"), payload)
-
-    if report.coords is not None and report.labels is not None:
-        plot_scatter(np.asarray(report.coords), np.asarray(report.labels), out("domains.svg"))
-    if report.vis is not None and report.labels is not None:
-        plot_scatter(np.asarray(report.vis), np.asarray(report.labels), out("vis.svg"))
     return paths
 
 
@@ -540,8 +470,5 @@ def plot_scatter(points: np.ndarray, labels: np.ndarray, path: str, size: int = 
             f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="{color_of[int(lab)]}"/>'
         )
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with open_for_write(path) as fh:
+        fh.write("\n".join(parts) + "\n")

@@ -206,9 +206,8 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
     n, d = z.shape
     rng = np.random.default_rng([cfg.seed, 7])
     layers = [_glorot(rng, d, d), _glorot(rng, d, 2)]
-    graph = knn_graph(z, max(1, min(cfg.k_tr, n - 1)))
-    params = _VisParams(layers)
-    adam = Adam(params, VIS_LR)
+    graph = knn_graph(z, cfg.k_tr)
+    adam = Adam(layers, VIS_LR)
     kc = KernelConfig(nu=VIS_NU_LOW)
     history = []
     for _ in range(VIS_EPOCHS):
@@ -217,28 +216,13 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
         loss, dvi, _ = topo_loss(batch, z, vi, kc, alpha=0.0, nu_prior=cfg.nu)
         if not np.isfinite(loss):
             raise NonFiniteLoss("visualization loss became non-finite")
-        params.zero_grads()
+        for layer in layers:
+            layer.zero_grad()
         _stack_backward(dvi, layers, cache)
-        adam.step(params)
+        adam.step()
         history.append(loss)
     vi, _ = _stack_forward(z, layers, None)
     return vi, history
-
-
-class _VisParams:
-    """Minimal layer container so the shared Adam can drive the 2-D head."""
-
-    def __init__(self, layers):
-        self.layers = layers
-
-    def named_layers(self):
-        for i, layer in enumerate(self.layers):
-            yield f"vis.{i}", layer
-
-    def zero_grads(self):
-        for _, layer in self.named_layers():
-            layer.gw[...] = 0.0
-            layer.gb[...] = 0.0
 
 
 def _soft(x: float, thr: float) -> float:

@@ -63,12 +63,11 @@ def _rank_matrix(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def mrre(x_high: np.ndarray, x_low: np.ndarray, k: int, bidirectional: bool = False) -> float:
+def mrre(x_high: np.ndarray, x_low: np.ndarray, k: int) -> float:
     """Mean relative rank error of the k high-space neighborhoods.
 
     Sums |r - r'| / r over each point's k nearest high-space neighbors and
-    divides by M * |M - 2k| / k. The bidirectional flag averages in the
-    low-space-neighborhood direction as well.
+    divides by M * |M - 2k| / k.
     """
     x_high = np.asarray(x_high, dtype=np.float64)
     x_low = np.asarray(x_low, dtype=np.float64)
@@ -80,20 +79,14 @@ def mrre(x_high: np.ndarray, x_low: np.ndarray, k: int, bidirectional: bool = Fa
     if not 1 <= k < m / 2:
         raise OutOfRange("k must satisfy 1 <= k < M/2")
 
-    def one_direction(a, b):
-        ra = _rank_matrix(a)
-        rb = _rank_matrix(b)
-        total = 0.0
-        for i in range(m):
-            nbrs = np.flatnonzero(ra[i] <= k)
-            nbrs = nbrs[nbrs != i]
-            total += (np.abs(ra[i, nbrs] - rb[i, nbrs]) / ra[i, nbrs]).sum()
-        return total / (m * abs(m - 2 * k) / k)
-
-    v = one_direction(x_high, x_low)
-    if bidirectional:
-        v = 0.5 * (v + one_direction(x_low, x_high))
-    return float(v)
+    ra = _rank_matrix(x_high)
+    rb = _rank_matrix(x_low)
+    total = 0.0
+    for i in range(m):
+        nbrs = np.flatnonzero(ra[i] <= k)
+        nbrs = nbrs[nbrs != i]
+        total += (np.abs(ra[i, nbrs] - rb[i, nbrs]) / ra[i, nbrs]).sum()
+    return float(total / (m * abs(m - 2 * k) / k))
 
 
 def fit_linear_svm(

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .dataio import RunConfig
+from .dataio import RunConfig, open_for_write
 from .errors import IoFailure, MissingFile, ShapeMismatch, StaleCache
 from .topology import NeighborGraph
 
@@ -28,6 +28,10 @@ class Dense:
         self.b = b
         self.gw = np.zeros_like(w)
         self.gb = np.zeros_like(b)
+
+    def zero_grad(self):
+        self.gw[...] = 0.0
+        self.gb[...] = 0.0
 
 
 def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Dense:
@@ -59,8 +63,7 @@ class ModelParams:
 
     def zero_grads(self):
         for _, layer in self.named_layers():
-            layer.gw[...] = 0.0
-            layer.gb[...] = 0.0
+            layer.zero_grad()
 
     @property
     def has_mor(self) -> bool:
@@ -207,23 +210,15 @@ def backward_all(
     caches,
     dz: np.ndarray | None = None,
     dxhat: np.ndarray | None = None,
-    dy_tra: np.ndarray | None = None,
-    dy_mor: np.ndarray | None = None,
 ):
-    """Accumulate parameter gradients for any mix of upstream signals."""
+    """Accumulate parameter gradients from latent and reconstruction signals."""
     z_rows = caches["dec"]["acts"][0].shape
     dz_total = np.zeros(z_rows) if dz is None else dz.copy()
     if dxhat is not None:
         dz_total += decode_backward(dxhat, params, caches["dec"])
     dt, dm = fuse_backward(dz_total, params, caches["fuse"])
-    if dy_tra is not None:
-        dt = dt + dy_tra
     _stack_backward(dt, params.gnn_tra, caches["tra"])
     if params.has_mor:
-        if dm is None:
-            dm = np.zeros_like(caches["mor"]["pre"][-1])
-        if dy_mor is not None:
-            dm = dm + dy_mor
         _stack_backward(dm, params.gnn_mor, caches["mor"])
 
 
@@ -250,12 +245,9 @@ def save_checkpoint(params: ModelParams, path: str):
         "n_decoder": len(params.decoder),
         "tensors": tensors,
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with open_for_write(path) as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
 
 
 def load_checkpoint(path: str) -> ModelParams:

@@ -15,6 +15,7 @@ import numpy as np
 from .dataio import RunConfig
 from .errors import NonFiniteLoss, OutOfRange, ShapeMismatch
 from .network import (
+    Dense,
     EmbeddingSet,
     ModelParams,
     backward_all,
@@ -136,25 +137,22 @@ def recon_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 class Adam:
-    """Standard Adam over every layer of a ModelParams."""
+    """Standard Adam over a fixed list of Dense layers, updated in place."""
 
-    def __init__(self, params: ModelParams, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, layers: list[Dense], lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+        self.layers = list(layers)
         self.lr = lr
         self.b1, self.b2, self.eps = b1, b2, eps
         self.t = 0
-        self.m = {}
-        self.v = {}
-        for name, layer in params.named_layers():
-            self.m[name] = (np.zeros_like(layer.w), np.zeros_like(layer.b))
-            self.v[name] = (np.zeros_like(layer.w), np.zeros_like(layer.b))
+        self.m = [(np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in self.layers]
+        self.v = [(np.zeros_like(layer.w), np.zeros_like(layer.b)) for layer in self.layers]
 
-    def step(self, params: ModelParams):
+    def step(self):
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for name, layer in params.named_layers():
-            for g, p, m, v in ((layer.gw, layer.w, self.m[name][0], self.v[name][0]),
-                               (layer.gb, layer.b, self.m[name][1], self.v[name][1])):
+        for layer, (mw, mb), (vw, vb) in zip(self.layers, self.m, self.v):
+            for g, p, m, v in ((layer.gw, layer.w, mw, vw), (layer.gb, layer.b, mb, vb)):
                 m *= self.b1
                 m += (1.0 - self.b1) * g
                 v *= self.b2
@@ -168,10 +166,6 @@ class TrainState:
     epoch: int
     history: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
-
-
-def _effective_k(k: int, n: int) -> int:
-    return max(1, min(k, n - 1))
 
 
 def train(
@@ -192,12 +186,12 @@ def train(
     a_hat = normalized_adjacency(spatial)
     kcfg = KernelConfig(nu=cfg.nu)
 
-    mods = [("tra", data.tra, _effective_k(cfg.k_tr, n), cfg.r_u_tr)]
+    mods = [("tra", data.tra, cfg.k_tr, cfg.r_u_tr)]
     if data.mor is not None:
-        mods.append(("mor", data.mor, _effective_k(cfg.k_mo, n), cfg.r_u_mo))
+        mods.append(("mor", data.mor, cfg.k_mo, cfg.r_u_mo))
     graphs = {name: knn_graph(x, k) for name, x, k, _ in mods}
 
-    adam = Adam(params, cfg.lr)
+    adam = Adam([layer for _, layer in params.named_layers()], cfg.lr)
     history = []
     fallbacks = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -252,7 +246,7 @@ def train(
         total = sum(losses.values()) + cfg.lambda_ * l_rec
         if not np.isfinite(total):
             raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
-        adam.step(params)
+        adam.step()
         history.append(
             {
                 "epoch": epoch,

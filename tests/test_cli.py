@@ -309,6 +309,43 @@ class TestReportMatchesSubcommands:
             assert json.load(fh) == report["metrics"]
 
 
+# One cheap argv per subcommand, with {data}/{emb}/{labels}/{ckpt} slots.
+_SMALL = ["--set", "epochs=5", "--set", "d_emb=6", "--set", "tau=1"]
+_COMMANDS = {
+    "synth": ["synth", "--spots-per-domain", "3", "--genes", "8"],
+    "preprocess": ["preprocess", "--data", "{data}", "--set", "tau=1"],
+    "train": ["train", "--data", "{data}"] + _SMALL,
+    "cluster": ["cluster", "--data", "{data}", "--emb", "{emb}"],
+    "visualize": ["visualize", "--emb", "{emb}", "--labels", "{labels}"],
+    "deconvolve": ["deconvolve", "--emb", "{emb}", "--labels", "{labels}"],
+    "markers": ["markers", "--data", "{data}", "--labels", "{labels}", "--ckpt", "{ckpt}", "--set", "tau=1"],
+    "trajectory": ["trajectory", "--emb", "{emb}", "--labels", "{labels}", "--paga-k", "5"],
+    "evaluate": ["evaluate", "--data", "{data}", "--emb", "{emb}", "--set", "tau=1"],
+    "report": ["report", "--data", "{data}", "--top-n", "3"] + _SMALL,
+}
+
+
+class TestUnusableOutput:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_out_is_an_existing_file(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "afile"
+        out.write_text("not a directory\n")
+        slots = {key: pipeline[key] for key in ("data", "emb", "labels", "ckpt")}
+        argv = [a.format(**slots) for a in _COMMANDS[command]]
+        capsys.readouterr()
+        assert cli.run(argv + ["--out", str(out), "--threads", "1"]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
+    def test_artifact_path_is_a_directory(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "train"
+        (out / "losses.csv").mkdir(parents=True)
+        capsys.readouterr()
+        rc = cli.run(["train", "--data", pipeline["data"], "--out", str(out), "--threads", "1"] + _SMALL)
+        assert rc == 1
+        assert str(out / "losses.csv") in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_version_and_help(self, capsys):
         assert cli.run(["--version"]) == 0
@@ -343,6 +380,7 @@ class TestExitCodes:
         rc = cli.run(["train", "--out", str(tmp_path / "x"), "--data", str(tmp_path / "none")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
 
     def test_invalid_spec_value(self, tmp_path, capsys):
         rc = cli.run(["synth", "--out", str(tmp_path / "x"), "--domains", "0"])
@@ -350,7 +388,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_internal_crash_returns_2(self, tmp_path, capsys, monkeypatch):
-        def boom(args):
+        def boom(args, cfg):
             raise RuntimeError("handler exploded")
 
         monkeypatch.setitem(cli._HANDLERS, "synth", boom)
@@ -379,3 +417,17 @@ class TestOverrideParsing:
         ])
         assert rc == 0
         assert _manifest(out)["config"]["seed"] == 99
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_whole_float_integers_from_either_source(self, pipeline, tmp_path, source):
+        out = str(tmp_path / source)
+        argv = ["preprocess", "--out", out, "--data", pipeline["data"], "--set", "tau=1"]
+        if source == "set":
+            argv += ["--set", "epochs=2.0"]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"epochs": 2.0}))
+            argv += ["--config", str(path)]
+        assert cli.run(argv) == 0
+        epochs = _manifest(out)["config"]["epochs"]
+        assert epochs == 2 and isinstance(epochs, int)

@@ -51,13 +51,6 @@ class TestMrre:
                 mrre_oracle(high, low, k), abs=1e-12
             )
 
-    def test_bidirectional_averages_both_directions(self, rng):
-        high = rng.normal(size=(18, 4))
-        low = rng.normal(size=(18, 2))
-        forward = evaluate.mrre(high, low, 4)
-        backward = evaluate.mrre(low, high, 4)
-        assert evaluate.mrre(high, low, 4, bidirectional=True) == 0.5 * (forward + backward)
-
     def test_bounds(self, rng):
         x = rng.normal(size=(6, 2))
         with pytest.raises(OutOfRange):

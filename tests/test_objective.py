@@ -195,8 +195,7 @@ class TestAdam:
         for _, layer in params.named_layers():
             layer.gw[...] = 1.0
             layer.gb[...] = 1.0
-        adam = objective.Adam(params, lr=0.05)
-        adam.step(params)
+        objective.Adam([layer for _, layer in params.named_layers()], lr=0.05).step()
         # bias correction makes the first step lr * g / (|g| + eps)
         step = 0.05 * 1.0 / (np.sqrt(1.0) + 1e-8)
         for name, layer in params.named_layers():
@@ -209,7 +208,7 @@ class TestAdam:
         params = network.init_params(rng, 4, None, cfg)
         w0 = params.decoder[0].w.copy()
         params.decoder[0].gw[...] = 5.0
-        objective.Adam(params, lr=0.0).step(params)
+        objective.Adam([layer for _, layer in params.named_layers()], lr=0.0).step()
         assert np.array_equal(params.decoder[0].w, w0)
 
 
