@@ -164,6 +164,21 @@ def _write_manifest(args, cfg, extra):
     write_json(os.path.join(args.out, "manifest.json"), payload)
 
 
+def _check_out(out):
+    """Fail before any work when `out` is not, and cannot become, a directory.
+
+    Looks at `out` or its nearest existing ancestor and creates nothing: the
+    directory still appears only with the first file written into it.
+    """
+    from .errors import IoFailure
+
+    path = os.path.abspath(out)
+    while not os.path.exists(path) and os.path.dirname(path) != path:
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise IoFailure(f"cannot write to {out}: {path} is not a directory")
+
+
 def _load_data(args):
     from .dataio import load_dataset
 
@@ -487,6 +502,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         args._argv = list(argv)
         cfg = _resolve_config(args) if "config" in args else None  # synth takes no config
+        _check_out(args.out)
         extra = _HANDLERS[args.command](args, cfg)
         _write_manifest(args, cfg, extra)
         return 0

@@ -24,7 +24,15 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from .network import Dense, ModelParams, _glorot, _stack_backward, _stack_forward, forward_all, normalized_adjacency
+from .network import (
+    ModelParams,
+    _glorot,
+    _stack_backward,
+    _stack_forward,
+    forward_all,
+    fuse_forward,
+    normalized_adjacency,
+)
 from .objective import Adam, KernelConfig, topo_loss
 from .preprocess import PreprocessedData
 from .topology import N_NEG, NeighborGraph, PairBatch, knn_graph
@@ -171,28 +179,44 @@ def refine_labels(labels: np.ndarray, coords: np.ndarray, k: int = REFINE_K) -> 
     return out
 
 
-def _vis_pairs(n: int, graph: NeighborGraph, rng: np.random.Generator) -> PairBatch:
-    # one kNN positive plus uniform negatives per anchor; no augmented rows
-    total = n * (1 + N_NEG)
-    anchors = np.empty(total, dtype=np.int64)
-    partners = np.empty_like(anchors)
-    pos = 0
-    for i in range(n):
-        nbrs = graph.neighbors[i]
-        j = nbrs[int(rng.integers(len(nbrs)))] if nbrs else (i + 1) % n
-        anchors[pos], partners[pos] = i, j
-        pos += 1
-        for _ in range(N_NEG):
-            t = int(rng.integers(n - 1))
-            if t >= i:
-                t += 1
-            anchors[pos], partners[pos] = i, t
-            pos += 1
+def _vis_plan(graph: NeighborGraph) -> tuple:
+    """Draw bounds of one `_vis_pairs` epoch and the tables that decode them.
+
+    `highs` lists the bounds in the order a per-anchor loop draws them: the
+    positive's neighbour index (only for an anchor with neighbours), then
+    N_NEG negatives over the n - 1 other rows. `first` is the position of
+    each anchor's first draw and `start` its first slot in `nbr_flat`.
+    """
+    n = graph.n
+    counts = np.array([len(nbrs) for nbrs in graph.neighbors], dtype=np.int64)
+    has = counts > 0
+    per = N_NEG + has
+    first = np.cumsum(per) - per
+    highs = np.full(int(per.sum()), n - 1, dtype=np.int64)
+    highs[first[has]] = counts[has]
+    start = np.cumsum(counts) - counts
+    nbr_flat = np.fromiter((j for nbrs in graph.neighbors for j in nbrs), dtype=np.int64, count=int(counts.sum()))
+    return highs, has, first, start, nbr_flat
+
+
+def _vis_pairs(plan: tuple, rng: np.random.Generator) -> PairBatch:
+    # one kNN positive plus uniform negatives per anchor; no augmented rows.
+    # One array-bounded draw gives the values, and leaves the generator in the
+    # state, of drawing each bound of `highs` on its own in turn.
+    highs, has, first, start, nbr_flat = plan
+    n = len(has)
+    draws = rng.integers(0, highs)
+    rows = np.arange(n)
+    partners = np.empty((n, 1 + N_NEG), dtype=np.int64)
+    partners[:, 0] = (rows + 1) % n
+    partners[has, 0] = nbr_flat[start[has] + draws[first[has]]]
+    t = draws[(first + has)[:, None] + np.arange(N_NEG)]
+    partners[:, 1:] = t + (t >= rows[:, None])
     return PairBatch(
         n=n,
-        anchors=anchors,
-        partners=partners,
-        h=np.zeros(total, dtype=np.int64),
+        anchors=np.repeat(rows, 1 + N_NEG),
+        partners=partners.ravel(),
+        h=np.zeros(partners.size, dtype=np.int64),
         aug_payload=np.empty((0, 1)),
     )
 
@@ -203,15 +227,15 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
     Returns the coordinates and the per-epoch loss history.
     """
     z = np.asarray(z, dtype=np.float64)
-    n, d = z.shape
+    d = z.shape[1]
     rng = np.random.default_rng([cfg.seed, 7])
     layers = [_glorot(rng, d, d), _glorot(rng, d, 2)]
-    graph = knn_graph(z, cfg.k_tr)
+    plan = _vis_plan(knn_graph(z, cfg.k_tr))
     adam = Adam(layers, VIS_LR)
     kc = KernelConfig(nu=VIS_NU_LOW)
     history = []
     for _ in range(VIS_EPOCHS):
-        batch = _vis_pairs(n, graph, rng)
+        batch = _vis_pairs(plan, rng)
         vi, cache = _stack_forward(z, layers, None)
         loss, dvi, _ = topo_loss(batch, z, vi, kc, alpha=0.0, nu_prior=cfg.nu)
         if not np.isfinite(loss):
@@ -302,16 +326,27 @@ def deconvolve(z: np.ndarray, labels: np.ndarray, l1: float) -> DeconvolutionRes
 
 
 def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph) -> np.ndarray:
-    """Per-spot embedding displacement when each gene column is zeroed."""
+    """Per-spot embedding displacement when each gene column is zeroed.
+
+    Zeroing gene g zeroes only column g of the first propagation a_hat @ tra,
+    so that product is computed once and patched per gene. The morphology
+    branch is the base pass's, and the decoder, whose output is unused, does
+    not run for the knockouts.
+    """
     a_hat = normalized_adjacency(spatial)
     base, _ = forward_all(params, data.tra, data.mor, a_hat)
+    first, rest = params.gnn_tra[0], params.gnn_tra[1:]
+    agg = a_hat @ np.ascontiguousarray(data.tra)
     n, g = data.tra.shape
     shifts = np.empty((n, g))
     for gene in range(g):
-        x = data.tra.copy()
+        x = agg.copy()
         x[:, gene] = 0.0
-        es, _ = forward_all(params, x, data.mor, a_hat)
-        shifts[:, gene] = np.sqrt(((es.z - base.z) ** 2).sum(axis=1))
+        y = x @ first.w + first.b
+        if rest:
+            y, _ = _stack_forward(np.maximum(y, 0.0), rest, a_hat)
+        z, _ = fuse_forward(y, base.y_mor, params)
+        shifts[:, gene] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
     return shifts
 
 

@@ -107,18 +107,20 @@ def fit_linear_svm(
         raise SingleClass("need at least two classes")
     lam = 1.0 / (c * n)
     xa = np.column_stack([x, np.ones(n)])
-    targets = np.stack([np.where(y == cls, 1.0, -1.0) for cls in classes])
+    # one row of +-1 targets per sample, contiguous for the per-sample loop
+    targets = np.stack([np.where(y == cls, 1.0, -1.0) for cls in classes], axis=1)
     wa = np.zeros((len(classes), f + 1))
     step = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             step += 1
             eta = 1.0 / (lam * step)
-            margins = targets[:, i] * (wa @ xa[i])
+            t_i, x_i = targets[i], xa[i]
+            margins = t_i * (wa @ x_i)
             wa *= 1.0 - eta * lam
             hit = margins < 1.0
-            if np.any(hit):
-                wa[hit] += (eta * targets[hit, i])[:, None] * xa[i]
+            if hit.any():
+                wa[hit] += (eta * t_i[hit])[:, None] * x_i
     return wa[:, :f], wa[:, f].copy(), classes
 
 

@@ -21,6 +21,8 @@ from .network import (
     backward_all,
     dropout_mask,
     forward_all,
+    fuse_forward,
+    gcn_forward,
     init_params,
     normalized_adjacency,
 )
@@ -121,9 +123,15 @@ def topo_loss(
     s_cap = np.minimum(s_raw, hi)
     dd2 = (p / cfg.nu) * (t / u - (1.0 - t) * s_cap / ((1.0 - s_cap) * u))
     dpair = (2.0 * dd2)[:, None] * diff
-    dz = np.zeros_like(z)
-    np.add.at(dz, i, dpair)
-    np.add.at(dz, j, -dpair)
+    # One weighted bincount per column adds each row's terms in pair order,
+    # anchor terms before partner terms, exactly as np.add.at over i and then
+    # j would, at a third of its cost. A single bincount over all columns is
+    # as exact but holds 2m x d index and weight arrays at once.
+    idx = np.concatenate([i, j])
+    dz = np.empty_like(z)
+    for c in range(z.shape[1]):
+        col = dpair[:, c]
+        dz[:, c] = np.bincount(idx, weights=np.concatenate([col, -col]), minlength=z.shape[0])
     return loss, dz, np.zeros_like(y_m)
 
 
@@ -190,15 +198,14 @@ def train(
     if data.mor is not None:
         mods.append(("mor", data.mor, cfg.k_mo, cfg.r_u_mo))
     graphs = {name: knn_graph(x, k) for name, x, k, _ in mods}
+    encoders = {"tra": params.gnn_tra, "mor": params.gnn_mor}
 
     adam = Adam([layer for _, layer in params.named_layers()], cfg.lr)
     history = []
     fallbacks = 0
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1 and (epoch - 1) % GRAPH_REFRESH == 0:
-            es_eval, _ = forward_all(params, data.tra, data.mor, a_hat)
-            cur = {"tra": es_eval.y_tra, "mor": es_eval.y_mor}
-            graphs = {name: knn_graph(cur[name], k) for name, _, k, _ in mods}
+            graphs = {name: knn_graph(gcn_forward(x, a_hat, encoders[name])[0], k) for name, x, k, _ in mods}
 
         batches = {}
         for name, x, _, p_u in mods:
@@ -218,23 +225,23 @@ def train(
 
         dz_base = np.zeros_like(es.z)
         losses = {}
-        for name, x, _, p_u in mods:
-            batch = batches[name]
-            if name == "tra":
-                x_view = batch.aug_payload if m_tr is None else batch.aug_payload * m_tr
-                view_inputs = (x_view, xm)
-            else:
-                x_view = batch.aug_payload if m_mo is None else batch.aug_payload * m_mo
-                view_inputs = (xt, x_view)
-            es_v, caches_v = forward_all(params, view_inputs[0], view_inputs[1], a_hat)
-            y_base = es.y_tra if name == "tra" else es.y_mor
-            y_view = es_v.y_tra if name == "tra" else es_v.y_mor
-            y_full = np.concatenate([y_base, y_view], axis=0)
-            z_full = np.concatenate([es.z, es_v.z], axis=0)
+        ys = {"tra": es.y_tra, "mor": es.y_mor}
+        masks = {"tra": m_tr, "mor": m_mo}
+        for name, batch in batches.items():
+            mask = masks[name]
+            x_view = batch.aug_payload if mask is None else batch.aug_payload * mask
+            # A view re-runs only the encoder of the modality it perturbs; the
+            # other encoder's output and cache are the base pass's, and the
+            # decoder does not run because the view has no reconstruction term.
+            y_view, c_view = gcn_forward(x_view, a_hat, encoders[name])
+            ys_view = {**ys, name: y_view}
+            z_view, c_fuse = fuse_forward(ys_view["tra"], ys_view["mor"], params)
+            y_full = np.concatenate([ys[name], y_view], axis=0)
+            z_full = np.concatenate([es.z, z_view], axis=0)
             l_m, dz_full, _ = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
             losses[name] = l_m
             dz_base += dz_full[:n]
-            backward_all(params, caches_v, dz=dz_full[n:])
+            backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])
 
         backward_all(
             params,

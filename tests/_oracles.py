@@ -86,3 +86,56 @@ def binary_entropy(t: np.ndarray) -> float:
     ti = t[inner]
     out[inner] = -ti * np.log(ti) - (1.0 - ti) * np.log(1.0 - ti)
     return float(out.sum())
+
+
+def vis_pairs_oracle(n: int, neighbors, n_neg: int, rng: np.random.Generator):
+    """Visualization pairs drawn one bound at a time, anchor by anchor.
+
+    Per anchor: its positive's neighbour index (when it has neighbours, else
+    the next row), then `n_neg` negatives drawn over the n - 1 other rows.
+    Returns (anchors, partners).
+    """
+    anchors, partners = [], []
+    for i in range(n):
+        nbrs = neighbors[i]
+        j = nbrs[int(rng.integers(len(nbrs)))] if nbrs else (i + 1) % n
+        anchors.append(i)
+        partners.append(j)
+        for _ in range(n_neg):
+            t = int(rng.integers(n - 1))
+            if t >= i:
+                t += 1
+            anchors.append(i)
+            partners.append(t)
+    return np.asarray(anchors, dtype=np.int64), np.asarray(partners, dtype=np.int64)
+
+
+def gene_shift_oracle(params, data, spatial) -> np.ndarray:
+    """Knockout displacements from one full forward pass per zeroed gene."""
+    from topofuse import network
+
+    a_hat = network.normalized_adjacency(spatial)
+    base, _ = network.forward_all(params, data.tra, data.mor, a_hat)
+    n, g = data.tra.shape
+    shifts = np.empty((n, g))
+    for gene in range(g):
+        x = data.tra.copy()
+        x[:, gene] = 0.0
+        es, _ = network.forward_all(params, x, data.mor, a_hat)
+        shifts[:, gene] = np.sqrt(((es.z - base.z) ** 2).sum(axis=1))
+    return shifts
+
+
+def topo_dz_oracle(anchors, partners, z: np.ndarray, t: np.ndarray, nu: float, clamp_eps: float) -> np.ndarray:
+    """Latent gradient of the topology loss, scattered with two np.add.at calls."""
+    diff = z[anchors] - z[partners]
+    d2 = (diff * diff).sum(axis=1)
+    p = (nu + 1.0) / nu
+    u = 1.0 + d2 / nu
+    s_cap = np.minimum(np.exp(-p * np.log1p(d2 / nu)), 1.0 - clamp_eps)
+    dd2 = (p / nu) * (t / u - (1.0 - t) * s_cap / ((1.0 - s_cap) * u))
+    dpair = (2.0 * dd2)[:, None] * diff
+    dz = np.zeros_like(z)
+    np.add.at(dz, anchors, dpair)
+    np.add.at(dz, partners, -dpair)
+    return dz

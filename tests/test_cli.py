@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from topofuse import cli
+from topofuse import cli, objective
 
 
 def _manifest(out):
@@ -336,6 +336,21 @@ class TestUnusableOutput:
         assert cli.run(argv + ["--out", str(out), "--threads", "1"]) == 1
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
+
+    def test_report_fails_before_training(self, pipeline, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although --out is unusable")
+
+        monkeypatch.setattr(objective, "train", no_training)
+        out = str(blocker / "sub")
+        capsys.readouterr()
+        assert cli.run(["report", "--data", pipeline["data"], "--out", out, "--threads", "1"] + _SMALL) == 1
+        err = capsys.readouterr().err
+        assert out in err and str(blocker) in err
+        assert blocker.read_text() == "not a directory\n"
 
     def test_artifact_path_is_a_directory(self, pipeline, tmp_path, capsys):
         out = tmp_path / "train"

@@ -10,7 +10,7 @@ from topofuse.errors import (
     ShapeMismatch,
 )
 
-from _oracles import undirected_knn_edges
+from _oracles import gene_shift_oracle, undirected_knn_edges, vis_pairs_oracle
 
 
 def _blobs(rng, centers, per=20, scale=0.3):
@@ -148,7 +148,7 @@ class TestDeconvolve:
             downstream.deconvolve(z, np.zeros(5), l1=0.1)
 
 
-def _marker_setup(rng, n=18, g=5):
+def _marker_setup(rng, n=18, g=5, with_mor=False):
     tra = rng.normal(size=(n, g))
     tra[:, 2] = 0.0
     pre = preprocess.PreprocessedData(
@@ -156,10 +156,12 @@ def _marker_setup(rng, n=18, g=5):
         gene_ids=[f"g{i:04d}" for i in range(g)],
         gene_means=np.zeros(g),
         gene_stds=np.ones(g),
+        mor=rng.normal(size=(n, 3)) if with_mor else None,
     )
     coords = np.column_stack([np.arange(n) % 6, np.arange(n) // 6]).astype(np.float64)
     graph = topology.build_spatial_graph(coords, 1.0)
-    params = network.init_params(rng, g, None, dataio.RunConfig().replace(d_emb=4, n_mlp=1))
+    n_mor = 3 if with_mor else None
+    params = network.init_params(rng, g, n_mor, dataio.RunConfig().replace(d_emb=4, n_mlp=1))
     labels = (np.arange(n) >= n // 2).astype(np.int64)
     return pre, graph, params, labels
 
@@ -187,6 +189,24 @@ class TestMarkers:
         assert shifts.shape == pre.tra.shape
         assert np.array_equal(shifts[:, 2], np.zeros(pre.n_spots))
         assert np.all(shifts >= 0.0)
+
+    @pytest.mark.parametrize("with_mor", [False, True])
+    def test_knockouts_match_full_forward_passes(self, rng, with_mor):
+        pre, graph, params, _ = _marker_setup(rng, with_mor=with_mor)
+        assert np.array_equal(downstream.gene_shift_matrix(params, pre, graph), gene_shift_oracle(params, pre, graph))
+
+    def test_decoder_runs_at_most_once(self, rng, monkeypatch):
+        pre, graph, params, _ = _marker_setup(rng, with_mor=True)
+        calls = []
+        real = network.decode_forward
+
+        def counting(z, p):
+            calls.append(z.shape)
+            return real(z, p)
+
+        monkeypatch.setattr(network, "decode_forward", counting)
+        downstream.gene_shift_matrix(params, pre, graph)
+        assert len(calls) <= 1
 
     def test_label_length_checked(self, rng):
         pre, graph, params, _ = _marker_setup(rng)
@@ -257,3 +277,20 @@ class TestVisualization:
         assert a.shape == (24, 2)
         assert np.all(np.isfinite(a))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pairs_replay_the_per_anchor_draws(self, seed):
+        # anchors 1, 3 and 7 have no neighbours and take the next row instead
+        sparse = topology.NeighborGraph(
+            n=8, neighbors=[(1, 2), (), (0, 5), (), (1, 2, 5), (6,), (5,), ()], kind="knn"
+        )
+        dense = topology.knn_graph(np.random.default_rng(seed).normal(size=(200, 3)), 6)
+        for graph in (sparse, dense):
+            plan = downstream._vis_plan(graph)
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                batch = downstream._vis_pairs(plan, fast)
+                anchors, partners = vis_pairs_oracle(graph.n, graph.neighbors, topology.N_NEG, slow)
+                assert np.array_equal(batch.anchors, anchors)
+                assert np.array_equal(batch.partners, partners)
+                assert fast.bit_generator.state == slow.bit_generator.state

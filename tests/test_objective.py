@@ -7,7 +7,7 @@ import pytest
 from topofuse import dataio, network, objective, preprocess, topology
 from topofuse.errors import NonFiniteLoss, OutOfRange, ShapeMismatch
 
-from _oracles import binary_entropy
+from _oracles import binary_entropy, topo_dz_oracle
 
 
 def _pair_batch(n, anchors, partners, h, payload_dim=1):
@@ -161,6 +161,22 @@ class TestTopoLoss:
         )
         assert loss == pytest.approx(binary_entropy(t), abs=1e-9)
 
+    def test_scatter_matches_add_at(self, rng):
+        # repeated anchors and partners, an all-zero column and two equal rows,
+        # whose pair contributes signed zeros
+        z = rng.normal(size=(7, 4))
+        z[:, 1] = 0.0
+        z[5] = z[2]
+        anchors = [0, 0, 2, 2, 3, 5, 0, 6, 2, 4]
+        partners = [1, 1, 5, 0, 0, 2, 6, 0, 4, 0]
+        batch = _pair_batch(7, anchors, partners, [0] * 10, payload_dim=4)
+        t = rng.uniform(0.0, 1.0, size=10)
+        kcfg = objective.KernelConfig(nu=0.7)
+        _, dz, _ = objective.topo_loss(batch, z, z, kcfg, 0.0, t_fixed=t)
+        want = topo_dz_oracle(batch.anchors, batch.partners, z, t, kcfg.nu, kcfg.clamp_eps)
+        assert np.array_equal(dz, want)
+        assert np.array_equal(np.signbit(dz), np.signbit(want))
+
     def test_shape_errors(self):
         z = np.zeros((3, 2))
         batch = _pair_batch(3, [0], [1], [0], payload_dim=2)
@@ -281,6 +297,21 @@ class TestTrain:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NonFiniteLoss):
                 objective.train(pre, graph, cfg)
+
+    def test_views_run_no_decoder(self, rng, monkeypatch):
+        calls = []
+        real = network.decode_forward
+
+        def counting(z, params):
+            calls.append(z.shape)
+            return real(z, params)
+
+        monkeypatch.setattr(network, "decode_forward", counting)
+        pre, graph = _toy_training(rng)
+        cfg = dataio.RunConfig().replace(epochs=3, seed=7, d_emb=4, k_tr=3, k_mo=3)
+        objective.train(pre, graph, cfg)
+        # one base pass per epoch plus the final pass
+        assert len(calls) == 4
 
     def test_graph_size_mismatch(self, rng):
         pre, graph = _toy_training(rng)
