@@ -1,0 +1,81 @@
+#!/usr/bin/env bash
+# Check that the working tree's src/ writes the same bytes as the src/ of a git ref.
+#
+# usage: scripts/same_bytes.sh REF        (e.g. scripts/same_bytes.sh HEAD~1)
+#
+# Extracts REF's src/ with `git archive` into a temporary directory, leaving
+# the repository and its .git untouched. Runs one command set on both trees
+# with --threads 1 and the same relative --out paths:
+#   - synth --seed 42 for the 4x50, 8x125 and 4x200 sections;
+#   - report on 4x50 at the default config and at epochs=150, and on 8x125
+#     at epochs=20;
+#   - train (epochs=40) -> cluster (refine=true) -> visualize -> deconvolve
+#     -> markers -> trajectory -> evaluate on 4x200.
+# Then compares the two output trees with `diff -r`, manifests included.
+# Prints the sha256 of every embedding.csv and report.json of the working
+# tree and exits 1 on any difference. Set PYTHON to pick the interpreter.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REF" >&2
+    exit 2
+fi
+repo=$(git rev-parse --show-toplevel)
+python=${PYTHON:-python3}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+mkdir -p "$work/ref" "$work/out-ref" "$work/out-new"
+git -C "$repo" archive "$1" src | tar -x -C "$work/ref"
+
+# run_all SRC_DIR OUT_DIR: every command of the set, from OUT_DIR
+run_all() {
+    local src=$1
+    cd "$2"
+    tf() {
+        local cmd=$1
+        shift
+        PYTHONPATH="$src" "$python" -m topofuse "$cmd" --threads 1 "$@" >>run.log 2>&1
+    }
+    tf synth --out d50 --seed 42 --domains 4 --spots-per-domain 50
+    tf synth --out d125 --seed 42 --domains 8 --spots-per-domain 125
+    tf synth --out d200 --seed 42 --domains 4 --spots-per-domain 200
+    tf report --data d50 --out report50
+    tf report --data d50 --out report50-e150 --set epochs=150
+    tf report --data d125 --out report125-e20 --set epochs=20
+    tf train --data d200 --out train --set epochs=40
+    local emb=train/embedding.csv labels=cluster/labels.csv ckpt
+    ckpt=$(ls train/ckpt.*)
+    tf cluster --data d200 --emb "$emb" --out cluster --set refine=true
+    tf visualize --emb "$emb" --labels "$labels" --out visualize
+    tf deconvolve --emb "$emb" --labels "$labels" --out deconvolve
+    tf markers --data d200 --labels "$labels" --ckpt "$ckpt" --out markers
+    tf trajectory --emb "$emb" --labels "$labels" --out trajectory
+    tf evaluate --data d200 --emb "$emb" --labels "$labels" --out evaluate
+    rm run.log
+}
+
+(run_all "$work/ref/src" "$work/out-ref") &
+ref_pid=$!
+(run_all "$repo/src" "$work/out-new") &
+new_pid=$!
+status=0
+wait "$ref_pid" || status=1
+wait "$new_pid" || status=1
+if [ "$status" -ne 0 ]; then
+    for side in ref new; do
+        if [ -f "$work/out-$side/run.log" ]; then
+            echo "--- $side: a command failed; its log ends:" >&2
+            tail -n 20 "$work/out-$side/run.log" >&2
+        fi
+    done
+    exit 1
+fi
+
+(cd "$work/out-new" && find . \( -name embedding.csv -o -name report.json \) | sort | xargs sha256sum)
+if diff -r "$work/out-ref" "$work/out-new"; then
+    echo "same bytes as $1"
+else
+    echo "outputs differ from $1" >&2
+    exit 1
+fi

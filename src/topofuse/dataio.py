@@ -213,7 +213,7 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _read_table(path: str, what: str) -> tuple[list[str], list[str], np.ndarray]:
+def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[str], np.ndarray]:
     """Read a CSV into (column names, row ids, float matrix)."""
     if not os.path.isfile(path):
         raise MissingFile(f"{what} file not found: {path}")
@@ -285,20 +285,20 @@ def load_dataset(
     Rows follow the order of the expression file; the other files must cover
     every expression spot id and may hold extras, which are dropped.
     """
-    gene_ids, spot_ids, tra = _read_table(tra_path, "expression")
-    _, coord_ids, coords = _read_table(coords_path, "coordinates")
+    gene_ids, spot_ids, tra = read_matrix_csv(tra_path, "expression")
+    _, coord_ids, coords = read_matrix_csv(coords_path, "coordinates")
     if coords.shape[1] != 2:
         raise InvalidDataset(f"coordinates file {coords_path} must have exactly x and y columns")
     coords = _align(spot_ids, coord_ids, coords, "coordinates", "expression")
 
     mor = None
     if mor_path is not None:
-        _, mor_ids, mor_raw = _read_table(mor_path, "morphology")
+        _, mor_ids, mor_raw = read_matrix_csv(mor_path, "morphology")
         mor = _align(spot_ids, mor_ids, mor_raw, "morphology", "expression")
 
     labels = None
     if labels_path is not None:
-        _, label_ids, lab_raw = _read_table(labels_path, "labels")
+        _, label_ids, lab_raw = read_matrix_csv(labels_path, "labels")
         lab = _align(spot_ids, label_ids, lab_raw, "labels", "expression")[:, 0]
         labels = _integer_labels(lab, labels_path)
 
@@ -329,10 +329,6 @@ def write_matrix_csv(path: str, row_ids: list[str], col_names: list[str], m: np.
         w.writerow(["spot_id"] + list(col_names))
         for sid, row in zip(row_ids, m):
             w.writerow([sid] + [FLOAT_FMT % v for v in row])
-
-
-def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[str], np.ndarray]:
-    return _read_table(path, what)
 
 
 def read_spot_csv(

@@ -171,7 +171,8 @@ def refine_labels(labels: np.ndarray, coords: np.ndarray, k: int = REFINE_K) -> 
     graph = knn_graph(coords, min(k, n - 1))
     out = labels.copy()
     for i in range(n):
-        votes = Counter([int(labels[i])] + [int(labels[j]) for j in graph.neighbors[i]])
+        nbrs = graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
+        votes = Counter([int(labels[i])] + [int(labels[j]) for j in nbrs])
         top = max(votes.values())
         winners = [lab for lab, c in votes.items() if c == top]
         if len(winners) == 1:
@@ -185,18 +186,15 @@ def _vis_plan(graph: NeighborGraph) -> tuple:
     `highs` lists the bounds in the order a per-anchor loop draws them: the
     positive's neighbour index (only for an anchor with neighbours), then
     N_NEG negatives over the n - 1 other rows. `first` is the position of
-    each anchor's first draw and `start` its first slot in `nbr_flat`.
+    each anchor's first draw; the graph's `indptr[:-1]` and `indices` follow.
     """
-    n = graph.n
-    counts = np.array([len(nbrs) for nbrs in graph.neighbors], dtype=np.int64)
+    counts = np.diff(graph.indptr)
     has = counts > 0
     per = N_NEG + has
     first = np.cumsum(per) - per
-    highs = np.full(int(per.sum()), n - 1, dtype=np.int64)
+    highs = np.full(int(per.sum()), graph.n - 1, dtype=np.int64)
     highs[first[has]] = counts[has]
-    start = np.cumsum(counts) - counts
-    nbr_flat = np.fromiter((j for nbrs in graph.neighbors for j in nbrs), dtype=np.int64, count=int(counts.sum()))
-    return highs, has, first, start, nbr_flat
+    return highs, has, first, graph.indptr[:-1], graph.indices
 
 
 def _vis_pairs(plan: tuple, rng: np.random.Generator) -> PairBatch:
@@ -394,26 +392,20 @@ def paga_connectivity(z: np.ndarray, labels: np.ndarray, k: int = 15) -> PagaGra
         raise OutOfRange("need at least 2 clusters")
     n = z.shape[0]
     graph = knn_graph(z, min(k, n - 1))
-    pairs = set()
-    for i in range(n):
-        for j in graph.neighbors[i]:
-            pairs.add((i, j) if i < j else (j, i))
-    total = len(pairs)
-    sizes = {c: int((labels == c).sum()) for c in cluster_ids}
-    counts = {}
-    for i, j in pairs:
-        a, b = int(labels[i]), int(labels[j])
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
+    src, dst = graph.sources, graph.indices
+    lo, hi = np.divmod(np.unique(np.minimum(src, dst) * n + np.maximum(src, dst)), n)
+    total = len(lo)
     m = len(cluster_ids)
+    code = np.searchsorted(cluster_ids, labels)
+    sizes = np.bincount(code, minlength=m)
+    ca, cb = code[lo], code[hi]
+    counts = np.bincount(np.minimum(ca, cb) * m + np.maximum(ca, cb), minlength=m * m).reshape(m, m)
     conn = np.zeros((m, m))
     possible = n * (n - 1) / 2.0
-    for ai, a in enumerate(cluster_ids):
+    for ai in range(m):
         for bi in range(ai + 1, m):
-            b = cluster_ids[bi]
-            expected = total * sizes[a] * sizes[b] / possible
-            observed = counts.get((a, b) if a < b else (b, a), 0)
+            expected = total * sizes[ai] * sizes[bi] / possible
+            observed = counts[ai, bi]
             v = 0.0 if expected <= 0 else min(1.0, observed / expected)
             conn[ai, bi] = conn[bi, ai] = v
     return PagaGraph(cluster_ids=cluster_ids, connectivity=conn)

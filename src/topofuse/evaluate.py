@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, OutOfRange, ShapeMismatch, SingleClass
+from .topology import neighbor_order
 
 SVM_EPOCHS = 200
 SVM_C = 1.0
@@ -51,11 +52,8 @@ def _rank_matrix(x: np.ndarray) -> np.ndarray:
 
     Distance ties resolve toward the lower index.
     """
-    n = x.shape[0]
-    sq = (x * x).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
+    order = neighbor_order(x)
+    n = len(order)
     ranks = np.empty((n, n), dtype=np.int64)
     cols = np.arange(1, n + 1)
     for i in range(n):

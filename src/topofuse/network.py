@@ -87,13 +87,9 @@ def init_params(rng: np.random.Generator, n_genes: int, n_mor: int | None, cfg: 
 
 def normalized_adjacency(graph: NeighborGraph) -> np.ndarray:
     """D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I."""
-    n = graph.n
-    a = np.zeros((n, n))
-    for i, nbrs in enumerate(graph.neighbors):
-        for j in nbrs:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-    a += np.eye(n)
+    src, dst = graph.sources, graph.indices
+    a = np.eye(graph.n)
+    a[np.concatenate([src, dst]), np.concatenate([dst, src])] = 1.0
     dinv = 1.0 / np.sqrt(a.sum(axis=1))
     return a * dinv[:, None] * dinv[None, :]
 
@@ -117,7 +113,7 @@ def _stack_forward(x: np.ndarray, layers, a_hat: np.ndarray | None):
     return h, cache
 
 
-def _stack_backward(dout: np.ndarray, layers, cache) -> np.ndarray:
+def _stack_backward(dout: np.ndarray, layers, cache) -> np.ndarray | None:
     if cache.get("n_layers") != len(layers):
         raise StaleCache("cache does not match the current layer stack")
     a_hat = cache["a_hat"]
@@ -129,6 +125,8 @@ def _stack_backward(dout: np.ndarray, layers, cache) -> np.ndarray:
             raise StaleCache(f"cached activations do not fit layer {li}")
         layer.gw += cache["aggs"][li].T @ g
         layer.gb += g.sum(axis=0)
+        if li == 0 and a_hat is not None:
+            return None  # no caller reads the gradient of a GCN stack's input features
         dagg = g @ layer.w.T
         dx = dagg if a_hat is None else a_hat.T @ dagg
         if li > 0:

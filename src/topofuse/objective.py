@@ -46,26 +46,20 @@ class KernelConfig:
             raise OutOfRange("clamp_eps must lie in (0, 0.5)")
 
 
-def kappa(a: np.ndarray, b: np.ndarray, nu: float) -> float:
-    """Similarity (1 + ||a-b||^2 / nu) ** (-(nu+1)/nu) between two vectors."""
+def kappa(a: np.ndarray, b: np.ndarray, nu: float) -> np.ndarray:
+    """Similarity (1 + ||a-b||^2 / nu) ** (-(nu+1)/nu), row by row over the last axis."""
     if nu <= 0:
         raise OutOfRange("nu must be positive")
-    d2 = float(((np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) ** 2).sum())
-    return float((1.0 + d2 / nu) ** (-(nu + 1.0) / nu))
-
-
-def _kappa_rows(x: np.ndarray, y: np.ndarray, nu: float) -> np.ndarray:
-    d2 = ((x - y) ** 2).sum(axis=1)
+    d2 = ((np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) ** 2).sum(axis=-1)
     return (1.0 + d2 / nu) ** (-(nu + 1.0) / nu)
 
 
-def topo_prior(y_i: np.ndarray, y_j: np.ndarray, h: int, alpha: float, nu: float) -> float:
-    """Target similarity: kernel value, boosted by e^alpha for augmented pairs."""
-    if h not in (0, 1):
+def topo_prior(y_i: np.ndarray, y_j: np.ndarray, h: np.ndarray | int, alpha: float, nu: float) -> np.ndarray:
+    """Target similarity per row: kernel value, boosted by e^alpha where h = 1, capped at 1."""
+    h = np.asarray(h)
+    if not np.all((h == 0) | (h == 1)):
         raise OutOfRange("h must be 0 or 1")
-    base = kappa(y_i, y_j, nu)
-    t = (1.0 + h * (np.exp(alpha) - 1.0)) * base
-    return float(min(t, 1.0))
+    return np.minimum((1.0 + h * (np.exp(alpha) - 1.0)) * kappa(y_i, y_j, nu), 1.0)
 
 
 def topo_loss(
@@ -98,9 +92,7 @@ def topo_loss(
             raise ShapeMismatch("t_fixed must give one prior per batch pair")
         t = t_fixed
     else:
-        t = _kappa_rows(y_m[i], y_m[j], nu_p)
-        boost = 1.0 + batch.h * (np.exp(alpha) - 1.0)
-        t = np.minimum(boost * t, 1.0)
+        t = topo_prior(y_m[i], y_m[j], batch.h, alpha, nu_p)
 
     zi, zj = z[i], z[j]
     diff = zi - zj

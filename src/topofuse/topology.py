@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,24 +14,35 @@ N_NEG = 5  # uniform negatives per anchor
 
 @dataclass
 class NeighborGraph:
-    """Adjacency as per-node sorted neighbor index tuples.
+    """Adjacency in compressed sparse rows (int64 arrays).
 
-    kind is "spatial_eps" (symmetric, built from a radius) or "knn"
-    (directed, exactly k out-neighbors per node unless n is too small).
+    Node i's neighbours, in ascending order, are indices[indptr[i]:indptr[i + 1]].
+    A radius graph is symmetric; a kNN graph is directed, with exactly k
+    out-neighbours per node unless n is too small.
     """
 
     n: int
-    neighbors: list
-    kind: str
-    isolated: tuple = field(default_factory=tuple)
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
-        if len(self.neighbors) != self.n:
-            raise ShapeMismatch("neighbor list length does not match node count")
-        for i, nbrs in enumerate(self.neighbors):
-            for j in nbrs:
-                if not 0 <= j < self.n or j == i:
-                    raise OutOfRange(f"node {i} has invalid neighbor {j}")
+        ptr = self.indptr
+        if len(ptr) != self.n + 1 or ptr[0] != 0 or ptr[-1] != len(self.indices) or np.any(np.diff(ptr) < 0):
+            raise ShapeMismatch("indptr does not split the neighbour indices into n rows")
+        src = self.sources
+        bad = np.flatnonzero((self.indices < 0) | (self.indices >= self.n) | (self.indices == src))
+        if len(bad):
+            raise OutOfRange(f"node {src[bad[0]]} has invalid neighbor {self.indices[bad[0]]}")
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Node of each entry of `indices`: edge e runs sources[e] -> indices[e]."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @property
+    def isolated(self) -> np.ndarray:
+        """Nodes without any neighbour."""
+        return np.flatnonzero(np.diff(self.indptr) == 0)
 
 
 def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -54,13 +65,13 @@ def build_spatial_graph(coords: np.ndarray, eps: float) -> NeighborGraph:
     within = (d2 <= eps * eps) & (d2 > 0.0)
     # coincident spots sit at distance 0 and never become neighbors
     np.fill_diagonal(within, False)
-    neighbors = [tuple(np.flatnonzero(within[i]).tolist()) for i in range(n)]
-    isolated = tuple(i for i in range(n) if not neighbors[i])
-    if isolated:
+    indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))])
+    graph = NeighborGraph(n=n, indptr=indptr, indices=np.nonzero(within)[1])
+    if len(graph.isolated):
         warnings.warn(
-            IsolatedNodesWarning(f"{len(isolated)} node(s) have no spatial neighbor at eps={eps:g}")
+            IsolatedNodesWarning(f"{len(graph.isolated)} node(s) have no spatial neighbor at eps={eps:g}")
         )
-    return NeighborGraph(n=n, neighbors=neighbors, kind="spatial_eps", isolated=isolated)
+    return graph
 
 
 def auto_epsilon(coords: np.ndarray) -> float:
@@ -77,20 +88,26 @@ def auto_epsilon(coords: np.ndarray) -> float:
     return float(np.sort(kth)[(n - 1) // 2])
 
 
+def neighbor_order(x: np.ndarray) -> np.ndarray:
+    """Row i: every row index sorted by squared distance from x[i], i itself last.
+
+    The sort is stable, so distance ties go to the lower index.
+    """
+    d2 = _pairwise_sq_dists(np.asarray(x, dtype=np.float64))
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")
+
+
 def knn_graph(x: np.ndarray, k: int) -> NeighborGraph:
     """Directed k-nearest-neighbor graph; distance ties go to the lower index."""
     if k < 1:
         raise OutOfRange("k must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n = len(x)
     if n < 2:
         raise OutOfRange("need at least 2 rows for a knn graph")
     k = min(k, n - 1)
-    d2 = _pairwise_sq_dists(x)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    neighbors = [tuple(sorted(order[i, :k].tolist())) for i in range(n)]
-    return NeighborGraph(n=n, neighbors=neighbors, kind="knn")
+    indices = np.sort(neighbor_order(x)[:, :k], axis=1).ravel()
+    return NeighborGraph(n=n, indptr=np.arange(n + 1) * k, indices=indices)
 
 
 def augment(
@@ -103,10 +120,10 @@ def augment(
     """
     if not 0 < p_u <= 1:
         raise OutOfRange("p_u must lie in (0, 1]")
-    nbrs = graph.neighbors[i]
-    if not nbrs:
+    lo, hi = graph.indptr[i : i + 2].tolist()
+    if lo == hi:
         return features[i].copy(), 0.0
-    j = nbrs[int(rng.integers(len(nbrs)))]
+    j = graph.indices[lo + int(rng.integers(hi - lo))]
     r = float(rng.uniform(0.0, p_u))
     return (1.0 - r) * features[i] + r * features[j], r
 
@@ -167,7 +184,7 @@ def sample_pairs(
     pos = 0
     for i in range(n):
         row, r = augment(features, i, graph, p_u, rng)
-        if r == 0.0 and not graph.neighbors[i]:
+        if r == 0.0 and graph.indptr[i] == graph.indptr[i + 1]:
             fallbacks += 1
         payload[i] = row
         anchors[pos], partners[pos], h[pos] = i, n + i, 1

@@ -139,3 +139,62 @@ def topo_dz_oracle(anchors, partners, z: np.ndarray, t: np.ndarray, nu: float, c
     np.add.at(dz, anchors, dpair)
     np.add.at(dz, partners, -dpair)
     return dz
+
+
+def csr_graph(neighbors, n: int | None = None):
+    """NeighborGraph from per-node neighbour lists; `n` defaults to their count."""
+    from topofuse import topology
+
+    counts = [len(nbrs) for nbrs in neighbors]
+    return topology.NeighborGraph(
+        n=len(neighbors) if n is None else n,
+        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        indices=np.array([j for nbrs in neighbors for j in nbrs], dtype=np.int64),
+    )
+
+
+def neighbor_lists(graph) -> list:
+    """Per-node neighbour tuples of a NeighborGraph."""
+    return [tuple(graph.indices[graph.indptr[i] : graph.indptr[i + 1]].tolist()) for i in range(graph.n)]
+
+
+def normalized_adjacency_oracle(neighbors) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2}, symmetrizing A one neighbour at a time."""
+    n = len(neighbors)
+    a = np.zeros((n, n))
+    for i, nbrs in enumerate(neighbors):
+        for j in nbrs:
+            a[i, j] = 1.0
+            a[j, i] = 1.0
+    a += np.eye(n)
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * dinv[:, None] * dinv[None, :]
+
+
+def paga_oracle(neighbors, labels) -> np.ndarray:
+    """Observed/expected inter-cluster edge ratio, counting a set of undirected edges."""
+    n = len(neighbors)
+    cluster_ids = sorted(set(int(v) for v in labels))
+    pairs = set()
+    for i in range(n):
+        for j in neighbors[i]:
+            pairs.add((i, j) if i < j else (j, i))
+    total = len(pairs)
+    sizes = {c: int((labels == c).sum()) for c in cluster_ids}
+    counts = {}
+    for i, j in pairs:
+        a, b = int(labels[i]), int(labels[j])
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            counts[key] = counts.get(key, 0) + 1
+    m = len(cluster_ids)
+    conn = np.zeros((m, m))
+    possible = n * (n - 1) / 2.0
+    for ai, a in enumerate(cluster_ids):
+        for bi in range(ai + 1, m):
+            b = cluster_ids[bi]
+            expected = total * sizes[a] * sizes[b] / possible
+            observed = counts.get((a, b) if a < b else (b, a), 0)
+            v = 0.0 if expected <= 0 else min(1.0, observed / expected)
+            conn[ai, bi] = conn[bi, ai] = v
+    return conn

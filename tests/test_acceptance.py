@@ -106,8 +106,7 @@ def test_criterion_1_gradient_fidelity():
     es0, _, es_t0, _, es_m0, _ = forwards(params)
 
     def prior(batch, y_full):
-        t = objective._kappa_rows(y_full[batch.anchors], y_full[batch.partners], cfg.nu)
-        return np.minimum((1.0 + batch.h * (np.exp(cfg.alpha) - 1.0)) * t, 1.0)
+        return objective.topo_prior(y_full[batch.anchors], y_full[batch.partners], batch.h, cfg.alpha, cfg.nu)
 
     t_tr = prior(b_tr, np.vstack([es0.y_tra, es_t0.y_tra]))
     t_mo = prior(b_mo, np.vstack([es0.y_mor, es_m0.y_mor]))

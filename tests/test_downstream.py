@@ -10,7 +10,7 @@ from topofuse.errors import (
     ShapeMismatch,
 )
 
-from _oracles import gene_shift_oracle, undirected_knn_edges, vis_pairs_oracle
+from _oracles import csr_graph, gene_shift_oracle, neighbor_lists, paga_oracle, undirected_knn_edges, vis_pairs_oracle
 
 
 def _blobs(rng, centers, per=20, scale=0.3):
@@ -234,6 +234,15 @@ class TestPaga:
                 want = min(1.0, observed / expected)
                 assert graph.connectivity[ai, bi] == pytest.approx(want, abs=1e-12)
 
+    def test_matches_set_of_edges_loop(self, rng):
+        # cluster ids need not be contiguous; kNN edges that run one way count once
+        z, labels = _blobs(rng, [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)], per=15, scale=0.8)
+        labels = np.array([3, 7, 10])[labels]
+        nbrs = neighbor_lists(topology.knn_graph(z, 5))
+        assert any(i not in nbrs[j] for i in range(len(z)) for j in nbrs[i])
+        conn = downstream.paga_connectivity(z, labels, k=5).connectivity
+        assert np.array_equal(conn, paga_oracle(nbrs, labels))
+
     def test_chain_geometry_orders_connectivity(self):
         # clusters 0 and 1 interleave on a line; cluster 2 sits far away
         near = np.arange(30.0)[:, None]
@@ -281,16 +290,14 @@ class TestVisualization:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pairs_replay_the_per_anchor_draws(self, seed):
         # anchors 1, 3 and 7 have no neighbours and take the next row instead
-        sparse = topology.NeighborGraph(
-            n=8, neighbors=[(1, 2), (), (0, 5), (), (1, 2, 5), (6,), (5,), ()], kind="knn"
-        )
+        sparse = csr_graph([(1, 2), (), (0, 5), (), (1, 2, 5), (6,), (5,), ()])
         dense = topology.knn_graph(np.random.default_rng(seed).normal(size=(200, 3)), 6)
         for graph in (sparse, dense):
             plan = downstream._vis_plan(graph)
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
                 batch = downstream._vis_pairs(plan, fast)
-                anchors, partners = vis_pairs_oracle(graph.n, graph.neighbors, topology.N_NEG, slow)
+                anchors, partners = vis_pairs_oracle(graph.n, neighbor_lists(graph), topology.N_NEG, slow)
                 assert np.array_equal(batch.anchors, anchors)
                 assert np.array_equal(batch.partners, partners)
                 assert fast.bit_generator.state == slow.bit_generator.state

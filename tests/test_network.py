@@ -4,6 +4,8 @@ import pytest
 from topofuse import dataio, network, topology
 from topofuse.errors import IoFailure, MissingFile, ShapeMismatch, StaleCache
 
+from _oracles import csr_graph, normalized_adjacency_oracle
+
 
 def _cfg(**kv):
     base = dict(d_emb=4, n_mlp=1, tau=1)
@@ -33,11 +35,14 @@ class TestNormalizedAdjacency:
 
     def test_regular_graph_rows_sum_to_one(self):
         # 4-cycle: every node has degree 2, so A + I is 3-regular
-        g = topology.NeighborGraph(
-            n=4, neighbors=[(1, 3), (0, 2), (1, 3), (0, 2)], kind="spatial_eps"
-        )
+        g = csr_graph([(1, 3), (0, 2), (1, 3), (0, 2)])
         a_hat = network.normalized_adjacency(g)
         assert np.allclose(a_hat.sum(axis=1), 1.0, atol=1e-15)
+
+    def test_matches_per_edge_loop(self):
+        # nodes 3 and 5 are isolated; 0 -> 4, 1 -> 2 and 6 -> 4 are one-way
+        nbrs = [(1, 4), (0, 2), (), (), (0,), (), (4,)]
+        assert np.array_equal(network.normalized_adjacency(csr_graph(nbrs)), normalized_adjacency_oracle(nbrs))
 
 
 class TestInitParams:
@@ -179,6 +184,17 @@ class TestBackward:
                     fd = (fp - fm) / (2 * h)
                     worst = max(worst, abs(grad[idx] - fd) / max(1.0, abs(fd)))
         assert worst < 1e-6
+
+    def test_only_mlp_stacks_return_an_input_gradient(self, rng):
+        params = network.init_params(rng, 4, None, _cfg(n_mlp=2))
+        a_hat = network.normalized_adjacency(_graph_line(3))
+        y, gcn_cache = network.gcn_forward(rng.normal(size=(3, 4)), a_hat, params.gnn_tra)
+        assert network._stack_backward(rng.normal(size=y.shape), params.gnn_tra, gcn_cache) is None
+        z, mlp_cache = network._stack_forward(y, params.fusion, None)
+        r = rng.normal(size=z.shape)
+        dy = network._stack_backward(r, params.fusion, mlp_cache)
+        hidden = (r @ params.fusion[1].w.T) * (mlp_cache["pre"][0] > 0.0)
+        assert np.array_equal(dy, hidden @ params.fusion[0].w.T)
 
     def test_grads_accumulate_until_zeroed(self, rng):
         params = network.init_params(rng, 4, None, _cfg())

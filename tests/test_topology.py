@@ -6,29 +6,33 @@ from hypothesis import strategies as st
 from topofuse import topology
 from topofuse.errors import IsolatedNodesWarning, OutOfRange, ShapeMismatch
 
+from _oracles import csr_graph, neighbor_lists
+
 
 class TestSpatialGraph:
     def test_line_graph_neighbors(self):
         coords = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
         g = topology.build_spatial_graph(coords, 1.0)
-        assert g.neighbors == [(1,), (0, 2), (1, 3), (2,)]
-        assert g.kind == "spatial_eps" and g.isolated == ()
+        assert neighbor_lists(g) == [(1,), (0, 2), (1, 3), (2,)]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.isolated.tolist() == []
 
     def test_radius_is_inclusive_and_symmetric(self, rng):
         coords = rng.uniform(0, 5, size=(30, 2))
         eps = 1.2
         g = topology.build_spatial_graph(coords, eps)
+        nbrs = neighbor_lists(g)
         for i in range(30):
-            for j in g.neighbors[i]:
-                assert i in g.neighbors[j]
+            for j in nbrs[i]:
+                assert i in nbrs[j]
                 assert 0 < np.linalg.norm(coords[i] - coords[j]) <= eps
 
     def test_coincident_spots_are_not_neighbors(self):
         coords = np.array([[0.0, 0], [0.0, 0], [10.0, 0]])
         with pytest.warns(IsolatedNodesWarning):
             g = topology.build_spatial_graph(coords, 1.0)
-        assert g.neighbors == [(), (), ()]
-        assert g.isolated == (0, 1, 2)
+        assert neighbor_lists(g) == [(), (), ()]
+        assert g.isolated.tolist() == [0, 1, 2]
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(OutOfRange):
@@ -55,7 +59,7 @@ class TestAutoEpsilon:
         coords = rng.uniform(0, 6, size=(25, 2))
         eps = topology.auto_epsilon(coords)
         g = topology.build_spatial_graph(coords, eps)
-        degrees = sorted(len(g.neighbors[i]) for i in range(25))
+        degrees = sorted(len(nbrs) for nbrs in neighbor_lists(g))
         assert degrees[(25 - 1) // 2] >= 4
 
     def test_needs_two_spots(self):
@@ -68,19 +72,19 @@ class TestKnnGraph:
         x = np.array([[0.0], [1.0], [3.0], [6.0]])
         g = topology.knn_graph(x, 2)
         # point 2 sees distances 3, 2, 3; the 0-vs-3 tie resolves to index 0
-        assert g.neighbors == [(1, 2), (0, 2), (0, 1), (1, 2)]
-        assert g.kind == "knn"
+        assert neighbor_lists(g) == [(1, 2), (0, 2), (0, 1), (1, 2)]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
 
     def test_distance_ties_go_to_lower_index(self):
         x = np.array([[0.0], [-1.0], [1.0], [2.0]])
         g = topology.knn_graph(x, 1)
         # point 0 is equidistant from points 1 and 2; the tie picks index 1
-        assert g.neighbors[0] == (1,)
+        assert neighbor_lists(g)[0] == (1,)
 
     def test_k_clamped_to_n_minus_1(self, rng):
         x = rng.normal(size=(5, 2))
         g = topology.knn_graph(x, 99)
-        assert all(len(nbrs) == 4 for nbrs in g.neighbors)
+        assert all(len(nbrs) == 4 for nbrs in neighbor_lists(g))
 
     def test_errors(self, rng):
         with pytest.raises(OutOfRange):
@@ -92,21 +96,21 @@ class TestKnnGraph:
 class TestNeighborGraphValidation:
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            topology.NeighborGraph(n=3, neighbors=[(1,), (0,)], kind="knn")
+            csr_graph([(1,), (0,)], n=3)
 
     def test_self_loop_rejected(self):
         with pytest.raises(OutOfRange):
-            topology.NeighborGraph(n=2, neighbors=[(0,), (0,)], kind="knn")
+            csr_graph([(0,), (0,)])
 
     def test_out_of_range_neighbor_rejected(self):
         with pytest.raises(OutOfRange):
-            topology.NeighborGraph(n=2, neighbors=[(1,), (2,)], kind="knn")
+            csr_graph([(1,), (2,)])
 
 
 class TestAugment:
     def test_mixes_toward_a_neighbor(self, rng):
         feats = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        g = topology.NeighborGraph(n=3, neighbors=[(1, 2), (0,), (0,)], kind="knn")
+        g = csr_graph([(1, 2), (0,), (0,)])
         probe = np.random.default_rng(99)
         j = [1, 2][int(probe.integers(2))]
         r = float(probe.uniform(0.0, 0.4))
@@ -117,7 +121,7 @@ class TestAugment:
 
     def test_isolated_node_falls_back_to_itself(self, rng):
         feats = np.arange(6.0).reshape(3, 2)
-        g = topology.NeighborGraph(n=3, neighbors=[(), (2,), (1,)], kind="knn")
+        g = csr_graph([(), (2,), (1,)])
         out, r = topology.augment(feats, 0, g, 0.5, rng)
         assert r == 0.0 and np.array_equal(out, feats[0])
         out[0] = -1.0  # returned row is a copy
@@ -125,7 +129,7 @@ class TestAugment:
 
     def test_p_u_bounds(self, rng):
         feats = np.zeros((2, 1))
-        g = topology.NeighborGraph(n=2, neighbors=[(1,), (0,)], kind="knn")
+        g = csr_graph([(1,), (0,)])
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(OutOfRange):
                 topology.augment(feats, 0, g, bad, rng)
@@ -142,8 +146,7 @@ class TestSamplePairs:
         # replay the documented draw order with a clone generator
         clone = np.random.default_rng(11)
         pos = 0
-        for i in range(n):
-            nbrs = graph.neighbors[i]
+        for i, nbrs in enumerate(neighbor_lists(graph)):
             j = nbrs[int(clone.integers(len(nbrs)))]
             r = float(clone.uniform(0.0, p_u))
             assert batch.anchors[pos] == i and batch.partners[pos] == n + i and batch.h[pos] == 1
@@ -158,7 +161,7 @@ class TestSamplePairs:
 
     def test_counts_fallbacks_for_isolated_anchors(self, rng):
         feats = np.ones((4, 2))
-        graph = topology.NeighborGraph(n=4, neighbors=[(), (), (3,), (2,)], kind="knn")
+        graph = csr_graph([(), (), (3,), (2,)])
         batch = topology.sample_pairs(4, graph, feats, 1, 0.5, rng)
         assert batch.fallbacks == 2
 
