@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,38 +218,38 @@ def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[st
     """Read a CSV into (column names, row ids, float matrix)."""
     if not os.path.isfile(path):
         raise MissingFile(f"{what} file not found: {path}")
+    ids: list[str] = []
+    values = array("d")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise InvalidDataset(f"{what} file {path} is empty")
+            if len(header) < 2:
+                raise InvalidDataset(f"{what} file {path} needs an id column plus data columns")
+            cols = header[1:]
+            for r, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise RowCountMismatch(
+                        f"{what} row {r + 2} of {path} has {len(row)} fields, header has {len(header)}"
+                    )
+                ids.append(row[0])
+                for c, cell in enumerate(row[1:]):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not numeric: {cell!r}"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise NonNumericCell(
+                            f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not finite: {cell!r}"
+                        )
+                    values.append(v)
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
-    if not rows:
-        raise InvalidDataset(f"{what} file {path} is empty")
-    header = rows[0]
-    if len(header) < 2:
-        raise InvalidDataset(f"{what} file {path} needs an id column plus data columns")
-    cols = header[1:]
-    ids: list[str] = []
-    data = np.empty((len(rows) - 1, len(cols)), dtype=np.float64)
-    for r, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise RowCountMismatch(
-                f"{what} row {r + 2} of {path} has {len(row)} fields, header has {len(header)}"
-            )
-        ids.append(row[0])
-        for c, cell in enumerate(row[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise NonNumericCell(
-                    f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not numeric: {cell!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise NonNumericCell(
-                    f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not finite: {cell!r}"
-                )
-            data[r, c] = v
+    data = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(cols))
     seen = set()
     for sid in ids:
         if sid in seen:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, OutOfRange, ShapeMismatch, SingleClass
-from .topology import neighbor_order
+from .topology import nearest, sq_dist_blocks
 
 SVM_EPOCHS = 200
 SVM_C = 1.0
@@ -47,20 +47,6 @@ def ari(a, b) -> float:
     return float((sum_ij - expected) / denom)
 
 
-def _rank_matrix(x: np.ndarray) -> np.ndarray:
-    """ranks[i, j]: position of j among i's neighbors (1-based, self excluded).
-
-    Distance ties resolve toward the lower index.
-    """
-    order = neighbor_order(x)
-    n = len(order)
-    ranks = np.empty((n, n), dtype=np.int64)
-    cols = np.arange(1, n + 1)
-    for i in range(n):
-        ranks[i, order[i]] = cols
-    return ranks
-
-
 def mrre(x_high: np.ndarray, x_low: np.ndarray, k: int) -> float:
     """Mean relative rank error of the k high-space neighborhoods.
 
@@ -77,13 +63,29 @@ def mrre(x_high: np.ndarray, x_low: np.ndarray, k: int) -> float:
     if not 1 <= k < m / 2:
         raise OutOfRange("k must satisfy 1 <= k < M/2")
 
-    ra = _rank_matrix(x_high)
-    rb = _rank_matrix(x_low)
+    # each row's k high-space neighbours in index order, with their ranks 1..k
+    nbrs, r_high = [], []
+    for _, d_high in sq_dist_blocks(x_high):
+        near = nearest(d_high, k)
+        by_rank = np.argsort(np.take_along_axis(d_high, near, axis=1), axis=1, kind="stable")
+        nbrs.append(near)
+        r_high.append(np.argsort(by_rank, axis=1) + 1)
+    nbrs = np.concatenate(nbrs)
+    r_high = np.concatenate(r_high)
+
+    # low-space rank of j: 1 + the number of columns before it by (distance, index)
+    cols = np.arange(m)
+    r_low = np.ones_like(nbrs)
+    for lo, d_low in sq_dist_blocks(x_low):
+        rows = slice(lo, lo + len(d_low))
+        for c in range(k):
+            j = nbrs[rows, c : c + 1]
+            d = np.take_along_axis(d_low, j, axis=1)
+            r_low[rows, c] += (d_low < d).sum(axis=1) + ((d_low == d) & (cols < j)).sum(axis=1)
+    # row by row, each row's terms in index order: the float total of a loop over rows
     total = 0.0
-    for i in range(m):
-        nbrs = np.flatnonzero(ra[i] <= k)
-        nbrs = nbrs[nbrs != i]
-        total += (np.abs(ra[i, nbrs] - rb[i, nbrs]) / ra[i, nbrs]).sum()
+    for terms in np.abs(r_high - r_low) / r_high:
+        total += terms.sum()
     return float(total / (m * abs(m - 2 * k) / k))
 
 

@@ -91,7 +91,10 @@ def normalized_adjacency(graph: NeighborGraph) -> np.ndarray:
     a = np.eye(graph.n)
     a[np.concatenate([src, dst]), np.concatenate([dst, src])] = 1.0
     dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * dinv[:, None] * dinv[None, :]
+    # in place: the result is the only n x n array of a run
+    a *= dinv[:, None]
+    a *= dinv[None, :]
+    return a
 
 
 def _stack_forward(x: np.ndarray, layers, a_hat: np.ndarray | None):

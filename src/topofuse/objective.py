@@ -32,6 +32,7 @@ from .topology import N_NEG, NeighborGraph, PairBatch, knn_graph, sample_pairs
 S_CLAMP = 1e-7
 GRAPH_REFRESH = 10  # epochs between modality-graph rebuilds
 DROPOUT_P = 0.1
+PAIR_BLOCK = 1024  # pairs per block of the prior and distance temporaries in topo_loss
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,21 @@ def topo_loss(
         raise ShapeMismatch("batch indices run past the embedding rows")
     nu_p = cfg.nu if nu_prior is None else nu_prior
     i, j = batch.anchors, batch.partners
+    if t_fixed is not None and t_fixed.shape != i.shape:
+        raise ShapeMismatch("t_fixed must give one prior per batch pair")
 
-    if t_fixed is not None:
-        if t_fixed.shape != i.shape:
-            raise ShapeMismatch("t_fixed must give one prior per batch pair")
-        t = t_fixed
-    else:
-        t = topo_prior(y_m[i], y_m[j], batch.h, alpha, nu_p)
-
-    zi, zj = z[i], z[j]
-    diff = zi - zj
-    d2 = (diff * diff).sum(axis=1)
+    # Pair blocks bound the pair x feature temporaries; every row's arithmetic
+    # is that of the whole batch at once.
+    t = np.empty(len(i)) if t_fixed is None else t_fixed
+    diff = z[i]
+    d2 = np.empty(len(i))
+    for start in range(0, len(i), PAIR_BLOCK):
+        blk = slice(start, start + PAIR_BLOCK)
+        if t_fixed is None:
+            t[blk] = topo_prior(y_m[i[blk]], y_m[j[blk]], batch.h[blk], alpha, nu_p)
+        d = diff[blk]
+        d -= z[j[blk]]
+        d2[blk] = (d * d).sum(axis=1)
     p = (cfg.nu + 1.0) / cfg.nu
     u = 1.0 + d2 / cfg.nu
     log_s_raw = -p * np.log1p(d2 / cfg.nu)
@@ -114,7 +119,8 @@ def topo_loss(
     # ratio is capped at the clamp ceiling.
     s_cap = np.minimum(s_raw, hi)
     dd2 = (p / cfg.nu) * (t / u - (1.0 - t) * s_cap / ((1.0 - s_cap) * u))
-    dpair = (2.0 * dd2)[:, None] * diff
+    dpair = diff
+    dpair *= (2.0 * dd2)[:, None]
     # One weighted bincount per column adds each row's terms in pair order,
     # anchor terms before partner terms, exactly as np.add.at over i and then
     # j would, at a third of its cost. A single bincount over all columns is
@@ -198,50 +204,8 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1 and (epoch - 1) % GRAPH_REFRESH == 0:
             graphs = {name: knn_graph(gcn_forward(x, a_hat, encoders[name])[0], k) for name, x, k, _ in mods}
-
-        batches = {}
-        for name, x, _, p_u in mods:
-            batches[name] = sample_pairs(n, graphs[name], x, N_NEG, p_u, rng)
-            fallbacks += batches[name].fallbacks
-
-        params.zero_grads()
-        # One dropout realization per modality per epoch, shared between the
-        # base and augmented forwards: a fresh mask per view would inject
-        # noise far larger than the augmentation shift and blank the prior.
-        m_tr = dropout_mask(data.tra.shape, DROPOUT_P, rng)
-        m_mo = dropout_mask(data.mor.shape, DROPOUT_P, rng) if data.mor is not None else None
-        xt = data.tra if m_tr is None else data.tra * m_tr
-        xm = None if data.mor is None else (data.mor if m_mo is None else data.mor * m_mo)
-        es, caches = forward_all(params, xt, xm, a_hat)
-        l_rec, dxhat = recon_loss(data.tra, es.x_hat)
-
-        dz_base = np.zeros_like(es.z)
-        losses = {}
-        ys = {"tra": es.y_tra, "mor": es.y_mor}
-        masks = {"tra": m_tr, "mor": m_mo}
-        for name, batch in batches.items():
-            mask = masks[name]
-            x_view = batch.aug_payload if mask is None else batch.aug_payload * mask
-            # A view re-runs only the encoder of the modality it perturbs; the
-            # other encoder's output and cache are the base pass's, and the
-            # decoder does not run because the view has no reconstruction term.
-            y_view, c_view = gcn_forward(x_view, a_hat, encoders[name])
-            ys_view = {**ys, name: y_view}
-            z_view, c_fuse = fuse_forward(ys_view["tra"], ys_view["mor"], params)
-            y_full = np.concatenate([ys[name], y_view], axis=0)
-            z_full = np.concatenate([es.z, z_view], axis=0)
-            l_m, dz_full, _ = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
-            losses[name] = l_m
-            dz_base += dz_full[:n]
-            backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])
-
-        backward_all(
-            params,
-            caches,
-            dz=dz_base,
-            dxhat=cfg.lambda_ * dxhat if cfg.lambda_ > 0 else None,
-        )
-
+        losses, l_rec, epoch_fallbacks = _epoch_grads(data, params, encoders, mods, graphs, a_hat, kcfg, cfg, rng)
+        fallbacks += epoch_fallbacks
         total = sum(losses.values()) + cfg.lambda_ * l_rec
         if not np.isfinite(total):
             raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
@@ -262,3 +226,59 @@ def train(
             raise NonFiniteLoss("final embeddings are not finite")
     state = TrainState(params=params, epoch=cfg.epochs, history=history, notes={"augment_fallbacks": fallbacks})
     return state, es_final
+
+
+def _epoch_grads(data, params, encoders, mods, graphs, a_hat, kcfg, cfg, rng) -> tuple[dict, float, int]:
+    """Accumulate one epoch's gradients into params.
+
+    Returns the topology loss per modality, the reconstruction loss and the
+    number of augmentation fallbacks.
+
+    The epoch's batches, masks and caches are freed when it returns, before the
+    next epoch or graph refresh allocates its own.
+    """
+    n = data.n_spots
+    batches = {}
+    fallbacks = 0
+    for name, x, _, p_u in mods:
+        batches[name] = sample_pairs(n, graphs[name], x, N_NEG, p_u, rng)
+        fallbacks += batches[name].fallbacks
+
+    params.zero_grads()
+    # One dropout realization per modality per epoch, shared between the
+    # base and augmented forwards: a fresh mask per view would inject
+    # noise far larger than the augmentation shift and blank the prior.
+    m_tr = dropout_mask(data.tra.shape, DROPOUT_P, rng)
+    m_mo = dropout_mask(data.mor.shape, DROPOUT_P, rng) if data.mor is not None else None
+    xt = data.tra if m_tr is None else data.tra * m_tr
+    xm = None if data.mor is None else (data.mor if m_mo is None else data.mor * m_mo)
+    es, caches = forward_all(params, xt, xm, a_hat)
+    l_rec, dxhat = recon_loss(data.tra, es.x_hat)
+
+    dz_base = np.zeros_like(es.z)
+    losses = {}
+    ys = {"tra": es.y_tra, "mor": es.y_mor}
+    masks = {"tra": m_tr, "mor": m_mo}
+    for name, batch in batches.items():
+        mask = masks[name]
+        x_view = batch.aug_payload if mask is None else batch.aug_payload * mask
+        # A view re-runs only the encoder of the modality it perturbs; the
+        # other encoder's output and cache are the base pass's, and the
+        # decoder does not run because the view has no reconstruction term.
+        y_view, c_view = gcn_forward(x_view, a_hat, encoders[name])
+        ys_view = {**ys, name: y_view}
+        z_view, c_fuse = fuse_forward(ys_view["tra"], ys_view["mor"], params)
+        y_full = np.concatenate([ys[name], y_view], axis=0)
+        z_full = np.concatenate([es.z, z_view], axis=0)
+        l_m, dz_full, _ = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
+        losses[name] = l_m
+        dz_base += dz_full[:n]
+        backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])
+
+    backward_all(
+        params,
+        caches,
+        dz=dz_base,
+        dxhat=cfg.lambda_ * dxhat if cfg.lambda_ > 0 else None,
+    )
+    return losses, l_rec, fallbacks

@@ -45,10 +45,49 @@ class NeighborGraph:
         return np.flatnonzero(np.diff(self.indptr) == 0)
 
 
-def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    y = x if y is None else y
-    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :] - 2.0 * (x @ y.T)
-    return np.maximum(sq, 0.0)
+# Rows per distance block: a kernel holds a few ROW_BLOCK x n arrays, never n x n.
+# Up to ROW_BLOCK rows the one block is x @ x.T, which numpy computes with syrk.
+# Larger inputs use gemm row blocks. OpenBLAS gemm can differ from syrk in the
+# last bits, so a near-tie between two neighbours could resolve the other way.
+ROW_BLOCK = 256
+
+
+def sq_dist_blocks(x: np.ndarray):
+    """Yield (lo, d2) per block of ROW_BLOCK rows of x.
+
+    d2[r, j] is the squared distance from x[lo + r] to x[j], computed as
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j and clipped at 0; the self entry is inf.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    sq = (x * x).sum(axis=1)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        gram = x[lo:hi] @ x.T
+        gram *= 2.0
+        d2 = sq[lo:hi, None] + sq[None, :]
+        d2 -= gram
+        del gram
+        np.maximum(d2, 0.0, out=d2)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        yield lo, d2
+
+
+def nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest entries of each row of d2, in ascending column order.
+
+    Equal values go to the lower column, as the first k of a stable sort of the
+    whole row would.
+    """
+    # a sorted copy: a view would keep the whole ROW_BLOCK x n partition alive
+    near = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    kth = np.take_along_axis(d2, near, axis=1).max(axis=1)
+    # where the k-th value is tied past the k-th place, argpartition's choice among
+    # the tied columns is arbitrary: take the lowest columns instead
+    for r in np.flatnonzero((d2 <= kth[:, None]).sum(axis=1) > k):
+        cand = np.flatnonzero(d2[r] <= kth[r])
+        near[r] = np.sort(cand[np.argsort(d2[r, cand], kind="stable")[:k]])
+    return near
 
 
 def build_spatial_graph(coords: np.ndarray, eps: float) -> NeighborGraph:
@@ -61,12 +100,14 @@ def build_spatial_graph(coords: np.ndarray, eps: float) -> NeighborGraph:
         raise OutOfRange("epsilon radius must be positive")
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
-    d2 = _pairwise_sq_dists(coords)
-    within = (d2 <= eps * eps) & (d2 > 0.0)
-    # coincident spots sit at distance 0 and never become neighbors
-    np.fill_diagonal(within, False)
-    indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))])
-    graph = NeighborGraph(n=n, indptr=indptr, indices=np.nonzero(within)[1])
+    counts = np.zeros(n + 1, dtype=np.int64)
+    indices = [np.zeros(0, dtype=np.int64)]  # no rows: an empty graph
+    for lo, d2 in sq_dist_blocks(coords):
+        # coincident spots sit at distance 0 and never become neighbors
+        within = (d2 <= eps * eps) & (d2 > 0.0)
+        counts[lo + 1 : lo + 1 + len(d2)] = within.sum(axis=1)
+        indices.append(np.nonzero(within)[1])
+    graph = NeighborGraph(n=n, indptr=np.cumsum(counts), indices=np.concatenate(indices))
     if len(graph.isolated):
         warnings.warn(
             IsolatedNodesWarning(f"{len(graph.isolated)} node(s) have no spatial neighbor at eps={eps:g}")
@@ -81,21 +122,10 @@ def auto_epsilon(coords: np.ndarray) -> float:
     if n < 2:
         raise OutOfRange("need at least 2 spots to pick a radius")
     k = min(4, n - 1)
-    d2 = _pairwise_sq_dists(coords)
-    np.fill_diagonal(d2, np.inf)
-    kth = np.sort(np.sqrt(d2), axis=1)[:, k - 1]
+    # copy the column: a view would keep each block's partitioned copy alive
+    kth = np.concatenate([np.partition(d2, k - 1, axis=1)[:, k - 1].copy() for _, d2 in sq_dist_blocks(coords)])
     # lower median: the smallest radius covering at least half the spots
-    return float(np.sort(kth)[(n - 1) // 2])
-
-
-def neighbor_order(x: np.ndarray) -> np.ndarray:
-    """Row i: every row index sorted by squared distance from x[i], i itself last.
-
-    The sort is stable, so distance ties go to the lower index.
-    """
-    d2 = _pairwise_sq_dists(np.asarray(x, dtype=np.float64))
-    np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")
+    return float(np.sort(np.sqrt(kth))[(n - 1) // 2])
 
 
 def knn_graph(x: np.ndarray, k: int) -> NeighborGraph:
@@ -106,7 +136,7 @@ def knn_graph(x: np.ndarray, k: int) -> NeighborGraph:
     if n < 2:
         raise OutOfRange("need at least 2 rows for a knn graph")
     k = min(k, n - 1)
-    indices = np.sort(neighbor_order(x)[:, :k], axis=1).ravel()
+    indices = np.concatenate([nearest(d2, k).ravel() for _, d2 in sq_dist_blocks(x)])
     return NeighborGraph(n=n, indptr=np.arange(n + 1) * k, indices=indices)
 
 

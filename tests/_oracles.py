@@ -79,6 +79,70 @@ def undirected_knn_edges(x: np.ndarray, k: int) -> set:
     return edges
 
 
+def block_edge_grid(rng, dims: int) -> np.ndarray:
+    """2 * ROW_BLOCK + 3 integer points with duplicates on both sides of each row-block edge.
+
+    Integer coordinates make every squared distance exact however it is summed,
+    so the blocked kernels must match the full-matrix reference bit for bit, and
+    equal distances are everywhere, so the lower-index tie-break decides.
+    """
+    from topofuse.topology import ROW_BLOCK
+
+    b = ROW_BLOCK
+    x = rng.integers(0, 9, size=(2 * b + 3, dims)).astype(np.float64)
+    x[b] = x[b - 1]
+    x[2 * b] = x[2 * b - 1]
+    x[-1] = x[0]
+    return x
+
+
+def full_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Every squared distance at once, |x_i|^2 + |x_j|^2 - 2 x_i.x_j clipped at 0 (n x n)."""
+    x = np.asarray(x, dtype=np.float64)
+    sq = (x * x).sum(axis=1)[:, None] + (x * x).sum(axis=1)[None, :] - 2.0 * (x @ x.T)
+    return np.maximum(sq, 0.0)
+
+
+def full_neighbor_order(x: np.ndarray) -> np.ndarray:
+    """Row i: every row index by squared distance from x[i], stable, i itself last."""
+    d2 = full_sq_dists(x)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")
+
+
+def full_radius_graph(coords: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the radius graph 0 < distance <= eps, from the full matrix."""
+    d2 = full_sq_dists(coords)
+    within = (d2 <= eps * eps) & (d2 > 0.0)
+    np.fill_diagonal(within, False)
+    return np.concatenate([[0], np.cumsum(within.sum(axis=1))]), np.nonzero(within)[1]
+
+
+def full_auto_epsilon(coords: np.ndarray) -> float:
+    """Lower median over spots of the distance to the min(4, n - 1)-th neighbour."""
+    n = len(coords)
+    d2 = full_sq_dists(coords)
+    np.fill_diagonal(d2, np.inf)
+    kth = np.sort(np.sqrt(d2), axis=1)[:, min(4, n - 1) - 1]
+    return float(np.sort(kth)[(n - 1) // 2])
+
+
+def full_knn_indices(x: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest rows in ascending index order, ties to the lower index (n x k)."""
+    return np.sort(full_neighbor_order(x)[:, :k], axis=1)
+
+
+def full_mrre(x_high: np.ndarray, x_low: np.ndarray, k: int) -> float:
+    """MRRE from two n x n rank matrices, summing each row's terms in index order."""
+    m = len(x_high)
+    ra, rb = (np.argsort(full_neighbor_order(x), axis=1) + 1 for x in (x_high, x_low))
+    total = 0.0
+    for i in range(m):
+        nbrs = np.flatnonzero(ra[i] <= k)
+        total += (np.abs(ra[i, nbrs] - rb[i, nbrs]) / ra[i, nbrs]).sum()
+    return float(total / (m * abs(m - 2 * k) / k))
+
+
 def binary_entropy(t: np.ndarray) -> float:
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros_like(t)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from topofuse import dataio
 from topofuse.errors import (
     DuplicateSpotId,
+    InvalidDataset,
     MissingFile,
     NonNumericCell,
     OutOfRange,
@@ -114,6 +116,28 @@ class TestMatrixCsv:
         p4.write_text("spot_id,x,y\na,1\n")
         with pytest.raises(RowCountMismatch):
             dataio.read_matrix_csv(str(p4))
+
+    def test_errors_past_the_first_row_name_their_row(self, tmp_path):
+        p = tmp_path / "ragged.csv"
+        p.write_text("spot_id,x,y\na,1,2\nb,3,4\nc,5\n")
+        with pytest.raises(RowCountMismatch, match=re.escape(f"expr row 4 of {p} has 2 fields, header has 3")):
+            dataio.read_matrix_csv(str(p), "expr")
+        p.write_text("spot_id,x,y\na,1,2\nb,3,hello\n")
+        with pytest.raises(NonNumericCell, match=re.escape("expr cell at row 'b', column 'y' is not numeric: 'hello'")):
+            dataio.read_matrix_csv(str(p), "expr")
+        p.write_text("spot_id,x,y\na,1,2\nb,3,4\nc,-inf,6\n")
+        with pytest.raises(NonNumericCell, match=re.escape("expr cell at row 'c', column 'x' is not finite: '-inf'")):
+            dataio.read_matrix_csv(str(p), "expr")
+
+    def test_empty_file_and_header_only(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(InvalidDataset, match=re.escape(f"expr file {p} is empty")):
+            dataio.read_matrix_csv(str(p), "expr")
+        p.write_text("spot_id,x,y\n")
+        cols, ids, m = dataio.read_matrix_csv(str(p))
+        assert cols == ["x", "y"] and ids == []
+        assert m.shape == (0, 2) and m.dtype == np.float64
 
 
 def _toy_dataset(rng, n=6, g=3, with_mor=True, with_labels=True):

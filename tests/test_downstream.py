@@ -216,9 +216,11 @@ class TestMarkers:
 
 class TestPaga:
     def test_matches_edge_counting_oracle(self, rng):
-        z, labels = _blobs(rng, [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)], per=12)
+        # overlapping blobs share kNN edges, so the ratios are not all 0 or 1
+        z, labels = _blobs(rng, [(0.0, 0.0), (1.2, 0.0), (2.4, 0.0)], per=12, scale=0.5)
         k = 5
         graph = downstream.paga_connectivity(z, labels, k=k)
+        assert np.any((graph.connectivity > 0.0) & (graph.connectivity < 1.0))
         pairs = undirected_knn_edges(z, k)
         total = len(pairs)
         sizes = {c: int((labels == c).sum()) for c in (0, 1, 2)}

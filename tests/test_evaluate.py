@@ -4,7 +4,7 @@ import pytest
 from topofuse import evaluate
 from topofuse.errors import LengthMismatch, OutOfRange, ShapeMismatch, SingleClass
 
-from _oracles import ari_pair_oracle, mrre_oracle
+from _oracles import ari_pair_oracle, block_edge_grid, full_mrre, mrre_oracle
 
 
 class TestAri:
@@ -50,6 +50,13 @@ class TestMrre:
             assert evaluate.mrre(high, low, k) == pytest.approx(
                 mrre_oracle(high, low, k), abs=1e-12
             )
+
+    def test_matches_full_rank_matrices_across_row_blocks(self, rng):
+        high = block_edge_grid(rng, 3)
+        low = block_edge_grid(rng, 2)
+        for k in (1, 5, 12):
+            assert evaluate.mrre(high, low, k) == full_mrre(high, low, k)
+        assert evaluate.mrre(high, low, 5) == pytest.approx(mrre_oracle(high, low, 5), abs=1e-12)
 
     def test_bounds(self, rng):
         x = rng.normal(size=(6, 2))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,15 @@ from hypothesis import strategies as st
 from topofuse import topology
 from topofuse.errors import IsolatedNodesWarning, OutOfRange, ShapeMismatch
 
-from _oracles import csr_graph, neighbor_lists
+from _oracles import (
+    block_edge_grid,
+    csr_graph,
+    full_auto_epsilon,
+    full_knn_indices,
+    full_radius_graph,
+    full_sq_dists,
+    neighbor_lists,
+)
 
 
 class TestSpatialGraph:
@@ -91,6 +101,38 @@ class TestKnnGraph:
             topology.knn_graph(np.zeros((3, 1)), 0)
         with pytest.raises(OutOfRange):
             topology.knn_graph(np.zeros((1, 1)), 1)
+
+
+class TestRowBlocks:
+    def test_data_has_ties_at_the_kth_place_in_every_block(self, rng):
+        x = block_edge_grid(rng, 2)
+        d2 = full_sq_dists(x)
+        np.fill_diagonal(d2, np.inf)
+        d2.sort(axis=1)
+        tied = np.flatnonzero(d2[:, 3] == d2[:, 4])
+        assert set(tied // topology.ROW_BLOCK) == {0, 1, 2}
+
+    def test_radius_graph_matches_full_matrix(self, rng):
+        coords = block_edge_grid(rng, 2)
+        for eps in (1.0, 1.5, 2.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IsolatedNodesWarning)
+                g = topology.build_spatial_graph(coords, eps)
+            indptr, indices = full_radius_graph(coords, eps)
+            assert np.array_equal(g.indptr, indptr)
+            assert np.array_equal(g.indices, indices)
+
+    def test_auto_epsilon_matches_full_matrix(self, rng):
+        for dims in (2, 3):
+            coords = block_edge_grid(rng, dims)
+            assert topology.auto_epsilon(coords) == full_auto_epsilon(coords)
+
+    def test_knn_matches_full_matrix(self, rng):
+        x = block_edge_grid(rng, 2)
+        n = len(x)
+        for k in (1, 4, 9, 40):
+            g = topology.knn_graph(x, k)
+            assert np.array_equal(g.indices.reshape(n, k), full_knn_indices(x, k))
 
 
 class TestNeighborGraphValidation:
