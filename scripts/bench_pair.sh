@@ -9,7 +9,8 @@
 # in BENCHMARK.json, once on REF and once on the working tree: REF first in odd
 # pairs, the working tree first in even ones. Each run works on its own
 # checkout and imports topofuse from that checkout's src/.
-# Writes OUT as JSON: machine, Python,
+# Writes OUT as JSON: machine (`cpus`, and `affinity_cpus`, the CPUs this
+# process may run on, which decide whether `report` starts its worker), Python,
 # numpy and BLAS, every run's metrics, and per workload and side the median
 # and quartiles of each end-to-end metric. Set PYTHON to pick the interpreter.
 set -euo pipefail
@@ -101,6 +102,7 @@ report = {
     "machine": {
         "cpu": cpu_model(),
         "cpus": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "system": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -11,7 +11,10 @@
 #     at epochs=20;
 #   - train (epochs=40) -> cluster (refine=true) -> visualize -> deconvolve
 #     -> markers -> trajectory -> evaluate on 4x200.
-# Then compares the two output trees with `diff -r`, manifests included.
+# Then runs the working tree's 8x125 report once more under `taskset -c 0`:
+# on one CPU `report` runs every analysis inline instead of in its worker
+# process, so both paths are checked against REF. Compares the output trees
+# with `diff -r`, manifests included.
 # Prints the sha256 of every embedding.csv and report.json of the working
 # tree and exits 1 on any difference. Set PYTHON to pick the interpreter.
 set -euo pipefail
@@ -72,9 +75,19 @@ if [ "$status" -ne 0 ]; then
     exit 1
 fi
 
+# one CPU: the inline path, same argv and relative paths as in run_all
+mkdir -p "$work/out-inline"
+cp -r "$work/out-new/d125" "$work/out-inline/"
+if ! (cd "$work/out-inline" && PYTHONPATH="$repo/src" taskset -c 0 "$python" -m topofuse report --threads 1 \
+    --data d125 --out report125-e20 --set epochs=20 >run.log 2>&1); then
+    echo "--- inline: the one-CPU report failed; its log ends:" >&2
+    tail -n 20 "$work/out-inline/run.log" >&2
+    exit 1
+fi
+
 (cd "$work/out-new" && find . \( -name embedding.csv -o -name report.json \) | sort | xargs sha256sum)
-if diff -r "$work/out-ref" "$work/out-new"; then
-    echo "same bytes as $1"
+if diff -r "$work/out-ref" "$work/out-new" && diff -r "$work/out-ref/report125-e20" "$work/out-inline/report125-e20"; then
+    echo "same bytes as $1, one-CPU report included"
 else
     echo "outputs differ from $1" >&2
     exit 1

@@ -43,7 +43,13 @@ def _build_parser() -> _Parser:
     def common(sp, data=False, config=True, emb=False, labels=False, ckpt=False):
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None, help="cap BLAS threads (1 = deterministic)")
+        sp.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="BLAS threads per process (1 = deterministic); report adds one worker"
+            " process when the CPUs allow two",
+        )
         if data:
             sp.add_argument("--data", required=True, help="directory with tra.csv and coords.csv")
         if config:
@@ -179,10 +185,9 @@ def _check_out(out):
         raise IoFailure(f"cannot write to {out}: {path} is not a directory")
 
 
-def _load_data(args):
+def _load_data(d):
     from .dataio import load_dataset
 
-    d = args.data
     tra = os.path.join(d, "tra.csv")
     coords = os.path.join(d, "coords.csv")
     mor = os.path.join(d, "mor.csv")
@@ -236,7 +241,7 @@ def cmd_preprocess(args, cfg) -> dict:
     from .dataio import write_matrix_csv
     from .preprocess import preprocess_dataset
 
-    ds = _load_data(args)
+    ds = _load_data(args.data)
     pre = preprocess_dataset(ds, cfg)
     write_matrix_csv(os.path.join(args.out, "pre_tra.csv"), ds.spot_ids, pre.gene_ids, pre.tra)
     if pre.mor is not None:
@@ -317,10 +322,49 @@ def _metrics(x, z, truth, predicted, mrre_k):
     return metrics
 
 
+def _contribution(mats, labels, seed):
+    """Modality contribution of the (tra, mor) pair `mats`, or None without morphology or two labels."""
+    from .evaluate import modality_contribution
+
+    if mats[1] is None or len(set(labels.tolist())) < 2:
+        return None
+    return modality_contribution(mats, labels, names=["tra", "mor"], seed=seed)
+
+
+def _fingerprint(ds) -> str:
+    """sha256 of what the input-space contribution reads: spot ids, gene ids, expression, morphology."""
+    import hashlib
+
+    import numpy as np
+
+    h = hashlib.sha256("\n".join([*ds.spot_ids, "", *ds.gene_ids]).encode())
+    for a in (ds.tra, ds.mor):
+        h.update(b"none" if a is None else f"{a.dtype.str}{a.shape}".encode())
+        if a is not None:
+            h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
+
+def _input_contribution(data, cfg, labels, fingerprint):
+    """`_contribution` of the preprocessed inputs, read from `data` here so no caller ships them.
+
+    `fingerprint` is the caller's `_fingerprint` of the dataset it read: data that
+    changed since then raise InvalidDataset rather than mix two versions in one report.
+    """
+    from .errors import InvalidDataset
+    from .preprocess import preprocess_dataset
+
+    ds = _load_data(data)
+    if _fingerprint(ds) != fingerprint:
+        raise InvalidDataset(f"{data} changed while report was reading it: the worker process read other values")
+    pre = preprocess_dataset(ds, cfg)
+    return _contribution([pre.tra, pre.mor], labels, cfg.seed)
+
+
 def cmd_train(args, cfg) -> dict:
     from .dataio import write_losses_csv, write_matrix_csv
 
-    ds = _load_data(args)
+    ds = _load_data(args.data)
     pre, spatial, eps, state, emb = _train_once(ds, cfg)
     _save_model(args.out, ds.spot_ids, emb, state.params)
     for name, y in (("y_tra.csv", emb.y_tra), ("y_mor.csv", emb.y_mor)):
@@ -334,7 +378,7 @@ def cmd_train(args, cfg) -> dict:
 def cmd_cluster(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_labels_csv
 
-    ds = _load_data(args)
+    ds = _load_data(args.data)
     _, z = read_spot_csv(args.emb, "embedding", ds.spot_ids, args.data)
     k, labels = _cluster(ds, z, cfg, args.restarts)
     write_labels_csv(os.path.join(args.out, "labels.csv"), ds.spot_ids, labels)
@@ -376,7 +420,7 @@ def cmd_markers(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_markers_csv
     from .network import load_checkpoint
 
-    ds = _load_data(args)
+    ds = _load_data(args.data)
     params = load_checkpoint(args.ckpt)
     _, labels = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
     pre, spatial, _ = _model_inputs(ds, cfg)
@@ -401,7 +445,7 @@ def cmd_evaluate(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_json
     from .preprocess import preprocess_dataset
 
-    ds = _load_data(args)
+    ds = _load_data(args.data)
     _, z = read_spot_csv(args.emb, "embedding", ds.spot_ids, args.data)
     predicted = None
     if args.labels and ds.labels is not None:
@@ -424,15 +468,32 @@ def cmd_report(args, cfg) -> dict:
         write_matrix_csv,
     )
     from .downstream import _fit_vis, deconvolve
-    from .evaluate import modality_contribution
+    from .worker import analysis_jobs
 
-    ds = _load_data(args)
-    pre, spatial, eps, state, emb = _train_once(ds, cfg)
-    k, labels = _cluster(ds, emb.z, cfg, args.restarts)
-    vis, vis_history = _fit_vis(emb.z, cfg)
-    dec = deconvolve(emb.z, labels, args.l1)
-    markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
-    metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
+    inputs, embeddings = "input-space modality contribution", "embedding-space modality contribution"
+    ds = _load_data(args.data)
+    # analyses that need no cluster labels run in the worker, when there is one,
+    # beside training and clustering; the results come back by name below
+    with analysis_jobs(args.threads) as jobs:
+        # the worker reads --data itself, so with the dataset's own labels it can
+        # score the inputs while this process trains
+        inputs_remote = jobs.remote and ds.labels is not None
+        if inputs_remote:
+            jobs.submit(inputs, _input_contribution, args.data, cfg, ds.labels, _fingerprint(ds))
+        pre, spatial, eps, state, emb = _train_once(ds, cfg)
+        jobs.submit("visualization", _fit_vis, emb.z, cfg)
+        k, labels = _cluster(ds, emb.z, cfg, args.restarts)
+        contrib_labels = ds.labels if ds.labels is not None else labels
+        jobs.submit(embeddings, _contribution, [emb.y_tra, emb.y_mor], contrib_labels, cfg.seed)
+        dec = deconvolve(emb.z, labels, args.l1)
+        markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
+        metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
+        paga_edges = _paga_edges(emb.z, labels, args.paga_k)[1] if len(set(labels.tolist())) >= 2 else None
+        # otherwise the inputs are scored here: a worker that reloads the data
+        # only after clustering measured no faster
+        local = {} if inputs_remote else {inputs: _contribution([pre.tra, pre.mor], contrib_labels, cfg.seed)}
+        done = {**local, **jobs.results()}
+    vis, vis_history = done["visualization"]
     payload = {
         "metrics": metrics,
         "notes": {
@@ -446,16 +507,12 @@ def cmd_report(args, cfg) -> dict:
         "config": cfg.to_dict(),
         "loss_history": state.history,
     }
-    if len(set(labels.tolist())) >= 2:
-        _, payload["paga_edges"] = _paga_edges(emb.z, labels, args.paga_k)
+    if paga_edges is not None:
+        payload["paga_edges"] = paga_edges
     payload["markers"] = [{"cluster": c, "rank": r, "gene_id": g, "importance": v} for c, r, g, v in markers]
-    contrib_labels = ds.labels if ds.labels is not None else labels
+    parts = {"inputs": done[inputs], "embeddings": done[embeddings]}
     per_spot = None
-    if pre.mor is not None and len(set(contrib_labels.tolist())) >= 2:
-        parts = {
-            key: modality_contribution(mats, contrib_labels, names=["tra", "mor"], seed=cfg.seed)
-            for key, mats in (("inputs", [pre.tra, pre.mor]), ("embeddings", [emb.y_tra, emb.y_mor]))
-        }
+    if parts["inputs"] is not None:
         per_spot = np.column_stack([part.per_spot for part in parts.values()])
         payload["modality_contribution"] = {
             "names": ["tra_input", "mor_input", "tra_emb", "mor_emb"],

@@ -75,6 +75,10 @@ class SingleClass(TopofuseError):
     pass
 
 
+class WorkerLost(TopofuseError):
+    """The worker process ended before it returned every result."""
+
+
 class IsolatedNodesWarning(UserWarning):
     """Some nodes of a spatial graph have no neighbors; recorded, not fatal."""
 

@@ -116,16 +116,29 @@ def build_spatial_graph(coords: np.ndarray, eps: float) -> NeighborGraph:
 
 
 def auto_epsilon(coords: np.ndarray) -> float:
-    """Smallest radius at which the median spot has at least 4 neighbors."""
+    """Smallest radius at which the median spot has at least 4 neighbors.
+
+    Coincident spots are not neighbors (see build_spatial_graph), so each spot's
+    k-th smallest *positive* distance counts.
+    """
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if n < 2:
         raise OutOfRange("need at least 2 spots to pick a radius")
     k = min(4, n - 1)
-    # copy the column: a view would keep each block's partitioned copy alive
-    kth = np.concatenate([np.partition(d2, k - 1, axis=1)[:, k - 1].copy() for _, d2 in sq_dist_blocks(coords)])
+    kth = []
+    for _, d2 in sq_dist_blocks(coords):
+        d2[d2 == 0.0] = np.inf
+        # copy the column: a view would keep each block's partitioned copy alive
+        kth.append(np.partition(d2, k - 1, axis=1)[:, k - 1].copy())
     # lower median: the smallest radius covering at least half the spots
-    return float(np.sort(np.sqrt(kth))[(n - 1) // 2])
+    eps = float(np.sort(np.sqrt(np.concatenate(kth)))[(n - 1) // 2])
+    if not np.isfinite(eps):
+        raise OutOfRange(
+            f"epsilon_radius 'auto' found no radius: the median spot has fewer than {k} spots at other"
+            " positions; set epsilon_radius"
+        )
+    return eps
 
 
 def knn_graph(x: np.ndarray, k: int) -> NeighborGraph:

@@ -119,10 +119,11 @@ def full_radius_graph(coords: np.ndarray, eps: float) -> tuple[np.ndarray, np.nd
 
 
 def full_auto_epsilon(coords: np.ndarray) -> float:
-    """Lower median over spots of the distance to the min(4, n - 1)-th neighbour."""
+    """Lower median over spots of the distance to the min(4, n - 1)-th spot at another position."""
     n = len(coords)
     d2 = full_sq_dists(coords)
     np.fill_diagonal(d2, np.inf)
+    d2[d2 == 0.0] = np.inf  # coincident spots are not neighbours
     kth = np.sort(np.sqrt(d2), axis=1)[:, min(4, n - 1) - 1]
     return float(np.sort(kth)[(n - 1) // 2])
 

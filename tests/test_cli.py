@@ -1,11 +1,16 @@
 import csv
 import json
 import os
+import shutil
+import signal
+import subprocess
+import threading
 
 import numpy as np
 import pytest
 
 from topofuse import cli, objective
+from topofuse.errors import NonFiniteLoss, TopofuseError
 
 
 def _manifest(out):
@@ -446,3 +451,144 @@ class TestOverrideParsing:
         assert cli.run(argv) == 0
         epochs = _manifest(out)["config"]["epochs"]
         assert epochs == 2 and isinstance(epochs, int)
+
+
+_REPORT = ["report", "--top-n", "3", "--threads", "1"] + _SMALL
+WATCHDOG_S = 60
+_WORKER_ANALYSES = ("input-space modality contribution", "visualization", "embedding-space modality contribution")
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every worker process started during the test, as its Popen object.
+
+    A watchdog kills them after WATCHDOG_S, so a run that would wait on its
+    worker forever fails the test instead of hanging it.
+    """
+    started, fired = [], []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    def kill_all():
+        fired.append(True)
+        for proc in started:
+            proc.kill()
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    watchdog = threading.Timer(WATCHDOG_S, kill_all)
+    watchdog.start()
+    yield started
+    watchdog.cancel()
+    assert not fired, f"a worker was still running after {WATCHDOG_S} s"
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _edit_first_cell_after_load(monkeypatch, pipeline, tmp_path, edit):
+    """A copy of the pipeline's dataset whose last tra.csv cell of the first row
+    becomes `edit(cell)` right after `cli._load_data` has read it, so this process
+    keeps the old rows and a worker reads the new ones."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    load = cli._load_data
+
+    def load_then_edit(d):
+        ds = load(d)
+        tra = data / "tra.csv"
+        header, first, *rest = tra.read_text().splitlines()
+        head, cell = first.rsplit(",", 1)
+        tra.write_text("\n".join([header, f"{head},{edit(cell)}", *rest]) + "\n")
+        return ds
+
+    monkeypatch.setattr(cli, "_load_data", load_then_edit)
+    return data
+
+
+def _assert_reaped(procs):
+    for proc in procs:
+        assert proc.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+
+
+class TestAnalysisWorker:
+    @pytest.mark.parametrize("drop", [None, "labels.csv", "mor.csv"])
+    def test_both_paths_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch, workers, drop):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        if drop:
+            os.remove(data / drop)
+        outs = {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[cpus])]) == 0
+            assert len(workers) == cpus - 1  # --threads 1: one CPU runs inline, two add a worker
+        _assert_reaped(workers)
+        names = sorted(os.listdir(outs[1]))
+        assert names == sorted(os.listdir(outs[2]))
+        assert ("contributions.csv" in names) == (drop != "mor.csv")
+        for name in names:
+            if name != "manifest.json":
+                assert _read(outs[1] / name) == _read(outs[2] / name), name
+        inline, remote = _manifest(outs[1]), _manifest(outs[2])
+        assert {key for key in inline if inline[key] != remote[key]} == {"out", "argv"}
+
+    def test_worker_error_exits_1_with_its_message(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        load = cli._load_data
+        data = _edit_first_cell_after_load(monkeypatch, pipeline, tmp_path, lambda cell: "oops")
+        _cpus(monkeypatch, 2)
+        capsys.readouterr()
+        assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        with pytest.raises(TopofuseError) as expected:
+            load(str(data))
+        assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
+        assert len(workers) == 1
+        _assert_reaped(workers)
+
+    def test_changed_value_exits_1(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        # a well-formed value the worker would otherwise use in place of the one this process read
+        data = _edit_first_cell_after_load(monkeypatch, pipeline, tmp_path, lambda cell: str(float(cell) + 1.0))
+        _cpus(monkeypatch, 2)
+        capsys.readouterr()
+        assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert f"topofuse: error: {data} changed while report was reading it" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "report.json")
+        assert len(workers) == 1
+        _assert_reaped(workers)
+
+    def test_training_failure_stops_the_worker(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        def diverge(*args, **kwargs):
+            raise NonFiniteLoss("training diverged")
+
+        monkeypatch.setattr(objective, "train", diverge)
+        _cpus(monkeypatch, 2)
+        capsys.readouterr()
+        assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
+        assert "topofuse: error: training diverged" in capsys.readouterr().err
+        # the worker still waited for jobs: it was killed, not waited for
+        assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
+        _assert_reaped(workers)
+
+    def test_killed_worker_names_the_analysis(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        train = objective.train
+
+        def kill_worker_then_train(*args, **kwargs):
+            workers[0].kill()
+            workers[0].wait(timeout=WATCHDOG_S)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "train", kill_worker_then_train)
+        _cpus(monkeypatch, 2)
+        capsys.readouterr()
+        assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"the worker process was killed by signal {int(signal.SIGKILL)} before returning the" in err
+        assert any(name in err for name in _WORKER_ANALYSES)
+        assert not os.path.exists(tmp_path / "out" / "report.json")
+        _assert_reaped(workers)

@@ -76,6 +76,23 @@ class TestAutoEpsilon:
         with pytest.raises(OutOfRange):
             topology.auto_epsilon(np.zeros((1, 2)))
 
+    def test_coincident_spots_do_not_count(self):
+        # a 6 x 6 unit grid with 5 spots on every point: each spot has 4 coincident
+        # spots, which are not neighbours, and 5..20 spots at distance 1
+        grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=np.float64)
+        coords = np.repeat(grid, 5, axis=0)
+        eps = topology.auto_epsilon(coords)
+        assert eps == 1.0
+        degrees = np.diff(topology.build_spatial_graph(coords, eps).indptr)
+        assert np.sort(degrees)[(len(coords) - 1) // 2] >= 4
+
+    def test_no_usable_radius_names_the_key(self):
+        # every spot shares its position with all others but one
+        coords = np.zeros((9, 2))
+        coords[0] = [1.0, 1.0]
+        with pytest.raises(OutOfRange, match="epsilon_radius"):
+            topology.auto_epsilon(coords)
+
 
 class TestKnnGraph:
     def test_exact_neighbors_on_a_line(self):
