@@ -14,7 +14,12 @@
 # Then runs the working tree's 8x125 report once more under `taskset -c 0`:
 # on one CPU `report` runs every analysis inline instead of in its worker
 # process, so both paths are checked against REF. Compares the output trees
-# with `diff -r`, manifests included.
+# with `diff -r`, manifests included, except the checkpoints (`ckpt.*`): each
+# tree reads its own with its own `load_checkpoint`, and the tensors, theta
+# and fusion_mode must be exactly equal, so a change of checkpoint format
+# still shows "same model, same outputs". markers reads the checkpoint
+# through a link named `ckpt.any`, so its manifest records the same argv
+# whatever the format's file name.
 # Prints the sha256 of every embedding.csv and report.json of the working
 # tree and exits 1 on any difference. Set PYTHON to pick the interpreter.
 set -euo pipefail
@@ -47,8 +52,8 @@ run_all() {
     tf report --data d50 --out report50-e150 --set epochs=150
     tf report --data d125 --out report125-e20 --set epochs=20
     tf train --data d200 --out train --set epochs=40
-    local emb=train/embedding.csv labels=cluster/labels.csv ckpt
-    ckpt=$(ls train/ckpt.*)
+    local emb=train/embedding.csv labels=cluster/labels.csv ckpt=ckpt.any
+    ln -s "$(ls train/ckpt.*)" "$ckpt"
     tf cluster --data d200 --emb "$emb" --out cluster --set refine=true
     tf visualize --emb "$emb" --labels "$labels" --out visualize
     tf deconvolve --emb "$emb" --labels "$labels" --out deconvolve
@@ -85,9 +90,40 @@ if ! (cd "$work/out-inline" && PYTHONPATH="$repo/src" taskset -c 0 "$python" -m 
     exit 1
 fi
 
+# dump_ckpts SRC_DIR OUT_DIR DUMP_DIR: each checkpoint under OUT_DIR, read by
+# SRC_DIR's load_checkpoint, written to DUMP_DIR as its tensors plus theta and
+# fusion_mode, one .npz per run directory
+dump_ckpts() {
+    PYTHONPATH="$1" "$python" - "$2" "$3" <<'PY'
+import pathlib
+import sys
+
+import numpy as np
+
+from topofuse.network import load_checkpoint
+
+out, dump = (pathlib.Path(p) for p in sys.argv[1:])
+for path in sorted(out.rglob("ckpt.*")):
+    if path.is_symlink():
+        continue
+    params = load_checkpoint(str(path))
+    tensors = {f"{name}.{t}": getattr(layer, t) for name, layer in params.named_layers() for t in ("w", "b")}
+    target = dump / path.parent.relative_to(out)
+    target.mkdir(parents=True)
+    with open(target / "model.npz", "wb") as fh:
+        np.savez(fh, theta=np.array(params.theta), fusion_mode=np.array(params.fusion_mode), **tensors)
+PY
+}
+dump_ckpts "$work/ref/src" "$work/out-ref" "$work/ckpt-ref"
+dump_ckpts "$repo/src" "$work/out-new" "$work/ckpt-new"
+dump_ckpts "$repo/src" "$work/out-inline" "$work/ckpt-inline"
+
 (cd "$work/out-new" && find . \( -name embedding.csv -o -name report.json \) | sort | xargs sha256sum)
-if diff -r "$work/out-ref" "$work/out-new" && diff -r "$work/out-ref/report125-e20" "$work/out-inline/report125-e20"; then
-    echo "same bytes as $1, one-CPU report included"
+if diff -r -x 'ckpt.*' "$work/out-ref" "$work/out-new" \
+    && diff -r -x 'ckpt.*' "$work/out-ref/report125-e20" "$work/out-inline/report125-e20" \
+    && diff -r "$work/ckpt-ref" "$work/ckpt-new" \
+    && diff -r "$work/ckpt-ref/report125-e20" "$work/ckpt-inline/report125-e20"; then
+    echo "same bytes as $1 (checkpoints: same tensors, theta and fusion_mode), one-CPU report included"
 else
     echo "outputs differ from $1" >&2
     exit 1

@@ -4,7 +4,8 @@ Heavy imports happen inside handlers so --threads can pin the BLAS pool
 before numpy loads. `run` resolves the configuration, calls the handler,
 which writes its artifacts and returns its manifest extras, then writes
 manifest.json with the resolved configuration; re-running the recorded
-argv reproduces the outputs.
+argv reproduces the outputs. A command that fails removes the files it
+wrote, so a run directory holds a whole run or none of it.
 """
 
 from __future__ import annotations
@@ -260,13 +261,13 @@ def _train_once(ds, cfg):
 
 
 def _save_model(out, spot_ids, emb, params):
-    """Write embedding.csv and ckpt.json, the training outputs later subcommands read."""
+    """Write embedding.csv and ckpt.npz, the training outputs later subcommands read."""
     from .dataio import write_matrix_csv
     from .network import save_checkpoint
 
     cols = [f"z{i}" for i in range(emb.z.shape[1])]
     write_matrix_csv(os.path.join(out, "embedding.csv"), spot_ids, cols, emb.z)
-    save_checkpoint(params, os.path.join(out, "ckpt.json"))
+    save_checkpoint(params, os.path.join(out, "ckpt.npz"))
 
 
 def _cluster(ds, z, cfg, restarts):
@@ -560,8 +561,11 @@ def run(argv) -> int:
         args._argv = list(argv)
         cfg = _resolve_config(args) if "config" in args else None  # synth takes no config
         _check_out(args.out)
-        extra = _HANDLERS[args.command](args, cfg)
-        _write_manifest(args, cfg, extra)
+        from .dataio import delete_on_error
+
+        with delete_on_error():
+            extra = _HANDLERS[args.command](args, cfg)
+            _write_manifest(args, cfg, extra)
         return 0
     except CliError as e:
         print(f"topofuse: {e}", file=sys.stderr)

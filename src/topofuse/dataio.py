@@ -306,20 +306,47 @@ def load_dataset(
     return SpotDataset(tra=tra, coords=coords, spot_ids=spot_ids, gene_ids=gene_ids, mor=mor, labels=labels)
 
 
+# Paths open_for_write opened inside the active delete_on_error block; None outside one.
+_written: list[str] | None = None
+
+
 @contextlib.contextmanager
-def open_for_write(path: str):
-    """Open `path` for writing text, creating its directory first.
+def open_for_write(path: str, binary: bool = False):
+    """Open `path` for writing text (or bytes), creating its directory first.
 
     The directory appears only with the first file written into it. Any
     OSError, from the directory, the open or a write, becomes IoFailure
-    naming the path.
+    naming the path. Inside delete_on_error the file is removed again if
+    the block fails.
     """
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8", newline="") as fh:
+            if _written is not None:
+                _written.append(path)
             yield fh
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
+
+
+@contextlib.contextmanager
+def delete_on_error():
+    """Remove every file open_for_write opened in the block if the block raises.
+
+    As make's .DELETE_ON_ERROR: a failed command leaves no partial artifacts
+    that a later command could take for a finished run's.
+    """
+    global _written
+    _written = written = []
+    try:
+        yield
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    finally:
+        _written = None
 
 
 def write_matrix_csv(path: str, row_ids: list[str], col_names: list[str], m: np.ndarray):

@@ -29,6 +29,7 @@ from .network import (
     _glorot,
     _stack_backward,
     _stack_forward,
+    check_genes,
     forward_all,
     fuse_forward,
     normalized_adjacency,
@@ -331,6 +332,7 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     branch is the base pass's, and the decoder, whose output is unused, does
     not run for the knockouts.
     """
+    check_genes(params, data.gene_ids)
     a_hat = normalized_adjacency(spatial)
     base, _ = forward_all(params, data.tra, data.mor, a_hat)
     first, rest = params.gnn_tra[0], params.gnn_tra[1:]
@@ -413,6 +415,7 @@ def paga_connectivity(z: np.ndarray, labels: np.ndarray, k: int = 15) -> PagaGra
 
 def denoise(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph) -> np.ndarray:
     """Decoder output of a dropout-free forward pass, one column per kept gene."""
+    check_genes(params, data.gene_ids)
     a_hat = normalized_adjacency(spatial)
     es, _ = forward_all(params, data.tra, data.mor, a_hat)
     return es.x_hat

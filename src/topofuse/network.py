@@ -6,8 +6,8 @@ gradient buffers so several views of one epoch can share a single step.
 
 from __future__ import annotations
 
-import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .dataio import RunConfig, open_for_write
 from .errors import IoFailure, MissingFile, ShapeMismatch, StaleCache
 from .topology import NeighborGraph
 
-CKPT_FORMAT = "topofuse-ckpt-v1"
+CKPT_FORMAT = "topofuse-ckpt-v2"
 
 
 class Dense:
@@ -40,15 +40,20 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Dense:
 
 
 class ModelParams:
-    """All trainable tensors of the fused autoencoder."""
+    """All trainable tensors of the fused autoencoder.
 
-    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, theta, fusion_mode):
+    `gene_ids` names the expression columns the first layer and the decoder
+    were trained on, or is None for parameters that never met a dataset.
+    """
+
+    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, theta, fusion_mode, gene_ids=None):
         self.gnn_tra = gnn_tra
         self.gnn_mor = gnn_mor
         self.fusion = fusion
         self.decoder = decoder
         self.theta = float(theta)
         self.fusion_mode = fusion_mode
+        self.gene_ids = gene_ids
 
     def named_layers(self):
         for i, layer in enumerate(self.gnn_tra):
@@ -231,51 +236,92 @@ def dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray
     return keep / (1.0 - p)
 
 
+def check_genes(params: ModelParams, gene_ids: list[str]):
+    """Raise StaleCache unless `params` were trained on exactly `gene_ids`, in order.
+
+    Parameters that name no genes pass.
+    """
+    trained, given = params.gene_ids, list(gene_ids)
+    if trained is None or list(trained) == given:
+        return
+    pos = next((i for i, (a, b) in enumerate(zip(trained, given)) if a != b), min(len(trained), len(given)))
+
+    def at(ids):
+        return repr(ids[pos]) if pos < len(ids) else f"absent ({len(ids)} genes)"
+
+    raise StaleCache(
+        f"the model was trained on other genes than the data: gene column {pos} is {at(trained)}"
+        f" in the model and {at(given)} in the data; retrain on this dataset and configuration"
+    )
+
+
 def save_checkpoint(params: ModelParams, path: str):
-    tensors = {}
+    """Write checkpoint v2: an uncompressed .npz of float64 tensors named like
+    `gnn_tra.0.w`, plus `format`, `theta`, `fusion_mode` and `gene_ids`.
+
+    np.savez stamps its zip members with a fixed date, so equal parameters
+    give equal bytes.
+    """
+    if params.gene_ids is None or len(params.gene_ids) != params.decoder[-1].w.shape[1]:
+        raise ShapeMismatch("a checkpoint must name one gene per decoder output")
+    arrays = {}
     for name, layer in params.named_layers():
-        tensors[name + ".w"] = {"shape": list(layer.w.shape), "data": layer.w.ravel().tolist()}
-        tensors[name + ".b"] = {"shape": list(layer.b.shape), "data": layer.b.ravel().tolist()}
-    payload = {
-        "format": CKPT_FORMAT,
-        "theta": params.theta,
-        "fusion_mode": params.fusion_mode,
-        "n_gnn_tra": len(params.gnn_tra),
-        "n_gnn_mor": len(params.gnn_mor) if params.gnn_mor is not None else 0,
-        "n_fusion": len(params.fusion),
-        "n_decoder": len(params.decoder),
-        "tensors": tensors,
-    }
-    with open_for_write(path) as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        arrays[name + ".w"] = layer.w
+        arrays[name + ".b"] = layer.b
+    arrays["format"] = np.array(CKPT_FORMAT)
+    arrays["theta"] = np.array(params.theta)
+    arrays["fusion_mode"] = np.array(params.fusion_mode)
+    arrays["gene_ids"] = np.array(params.gene_ids, dtype=str)
+    with open_for_write(path, binary=True) as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read checkpoint v2 without unpickling anything; any other file raises, naming `path`."""
     if not os.path.isfile(path):
         raise MissingFile(f"checkpoint not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        with open(path, "rb") as fh:
+            head = fh.read(4)
+        if head.startswith(b"{"):
+            raise StaleCache(
+                f"checkpoint {path} is JSON (topofuse-ckpt-v1), which this version no longer reads;"
+                " retrain to write ckpt.npz"
+            )
+        if head != b"PK\x03\x04":
+            raise IoFailure(f"checkpoint {path} is not an .npz archive")
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
         raise IoFailure(f"cannot read checkpoint {path}: {e}") from e
-    if payload.get("format") != CKPT_FORMAT:
-        raise StaleCache(
-            f"checkpoint format {payload.get('format')!r} is not {CKPT_FORMAT!r}"
-        )
 
-    def take(group: str, count: int):
+    def field(key, ndim, kind):
+        a = arrays.get(key)
+        if a is None or a.ndim != ndim or a.dtype.kind != kind:
+            raise StaleCache(f"checkpoint {path} has no valid {key!r}; write it with save_checkpoint")
+        return a
+
+    fmt = field("format", 0, "U").item()
+    if fmt != CKPT_FORMAT:
+        raise StaleCache(f"checkpoint {path} has format {fmt!r}, not {CKPT_FORMAT!r}")
+
+    def take(group: str):
         layers = []
-        for i in range(count):
-            tw = payload["tensors"][f"{group}.{i}.w"]
-            tb = payload["tensors"][f"{group}.{i}.b"]
-            w = np.asarray(tw["data"], dtype=np.float64).reshape(tw["shape"])
-            b = np.asarray(tb["data"], dtype=np.float64).reshape(tb["shape"])
+        # a missing first layer is an error except for the optional morphology encoder
+        while f"{group}.{len(layers)}.w" in arrays or not layers and group != "gnn_mor":
+            name = f"{group}.{len(layers)}"
+            w, b = field(name + ".w", 2, "f"), field(name + ".b", 1, "f")
+            if b.shape != w.shape[1:]:
+                raise StaleCache(f"checkpoint {path}: {name}.b does not fit {name}.w")
             layers.append(Dense(w, b))
         return layers
 
-    gnn_tra = take("gnn_tra", payload["n_gnn_tra"])
-    gnn_mor = take("gnn_mor", payload["n_gnn_mor"]) if payload["n_gnn_mor"] else None
-    fusion = take("fusion", payload["n_fusion"])
-    decoder = take("decoder", payload["n_decoder"])
-    return ModelParams(gnn_tra, gnn_mor, fusion, decoder, payload["theta"], payload["fusion_mode"])
+    return ModelParams(
+        take("gnn_tra"),
+        take("gnn_mor") or None,
+        take("fusion"),
+        take("decoder"),
+        field("theta", 0, "f").item(),
+        field("fusion_mode", 0, "U").item(),
+        gene_ids=field("gene_ids", 1, "U").tolist(),
+    )

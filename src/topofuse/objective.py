@@ -189,6 +189,7 @@ def train(
         raise ShapeMismatch("spatial graph does not cover the dataset")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(rng, data.tra.shape[1], None if data.mor is None else data.mor.shape[1], cfg)
+    params.gene_ids = list(data.gene_ids)
     a_hat = normalized_adjacency(spatial)
     kcfg = KernelConfig(nu=cfg.nu)
 

@@ -1,4 +1,4 @@
-"""Neighborhood graphs, feature augmentation and training pair sampling."""
+"""Neighborhood graphs and training pair sampling with feature augmentation."""
 
 from __future__ import annotations
 
@@ -153,24 +153,6 @@ def knn_graph(x: np.ndarray, k: int) -> NeighborGraph:
     return NeighborGraph(n=n, indptr=np.arange(n + 1) * k, indices=indices)
 
 
-def augment(
-    features: np.ndarray, i: int, graph: NeighborGraph, p_u: float, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Mix row i toward a uniformly chosen 1-hop neighbor.
-
-    Returns ((1 - r) * x_i + r * x_j, r) with r ~ U(0, p_u). A node with no
-    neighbors falls back to its own row with r = 0.
-    """
-    if not 0 < p_u <= 1:
-        raise OutOfRange("p_u must lie in (0, 1]")
-    lo, hi = graph.indptr[i : i + 2].tolist()
-    if lo == hi:
-        return features[i].copy(), 0.0
-    j = graph.indices[lo + int(rng.integers(hi - lo))]
-    r = float(rng.uniform(0.0, p_u))
-    return (1.0 - r) * features[i] + r * features[j], r
-
-
 @dataclass
 class PairBatch:
     """Anchor/partner index pairs for the topology loss.
@@ -212,30 +194,36 @@ def sample_pairs(
 ) -> PairBatch:
     """One augmented partner plus `n_neg` uniform negatives per anchor.
 
-    Draw order per anchor is fixed (augmentation first), so a seeded
-    generator reproduces the batch exactly.
+    Anchor i's augmented row is (1 - r) x_i + r x_j for a uniformly chosen
+    neighbour j and r ~ U(0, p_u); an anchor without neighbours keeps its own
+    row and counts as a fallback. Draws per anchor, in order: the neighbour
+    (only when there is one), r (likewise), then the `n_neg` negatives as one
+    array draw, which leaves the values and generator state of `n_neg` scalar
+    draws. A seeded generator reproduces the batch exactly.
     """
     if n < 2:
         raise OutOfRange("need at least 2 rows to sample pairs")
     if features.shape[0] != n or graph.n != n:
         raise ShapeMismatch("features and graph must cover the same rows")
-    anchors = np.empty(n * (1 + n_neg), dtype=np.int64)
-    partners = np.empty_like(anchors)
-    h = np.empty_like(anchors)
-    payload = np.empty((n, features.shape[1]), dtype=np.float64)
-    fallbacks = 0
-    pos = 0
+    if not 0 < p_u <= 1:
+        raise OutOfRange("p_u must lie in (0, 1]")
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    partner = np.arange(n)
+    r = np.zeros(n)
+    neg = np.empty((n, n_neg), dtype=np.int64)
     for i in range(n):
-        row, r = augment(features, i, graph, p_u, rng)
-        if r == 0.0 and graph.indptr[i] == graph.indptr[i + 1]:
-            fallbacks += 1
-        payload[i] = row
-        anchors[pos], partners[pos], h[pos] = i, n + i, 1
-        pos += 1
-        for _ in range(n_neg):
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1
-            anchors[pos], partners[pos], h[pos] = i, j, 0
-            pos += 1
-    return PairBatch(n=n, anchors=anchors, partners=partners, h=h, aug_payload=payload, fallbacks=fallbacks)
+        lo, hi = indptr[i], indptr[i + 1]
+        if lo < hi:
+            partner[i] = indices[lo + int(rng.integers(hi - lo))]
+            r[i] = rng.uniform(0.0, p_u)
+        neg[i] = rng.integers(n - 1, size=n_neg)
+    payload = (1.0 - r)[:, None] * features + r[:, None] * features[partner]
+    isolated = graph.isolated
+    # copied: mixing with r = 0 gives x_i back only where x_i is finite
+    payload[isolated] = features[isolated]
+    neg += neg >= np.arange(n)[:, None]  # skip the anchor itself
+    anchors = np.repeat(np.arange(n), 1 + n_neg)
+    partners = np.column_stack([n + np.arange(n), neg]).ravel()
+    h = np.zeros((n, 1 + n_neg), dtype=np.int64)
+    h[:, 0] = 1
+    return PairBatch(n=n, anchors=anchors, partners=partners, h=h.ravel(), aug_payload=payload, fallbacks=len(isolated))

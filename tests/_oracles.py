@@ -175,6 +175,44 @@ def vis_pairs_oracle(n: int, neighbors, n_neg: int, rng: np.random.Generator):
     return np.asarray(anchors, dtype=np.int64), np.asarray(partners, dtype=np.int64)
 
 
+def augment(features: np.ndarray, i: int, neighbors, p_u: float, rng: np.random.Generator):
+    """Row i mixed toward a uniformly chosen neighbour: ((1 - r) x_i + r x_j, r), r ~ U(0, p_u).
+
+    A node without neighbours falls back to a copy of its own row with r = 0
+    and draws nothing.
+    """
+    nbrs = neighbors[i]
+    if not nbrs:
+        return features[i].copy(), 0.0
+    j = nbrs[int(rng.integers(len(nbrs)))]
+    r = float(rng.uniform(0.0, p_u))
+    return (1.0 - r) * features[i] + r * features[j], r
+
+
+def sample_pairs_oracle(n: int, neighbors, features: np.ndarray, n_neg: int, p_u: float, rng: np.random.Generator):
+    """Training pairs one scalar draw at a time: per anchor `augment`, then `n_neg` negatives.
+
+    Returns (anchors, partners, h, payload, fallbacks).
+    """
+    anchors, partners, h, payload = [], [], [], []
+    fallbacks = 0
+    for i in range(n):
+        row, _ = augment(features, i, neighbors, p_u, rng)
+        fallbacks += not neighbors[i]
+        payload.append(row)
+        anchors.append(i)
+        partners.append(n + i)
+        h.append(1)
+        for _ in range(n_neg):
+            t = int(rng.integers(n - 1))
+            if t >= i:
+                t += 1
+            anchors.append(i)
+            partners.append(t)
+            h.append(0)
+    return np.asarray(anchors), np.asarray(partners), np.asarray(h), np.asarray(payload), fallbacks
+
+
 def gene_shift_oracle(params, data, spatial) -> np.ndarray:
     """Knockout displacements from one full forward pass per zeroed gene."""
     from topofuse import network

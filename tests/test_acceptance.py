@@ -342,7 +342,7 @@ def test_criterion_9_denoising(e2e):
     )
     cfg = dataio.RunConfig()
     pre = preprocess.preprocess_dataset(ds, cfg)
-    params = network.load_checkpoint(str(e2e["run1"] / "ckpt.json"))
+    params = network.load_checkpoint(str(e2e["run1"] / "ckpt.npz"))
     graph = topology.build_spatial_graph(ds.coords, topology.auto_epsilon(ds.coords))
     x_hat = downstream.denoise(params, pre, graph)
 

@@ -9,8 +9,8 @@ import threading
 import numpy as np
 import pytest
 
-from topofuse import cli, objective
-from topofuse.errors import NonFiniteLoss, TopofuseError
+from topofuse import cli, dataio, downstream, network, objective, preprocess, topology
+from topofuse.errors import NonFiniteLoss, StaleCache, TopofuseError
 
 
 def _manifest(out):
@@ -36,7 +36,7 @@ def pipeline(tmp_path_factory):
     for argv in steps:
         assert cli.run(argv + base) == 0
     emb = os.path.join(p["train"], "embedding.csv")
-    ckpt = os.path.join(p["train"], "ckpt.json")
+    ckpt = os.path.join(p["train"], "ckpt.npz")
     assert cli.run(["cluster", "--out", p["clus"], "--data", p["data"], "--emb", emb] + base) == 0
     labels = os.path.join(p["clus"], "labels.csv")
     rest = [
@@ -83,7 +83,7 @@ class TestPipelineOutputs:
         assert m["inputs"]["data"] == pipeline["data"]
 
     def test_train_outputs(self, pipeline):
-        for name in ("embedding.csv", "y_tra.csv", "y_mor.csv", "ckpt.json", "losses.csv"):
+        for name in ("embedding.csv", "y_tra.csv", "y_mor.csv", "ckpt.npz", "losses.csv"):
             assert os.path.isfile(os.path.join(pipeline["train"], name))
         with open(os.path.join(pipeline["train"], "losses.csv")) as fh:
             lines = fh.read().strip().splitlines()
@@ -163,7 +163,7 @@ class TestPipelineOutputs:
         assert {
             "embedding.csv", "labels.csv", "vis.csv", "markers.csv",
             "deconvolution.csv", "contributions.csv", "report.json",
-            "domains.svg", "vis.svg", "ckpt.json", "manifest.json",
+            "domains.svg", "vis.svg", "ckpt.npz", "manifest.json",
         } <= names
         with open(os.path.join(pipeline["rep"], "report.json")) as fh:
             report = json.load(fh)
@@ -177,10 +177,8 @@ class TestPipelineOutputs:
             "--set", "epochs=5", "--set", "d_emb=6", "--set", "tau=1", "--threads", "1",
         ])
         assert rc == 0
-        with open(pipeline["emb"], "rb") as fh:
-            first = fh.read()
-        with open(os.path.join(out, "embedding.csv"), "rb") as fh:
-            assert fh.read() == first
+        for name in ("embedding.csv", "ckpt.npz"):
+            assert _read(os.path.join(out, name)) == _read(os.path.join(pipeline["train"], name)), name
 
 
 def _read(path):
@@ -282,7 +280,7 @@ class TestJoinBySpotId:
 class TestReportMatchesSubcommands:
     def test_subcommands_reproduce_report_artifacts(self, pipeline, tmp_path):
         rep = pipeline["rep"]
-        emb, labels, ckpt = (os.path.join(rep, n) for n in ("embedding.csv", "labels.csv", "ckpt.json"))
+        emb, labels, ckpt = (os.path.join(rep, n) for n in ("embedding.csv", "labels.csv", "ckpt.npz"))
         data = pipeline["data"]
         shared = ["--set", "epochs=5", "--set", "d_emb=6", "--set", "tau=1", "--threads", "1"]
         out = {name: str(tmp_path / name) for name in (
@@ -364,6 +362,82 @@ class TestUnusableOutput:
         rc = cli.run(["train", "--data", pipeline["data"], "--out", str(out), "--threads", "1"] + _SMALL)
         assert rc == 1
         assert str(out / "losses.csv") in capsys.readouterr().err
+
+    def test_failed_command_removes_what_it_wrote(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "train"
+        (out / "losses.csv").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")  # not written by the command
+        assert cli.run(["train", "--data", pipeline["data"], "--out", str(out), "--threads", "1"] + _SMALL) == 1
+        # embedding.csv, ckpt.npz and y_*.csv were written before losses.csv failed
+        assert sorted(os.listdir(out)) == ["losses.csv", "notes.txt"]
+        capsys.readouterr()
+        emb = str(out / "embedding.csv")
+        assert cli.run(["cluster", "--data", pipeline["data"], "--emb", emb, "--out", str(tmp_path / "c")]) == 1
+        assert emb in capsys.readouterr().err
+
+    def test_crash_removes_what_it_wrote(self, pipeline, tmp_path, monkeypatch):
+        def crash(path, history):
+            raise RuntimeError("crashed after the checkpoint")
+
+        monkeypatch.setattr("topofuse.dataio.write_losses_csv", crash)
+        out = tmp_path / "train"
+        assert cli.run(["train", "--data", pipeline["data"], "--out", str(out), "--threads", "1"] + _SMALL) == 2
+        assert os.listdir(out) == []
+
+
+def _renamed_gene_data(pipeline, tmp_path):
+    """A copy of the pipeline's dataset whose tra.csv header renames its fourth gene."""
+    data = tmp_path / "renamed"
+    shutil.copytree(pipeline["data"], data)
+    header, body = (data / "tra.csv").read_text().split("\n", 1)
+    names = header.split(",")
+    old = names[4]
+    names[4] = "renamed"
+    (data / "tra.csv").write_text(",".join(names) + "\n" + body)
+    return data, old
+
+
+class TestForeignCheckpoint:
+    def test_checkpoint_names_its_genes(self, pipeline):
+        with open(os.path.join(pipeline["pre"], "pre_tra.csv")) as fh:
+            kept = fh.readline().strip().split(",")[1:]
+        for run in ("train", "rep"):
+            assert network.load_checkpoint(os.path.join(pipeline[run], "ckpt.npz")).gene_ids == kept
+
+    def test_markers_refuses_other_genes(self, pipeline, tmp_path, capsys):
+        data, old = _renamed_gene_data(pipeline, tmp_path)
+        capsys.readouterr()
+        rc = cli.run([
+            "markers", "--data", str(data), "--labels", pipeline["labels"], "--ckpt", pipeline["ckpt"],
+            "--set", "tau=1", "--top-n", "3", "--out", str(tmp_path / "mark"), "--threads", "1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"is {old!r} in the model and 'renamed' in the data" in err
+        assert not os.path.exists(tmp_path / "mark")
+
+    def test_markers_refuses_a_json_checkpoint(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text('{"format": "topofuse-ckpt-v1", "theta": 0.9, "tensors": {}}\n')
+        capsys.readouterr()
+        rc = cli.run([
+            "markers", "--data", pipeline["data"], "--labels", pipeline["labels"], "--ckpt", str(ckpt),
+            "--set", "tau=1", "--out", str(tmp_path / "mark"), "--threads", "1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "retrain" in err
+
+    def test_denoise_refuses_other_genes(self, pipeline, tmp_path):
+        data, old = _renamed_gene_data(pipeline, tmp_path)
+        ds = cli._load_data(str(data))
+        pre = preprocess.preprocess_dataset(ds, dataio.RunConfig().replace(tau=1))
+        graph = topology.build_spatial_graph(ds.coords, topology.auto_epsilon(ds.coords))
+        params = network.load_checkpoint(pipeline["ckpt"])
+        with pytest.raises(StaleCache, match=f"is {old!r} in the model and 'renamed' in the data"):
+            downstream.denoise(params, pre, graph)
+        params.gene_ids = None  # the same tensors, unnamed, would run
+        assert downstream.denoise(params, pre, graph).shape == pre.tra.shape
 
 
 class TestExitCodes:

@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -232,38 +235,154 @@ class TestDropout:
         assert 0.07 < drop_rate < 0.13
 
 
+def _named(params):
+    params.gene_ids = [f"g{i}" for i in range(params.decoder[0].w.shape[1])]
+    return params
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path, rng):
-        params = network.init_params(rng, 6, 3, _cfg(n_mlp=2, fusion_mode="concat"))
-        path = tmp_path / "ckpt.json"
+        params = _named(network.init_params(rng, 6, 3, _cfg(n_mlp=2, fusion_mode="concat")))
+        path = tmp_path / "ckpt.npz"
         network.save_checkpoint(params, str(path))
         back = network.load_checkpoint(str(path))
         assert back.theta == params.theta and back.fusion_mode == "concat"
+        assert back.gene_ids == params.gene_ids
         orig = dict(params.named_layers())
         loaded = dict(back.named_layers())
         assert orig.keys() == loaded.keys()
         for name in orig:
-            assert np.array_equal(orig[name].w, loaded[name].w)
-            assert np.array_equal(orig[name].b, loaded[name].b)
+            assert orig[name].w.tobytes() == loaded[name].w.tobytes()
+            assert orig[name].b.tobytes() == loaded[name].b.tobytes()
+            assert loaded[name].w.dtype == loaded[name].b.dtype == np.float64
 
     def test_loaded_params_reproduce_forward(self, tmp_path, rng):
-        params = network.init_params(rng, 5, None, _cfg())
+        params = _named(network.init_params(rng, 5, None, _cfg()))
         x = rng.normal(size=(4, 5))
         a_hat = network.normalized_adjacency(_graph_line(4))
         es, _ = network.forward_all(params, x, None, a_hat)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         network.save_checkpoint(params, str(path))
-        es2, _ = network.forward_all(network.load_checkpoint(str(path)), x, None, a_hat)
+        back = network.load_checkpoint(str(path))
+        assert back.gnn_mor is None
+        es2, _ = network.forward_all(back, x, None, a_hat)
         assert np.array_equal(es.z, es2.z) and np.array_equal(es.x_hat, es2.x_hat)
 
+    def test_two_saves_write_the_same_bytes(self, tmp_path, rng):
+        params = _named(network.init_params(rng, 6, 3, _cfg()))
+        network.save_checkpoint(params, str(tmp_path / "a.npz"))
+        network.save_checkpoint(params, str(tmp_path / "b.npz"))
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_params_must_name_their_genes(self, tmp_path, rng):
+        params = network.init_params(rng, 6, None, _cfg())
+        with pytest.raises(ShapeMismatch):
+            network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
+        params.gene_ids = ["g0"]
+        with pytest.raises(ShapeMismatch):
+            network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
+
+    def _saved(self, tmp_path, rng):
+        path = tmp_path / "ckpt.npz"
+        network.save_checkpoint(_named(network.init_params(rng, 6, 3, _cfg())), str(path))
+        return path
+
+    def _refused(self, path, error):
+        with pytest.raises(error) as info:
+            network.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+        return str(info.value)
+
     def test_load_errors(self, tmp_path):
-        with pytest.raises(MissingFile):
-            network.load_checkpoint(str(tmp_path / "none.json"))
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"format": "other-format"}')
-        with pytest.raises(StaleCache):
-            network.load_checkpoint(str(bad))
-        broken = tmp_path / "broken.json"
-        broken.write_text("{not json")
-        with pytest.raises(IoFailure):
-            network.load_checkpoint(str(broken))
+        self._refused(tmp_path / "none.npz", MissingFile)
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(b"\x00\x01 not an archive\n")
+        self._refused(path, IoFailure)
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))  # a bare .npy array is no checkpoint either
+        self._refused(path, IoFailure)
+
+    def test_truncated_file(self, tmp_path, rng):
+        path = self._saved(tmp_path, rng)
+        data = path.read_bytes()
+        for size in (len(data) // 2, len(data) - 30, 3):
+            path.write_bytes(data[:size])
+            self._refused(path, IoFailure)
+
+    def test_wrong_format(self, tmp_path, rng):
+        path = self._saved(tmp_path, rng)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        for fmt in ("topofuse-ckpt-v1", "other-format"):
+            arrays["format"] = np.array(fmt)
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+            assert fmt in self._refused(path, StaleCache)
+        del arrays["format"]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        self._refused(path, StaleCache)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda a: a.pop("decoder.0.w"),
+            lambda a: a.pop("gnn_tra.1.b"),
+            lambda a: a.update({"fusion.0.w": a["fusion.0.w"].astype(str)}),
+            lambda a: a.update({"fusion.0.b": a["fusion.0.b"][:-1]}),
+            lambda a: a.pop("gene_ids"),
+            lambda a: a.update({"theta": np.array("0.9")}),
+        ],
+        ids=["no-decoder", "no-bias", "text-tensor", "short-bias", "no-genes", "text-theta"],
+    )
+    def test_malformed_archive(self, tmp_path, rng, edit):
+        path = self._saved(tmp_path, rng)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        edit(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        self._refused(path, StaleCache)
+
+    def test_v1_json_says_retrain(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text('{"format": "topofuse-ckpt-v1", "theta": 0.9, "tensors": {}}\n')
+        assert "retrain" in self._refused(path, StaleCache)
+
+    def test_object_array_is_never_unpickled(self, tmp_path, rng):
+        marker = tmp_path / "unpickled"
+
+        class Payload:
+            def __reduce__(self):
+                return (os.mkdir, (str(marker),))
+
+        path = self._saved(tmp_path, rng)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        arrays["gene_ids"] = np.array([Payload()], dtype=object)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        self._refused(path, IoFailure)
+        assert not marker.exists()
+
+
+class TestCheckGenes:
+    def test_same_genes_and_unnamed_params_pass(self, rng):
+        params = network.init_params(rng, 3, None, _cfg())
+        network.check_genes(params, ["a", "b", "c"])
+        params.gene_ids = ["a", "b", "c"]
+        network.check_genes(params, ["a", "b", "c"])
+
+    @pytest.mark.parametrize(
+        "given, where",
+        [
+            (["a", "x", "c"], "gene column 1 is 'b' in the model and 'x' in the data"),
+            (["a", "b"], "gene column 2 is 'c' in the model and absent (2 genes) in the data"),
+            (["a", "b", "c", "d"], "gene column 3 is absent (3 genes) in the model and 'd' in the data"),
+        ],
+    )
+    def test_first_difference_is_named(self, rng, given, where):
+        params = network.init_params(rng, 3, None, _cfg())
+        params.gene_ids = ["a", "b", "c"]
+        with pytest.raises(StaleCache, match=re.escape(where)):
+            network.check_genes(params, given)

@@ -16,6 +16,7 @@ from _oracles import (
     full_radius_graph,
     full_sq_dists,
     neighbor_lists,
+    sample_pairs_oracle,
 )
 
 
@@ -167,23 +168,25 @@ class TestNeighborGraphValidation:
 
 
 class TestAugment:
+    """The augmented row sample_pairs puts in its payload."""
+
     def test_mixes_toward_a_neighbor(self, rng):
         feats = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         g = csr_graph([(1, 2), (0,), (0,)])
         probe = np.random.default_rng(99)
         j = [1, 2][int(probe.integers(2))]
         r = float(probe.uniform(0.0, 0.4))
-        out, r_out = topology.augment(feats, 0, g, 0.4, np.random.default_rng(99))
-        assert r_out == r
-        assert np.array_equal(out, (1.0 - r) * feats[0] + r * feats[j])
-        assert 0.0 <= r_out <= 0.4
+        batch = topology.sample_pairs(3, g, feats, 1, 0.4, np.random.default_rng(99))
+        assert np.array_equal(batch.aug_payload[0], (1.0 - r) * feats[0] + r * feats[j])
 
     def test_isolated_node_falls_back_to_itself(self, rng):
         feats = np.arange(6.0).reshape(3, 2)
+        feats[0, 1] = -0.0
         g = csr_graph([(), (2,), (1,)])
-        out, r = topology.augment(feats, 0, g, 0.5, rng)
-        assert r == 0.0 and np.array_equal(out, feats[0])
-        out[0] = -1.0  # returned row is a copy
+        batch = topology.sample_pairs(3, g, feats, 1, 0.5, rng)
+        assert batch.fallbacks == 1
+        assert batch.aug_payload[0].tobytes() == feats[0].tobytes()  # -0.0 included
+        batch.aug_payload[0, 0] = -1.0  # the payload row is a copy
         assert feats[0, 0] == 0.0
 
     def test_p_u_bounds(self, rng):
@@ -191,7 +194,7 @@ class TestAugment:
         g = csr_graph([(1,), (0,)])
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(OutOfRange):
-                topology.augment(feats, 0, g, bad, rng)
+                topology.sample_pairs(2, g, feats, 1, bad, rng)
 
 
 class TestSamplePairs:
@@ -296,3 +299,29 @@ def test_sample_pairs_invariants(n, n_neg, seed):
     assert np.all(batch.partners[neg] < n)
     assert np.all(batch.partners[neg] != batch.anchors[neg])
     assert batch.aug_payload.shape == (n, 3)
+
+
+@given(
+    st.integers(2, 14),
+    st.integers(0, 5),
+    st.integers(0, 2 ** 31 - 1),
+    st.booleans(),
+)
+def test_sample_pairs_matches_scalar_draws(n, n_neg, seed, isolated):
+    """Same batch, same payload bytes and same generator state as one scalar draw at a time."""
+    data = np.random.default_rng(seed)
+    feats = data.normal(size=(n, 3))
+    feats[0, 0] = -0.0
+    neighbors = neighbor_lists(topology.knn_graph(feats, min(3, n - 1)))
+    if isolated:  # some anchors without neighbours, row 0 among them
+        neighbors = [() if i == 0 or drop else nbrs for i, (nbrs, drop) in enumerate(zip(neighbors, data.random(n) < 0.3))]
+    graph = csr_graph(neighbors)
+    rng, clone = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    batch = topology.sample_pairs(n, graph, feats, n_neg, 0.4, rng)
+    anchors, partners, h, payload, fallbacks = sample_pairs_oracle(n, neighbors, feats, n_neg, 0.4, clone)
+    assert np.array_equal(batch.anchors, anchors)
+    assert np.array_equal(batch.partners, partners)
+    assert np.array_equal(batch.h, h)
+    assert batch.aug_payload.tobytes() == payload.tobytes()
+    assert batch.fallbacks == fallbacks
+    assert rng.bit_generator.state == clone.bit_generator.state
