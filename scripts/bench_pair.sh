@@ -31,14 +31,43 @@ mkdir -p "$work/ref"
 git -C "$repo" archive "$ref" src benchmark BENCHMARK.json | tar -x -C "$work/ref"
 workloads=$("$python" -c 'import json, sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$repo/BENCHMARK.json")
 
+# A run's last stdout line must be strict JSON (no NaN or Infinity) whose
+# "metrics" give every end_to_end metric of BENCHMARK.json a finite number.
+# usage: python -c "$check_result" BENCHMARK_JSON LINE; exits 1 naming the fault
+check_result='
+import json, math, sys
+
+def refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+try:
+    result = json.loads(sys.argv[2], parse_constant=refuse)
+except ValueError as e:
+    sys.exit(f"last stdout line is no strict JSON result ({e}): {sys.argv[2][:200]!r}")
+metrics = result.get("metrics") if isinstance(result, dict) else None
+if not isinstance(metrics, dict):
+    sys.exit("last stdout line has no \"metrics\" object")
+for name in (m["name"] for m in json.load(open(sys.argv[1], encoding="utf-8"))["end_to_end"]):
+    entry = metrics.get(name)
+    value = entry.get("value") if isinstance(entry, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        sys.exit(f"end-to-end metric {name} is {value!r}, not a finite number")
+'
+
+# fail SIDE WORKLOAD PAIR REASON: name the run, show the stderr tail, exit 1
+fail() {
+    echo "bench_pair: pair $3, $2, $1: $4" >&2
+    tail -n 20 "$work/stderr.log" >&2
+    exit 1
+}
+
 # run SIDE CHECKOUT WORKLOAD PAIR: one benchmark run, its last stdout line kept
 run() {
-    local side=$1 checkout=$2 workload=$3 pair=$4 line
+    local side=$1 checkout=$2 workload=$3 pair=$4 line reason
     echo "pair $pair, $workload, $side" >&2
-    line=$("$python" "$checkout/benchmark/run.py" --workload "$workload" --seed "$pair" 2>>"$work/stderr.log" | tail -n 1) || {
-        tail -n 20 "$work/stderr.log" >&2
-        exit 1
-    }
+    line=$("$python" "$checkout/benchmark/run.py" --workload "$workload" --seed "$pair" 2>>"$work/stderr.log" | tail -n 1) ||
+        fail "$side" "$workload" "$pair" "benchmark/run.py failed"
+    reason=$("$python" -c "$check_result" "$repo/BENCHMARK.json" "$line" 2>&1) || fail "$side" "$workload" "$pair" "$reason"
     printf '{"pair": %d, "seed": %d, "workload": "%s", "side": "%s", "result": %s}\n' \
         "$pair" "$pair" "$workload" "$side" "$line" >>"$work/runs.jsonl"
 }
@@ -89,9 +118,6 @@ for per_workload in summary.values():
     for side, metrics in per_workload.items():
         stats = {}
         for name, values in metrics.items():
-            values = [v for v in values if v is not None]
-            if not values:
-                continue
             q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
             stats[name] = {"median": statistics.median(values), "q1": q[0], "q3": q[2], "runs": len(values)}
         per_workload[side] = stats

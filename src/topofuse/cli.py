@@ -257,6 +257,7 @@ def _train_once(ds, cfg):
 
     pre, spatial, eps = _model_inputs(ds, cfg)
     state, emb = train(pre, spatial, cfg)
+    state.params.epsilon_used = eps
     return pre, spatial, eps, state, emb
 
 
@@ -419,12 +420,18 @@ def cmd_deconvolve(args, cfg) -> dict:
 
 def cmd_markers(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_markers_csv
+    from .errors import StaleCache
     from .network import load_checkpoint
 
     ds = _load_data(args.data)
     params = load_checkpoint(args.ckpt)
     _, labels = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
-    pre, spatial, _ = _model_inputs(ds, cfg)
+    pre, spatial, eps = _model_inputs(ds, cfg)
+    if params.epsilon_used != eps:
+        raise StaleCache(
+            f"{args.ckpt} was trained on a spatial graph of radius {params.epsilon_used!r}, but this"
+            f" configuration gives radius {eps!r}; set the epsilon_radius it was trained with, or retrain"
+        )
     rows = _marker_rows(pre, params, spatial, labels, args.top_n)
     write_markers_csv(os.path.join(args.out, "markers.csv"), rows)
     print(f"ranked markers for {len(set(labels.tolist()))} clusters")

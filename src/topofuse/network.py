@@ -12,10 +12,10 @@ import zipfile
 import numpy as np
 
 from .dataio import RunConfig, open_for_write
-from .errors import IoFailure, MissingFile, ShapeMismatch, StaleCache
+from .errors import IoFailure, MissingFile, OutOfRange, ShapeMismatch, StaleCache
 from .topology import NeighborGraph
 
-CKPT_FORMAT = "topofuse-ckpt-v2"
+CKPT_FORMAT = "topofuse-ckpt-v3"
 
 
 class Dense:
@@ -43,10 +43,11 @@ class ModelParams:
     """All trainable tensors of the fused autoencoder.
 
     `gene_ids` names the expression columns the first layer and the decoder
-    were trained on, or is None for parameters that never met a dataset.
+    were trained on and `epsilon_used` the radius of the spatial graph they
+    were trained on; both are None for parameters that never met a dataset.
     """
 
-    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, theta, fusion_mode, gene_ids=None):
+    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, theta, fusion_mode, gene_ids=None, epsilon_used=None):
         self.gnn_tra = gnn_tra
         self.gnn_mor = gnn_mor
         self.fusion = fusion
@@ -54,6 +55,7 @@ class ModelParams:
         self.theta = float(theta)
         self.fusion_mode = fusion_mode
         self.gene_ids = gene_ids
+        self.epsilon_used = epsilon_used
 
     def named_layers(self):
         for i, layer in enumerate(self.gnn_tra):
@@ -256,14 +258,17 @@ def check_genes(params: ModelParams, gene_ids: list[str]):
 
 
 def save_checkpoint(params: ModelParams, path: str):
-    """Write checkpoint v2: an uncompressed .npz of float64 tensors named like
-    `gnn_tra.0.w`, plus `format`, `theta`, `fusion_mode` and `gene_ids`.
+    """Write checkpoint v3: an uncompressed .npz of float64 tensors named like
+    `gnn_tra.0.w`, plus `format`, `theta`, `fusion_mode`, `gene_ids` and
+    `epsilon_used`.
 
     np.savez stamps its zip members with a fixed date, so equal parameters
     give equal bytes.
     """
     if params.gene_ids is None or len(params.gene_ids) != params.decoder[-1].w.shape[1]:
         raise ShapeMismatch("a checkpoint must name one gene per decoder output")
+    if params.epsilon_used is None:
+        raise OutOfRange("a checkpoint must record the spatial radius its model was trained on")
     arrays = {}
     for name, layer in params.named_layers():
         arrays[name + ".w"] = layer.w
@@ -272,12 +277,13 @@ def save_checkpoint(params: ModelParams, path: str):
     arrays["theta"] = np.array(params.theta)
     arrays["fusion_mode"] = np.array(params.fusion_mode)
     arrays["gene_ids"] = np.array(params.gene_ids, dtype=str)
+    arrays["epsilon_used"] = np.array(float(params.epsilon_used))
     with open_for_write(path, binary=True) as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read checkpoint v2 without unpickling anything; any other file raises, naming `path`."""
+    """Read checkpoint v3 without unpickling anything; any other file raises, naming `path`."""
     if not os.path.isfile(path):
         raise MissingFile(f"checkpoint not found: {path}")
     try:
@@ -303,7 +309,7 @@ def load_checkpoint(path: str) -> ModelParams:
 
     fmt = field("format", 0, "U").item()
     if fmt != CKPT_FORMAT:
-        raise StaleCache(f"checkpoint {path} has format {fmt!r}, not {CKPT_FORMAT!r}")
+        raise StaleCache(f"checkpoint {path} has format {fmt!r}, not {CKPT_FORMAT!r}; retrain to write it")
 
     def take(group: str):
         layers = []
@@ -324,4 +330,5 @@ def load_checkpoint(path: str) -> ModelParams:
         field("theta", 0, "f").item(),
         field("fusion_mode", 0, "U").item(),
         gene_ids=field("gene_ids", 1, "U").tolist(),
+        epsilon_used=field("epsilon_used", 0, "f").item(),
     )

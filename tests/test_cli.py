@@ -428,6 +428,24 @@ class TestForeignCheckpoint:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "retrain" in err
 
+    def test_markers_refuses_another_radius(self, pipeline, tmp_path, capsys):
+        """A model trained on a radius-3 graph is not ranked on the auto-radius graph."""
+        train = tmp_path / "train"
+        common = ["--data", pipeline["data"], "--set", "tau=1", "--threads", "1"]
+        assert cli.run(["train", "--out", str(train), *common, "--set", "epochs=2", "--set", "epsilon_radius=3.0"]) == 0
+        assert _manifest(str(train))["epsilon_used"] == 3.0
+        ckpt = str(train / "ckpt.npz")
+        assert network.load_checkpoint(ckpt).epsilon_used == 3.0
+        markers = ["markers", "--labels", pipeline["labels"], "--ckpt", ckpt, *common]
+        capsys.readouterr()
+        assert cli.run([*markers, "--out", str(tmp_path / "mark")]) == 1
+        err = capsys.readouterr().err
+        auto = topology.auto_epsilon(cli._load_data(pipeline["data"]).coords)
+        assert auto != 3.0
+        assert f"radius 3.0, but this configuration gives radius {auto!r}" in err and ckpt in err
+        assert not os.path.exists(tmp_path / "mark")
+        assert cli.run([*markers, "--out", str(tmp_path / "mark3"), "--set", "epsilon_radius=3.0"]) == 0
+
     def test_denoise_refuses_other_genes(self, pipeline, tmp_path):
         data, old = _renamed_gene_data(pipeline, tmp_path)
         ds = cli._load_data(str(data))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from topofuse import dataio, network, topology
-from topofuse.errors import IoFailure, MissingFile, ShapeMismatch, StaleCache
+from topofuse.errors import IoFailure, MissingFile, OutOfRange, ShapeMismatch, StaleCache
 
 from _oracles import csr_graph, normalized_adjacency_oracle
 
@@ -237,6 +237,7 @@ class TestDropout:
 
 def _named(params):
     params.gene_ids = [f"g{i}" for i in range(params.decoder[0].w.shape[1])]
+    params.epsilon_used = 1.25
     return params
 
 
@@ -248,6 +249,7 @@ class TestCheckpoint:
         back = network.load_checkpoint(str(path))
         assert back.theta == params.theta and back.fusion_mode == "concat"
         assert back.gene_ids == params.gene_ids
+        assert back.epsilon_used == 1.25
         orig = dict(params.named_layers())
         loaded = dict(back.named_layers())
         assert orig.keys() == loaded.keys()
@@ -282,6 +284,12 @@ class TestCheckpoint:
         with pytest.raises(ShapeMismatch):
             network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
 
+    def test_params_must_record_their_radius(self, tmp_path, rng):
+        params = _named(network.init_params(rng, 6, None, _cfg()))
+        params.epsilon_used = None
+        with pytest.raises(OutOfRange, match="radius"):
+            network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
+
     def _saved(self, tmp_path, rng):
         path = tmp_path / "ckpt.npz"
         network.save_checkpoint(_named(network.init_params(rng, 6, 3, _cfg())), str(path))
@@ -313,11 +321,12 @@ class TestCheckpoint:
         path = self._saved(tmp_path, rng)
         with np.load(path) as npz:
             arrays = dict(npz)
-        for fmt in ("topofuse-ckpt-v1", "other-format"):
+        for fmt in ("topofuse-ckpt-v1", "topofuse-ckpt-v2", "other-format"):
             arrays["format"] = np.array(fmt)
             with open(path, "wb") as fh:
                 np.savez(fh, **arrays)
-            assert fmt in self._refused(path, StaleCache)
+            message = self._refused(path, StaleCache)
+            assert fmt in message and "retrain" in message
         del arrays["format"]
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
@@ -332,8 +341,9 @@ class TestCheckpoint:
             lambda a: a.update({"fusion.0.b": a["fusion.0.b"][:-1]}),
             lambda a: a.pop("gene_ids"),
             lambda a: a.update({"theta": np.array("0.9")}),
+            lambda a: a.pop("epsilon_used"),
         ],
-        ids=["no-decoder", "no-bias", "text-tensor", "short-bias", "no-genes", "text-theta"],
+        ids=["no-decoder", "no-bias", "text-tensor", "short-bias", "no-genes", "text-theta", "no-radius"],
     )
     def test_malformed_archive(self, tmp_path, rng, edit):
         path = self._saved(tmp_path, rng)

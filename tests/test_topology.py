@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from topofuse import topology
@@ -301,22 +301,53 @@ def test_sample_pairs_invariants(n, n_neg, seed):
     assert batch.aug_payload.shape == (n, 3)
 
 
+def same_state(a, b) -> bool:
+    """Bit generator states equal, MT19937's key array included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
 @given(
     st.integers(2, 14),
     st.integers(0, 5),
     st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(["knn", "isolated", "single"]),
     st.booleans(),
+    st.sampled_from([np.random.PCG64, np.random.MT19937]),
 )
-def test_sample_pairs_matches_scalar_draws(n, n_neg, seed, isolated):
-    """Same batch, same payload bytes and same generator state as one scalar draw at a time."""
+@example(n=2, n_neg=3, seed=0, shape="knn", half_used=False, bit_generator=np.random.PCG64)
+@example(n=2, n_neg=2, seed=1, shape="knn", half_used=True, bit_generator=np.random.PCG64)
+@example(n=9, n_neg=5, seed=2, shape="single", half_used=True, bit_generator=np.random.PCG64)
+@example(n=9, n_neg=5, seed=3, shape="isolated", half_used=True, bit_generator=np.random.MT19937)
+# numpy rejects and redraws one of this batch's negatives, so the block gives way to the loop
+@example(n=1000, n_neg=5, seed=824, shape="knn", half_used=False, bit_generator=np.random.PCG64)
+def test_sample_pairs_matches_scalar_draws(n, n_neg, seed, shape, half_used, bit_generator):
+    """Same batch, same payload bytes and same generator state as one scalar draw at a time.
+
+    Anchors may lack neighbours or have exactly one (a bound of 1 draws nothing),
+    n = 2 makes the negatives' bound 1, the generator may enter with a half-used
+    32-bit buffer, and an MT19937 generator or a rejected draw takes the loop
+    instead of the block.
+    """
     data = np.random.default_rng(seed)
     feats = data.normal(size=(n, 3))
     feats[0, 0] = -0.0
     neighbors = neighbor_lists(topology.knn_graph(feats, min(3, n - 1)))
-    if isolated:  # some anchors without neighbours, row 0 among them
-        neighbors = [() if i == 0 or drop else nbrs for i, (nbrs, drop) in enumerate(zip(neighbors, data.random(n) < 0.3))]
+    drop = data.random(n) < 0.3
+    if shape == "isolated":  # some anchors without neighbours, row 0 among them
+        neighbors = [() if i == 0 or d else nbrs for i, (nbrs, d) in enumerate(zip(neighbors, drop))]
+    elif shape == "single":  # some anchors with one neighbour, row 0 among them
+        neighbors = [nbrs[:1] if i == 0 or d else nbrs for i, (nbrs, d) in enumerate(zip(neighbors, drop))]
     graph = csr_graph(neighbors)
-    rng, clone = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    rng, clone = np.random.Generator(bit_generator(seed + 1)), np.random.Generator(bit_generator(seed + 1))
+    if half_used:
+        rng.integers(5)
+        clone.integers(5)
+    if bit_generator is not np.random.PCG64:
+        state = rng.bit_generator.state
+        assert topology.replay_draws(rng, np.diff(graph.indptr), n_neg, 0.4) is None
+        assert same_state(rng.bit_generator.state, state)
     batch = topology.sample_pairs(n, graph, feats, n_neg, 0.4, rng)
     anchors, partners, h, payload, fallbacks = sample_pairs_oracle(n, neighbors, feats, n_neg, 0.4, clone)
     assert np.array_equal(batch.anchors, anchors)
@@ -324,4 +355,37 @@ def test_sample_pairs_matches_scalar_draws(n, n_neg, seed, isolated):
     assert np.array_equal(batch.h, h)
     assert batch.aug_payload.tobytes() == payload.tobytes()
     assert batch.fallbacks == fallbacks
-    assert rng.bit_generator.state == clone.bit_generator.state
+    assert same_state(rng.bit_generator.state, clone.bit_generator.state)
+
+
+def test_replay_draws_near_the_rejection_bound():
+    """Bounds near 2^31, where numpy rejects about half of all 32-bit draws.
+
+    Every call returns exactly the scalar draws and state, or None with the
+    state untouched; both happen, so the rejection check decides some calls.
+    """
+    outcomes = set()
+    for seed in range(60):
+        data = np.random.default_rng(seed)
+        deg = data.choice([0, 1, 2, 7, 2 ** 31 - 1, 2 ** 31 + 1, 2 ** 31 + 3], size=3)
+        n_neg = int(data.integers(0, 3))
+        rng, clone = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        if seed % 2:
+            rng.integers(5)
+            clone.integers(5)
+        state = rng.bit_generator.state
+        got = topology.replay_draws(rng, deg, n_neg, 0.4)
+        outcomes.add(got is None)
+        if got is None:
+            assert rng.bit_generator.state == state
+            continue
+        pick, r, neg = got
+        for i, d in enumerate(deg.tolist()):
+            if d:
+                assert pick[i] == clone.integers(d)
+                assert r[i] == clone.uniform(0.0, 0.4)
+            else:
+                assert pick[i] == 0 and r[i] == 0.0
+            assert np.array_equal(neg[i], clone.integers(len(deg) - 1, size=n_neg))
+        assert rng.bit_generator.state == clone.bit_generator.state
+    assert outcomes == {True, False}
