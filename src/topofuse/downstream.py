@@ -40,7 +40,7 @@ from .topology import N_NEG, NeighborGraph, PairBatch, knn_graph
 
 GMM_RESTARTS = 10
 GMM_MAX_ITER = 500
-GMM_TOL = 1e-8
+GMM_REL_TOL = 1e-12  # em_fit stops on a gain below this times |log-likelihood|
 GMM_RIDGE = 1e-6
 VIS_EPOCHS = 300
 VIS_LR = 0.01
@@ -60,10 +60,9 @@ class ClusterModel:
     loglik_history: list
 
     def __post_init__(self):
-        # em_fit counts a change below GMM_TOL as convergence, either sign.
         hist = self.loglik_history
         for a, b in zip(hist, hist[1:]):
-            if b < a - GMM_TOL:
+            if b < a:
                 raise DegenerateComponent("log-likelihood decreased during EM")
 
 
@@ -93,14 +92,20 @@ def _kmeanspp(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def em_fit(z: np.ndarray, k: int, means0: np.ndarray) -> EMResult:
-    """Diagonal-covariance EM from the given means; ridge keeps variances alive."""
+    """Diagonal-covariance EM from the given means; ridge keeps variances alive.
+
+    The ridge makes the M step inexact, so a step can lower the
+    log-likelihood. The fit stops at the first step that raises it by less
+    than GMM_REL_TOL x |log-likelihood|, a drop included, and returns the best
+    iterate: its parameters, responsibilities and the non-decreasing history
+    that led to it.
+    """
     n, d = z.shape
     means = means0.copy()
-    var0 = z.var(axis=0) + GMM_RIDGE
-    covs = np.tile(var0, (k, 1))
+    covs = np.tile(z.var(axis=0) + GMM_RIDGE, (k, 1))
     weights = np.full(k, 1.0 / k)
     history = []
-    resp = np.full((n, k), 1.0 / k)
+    best = None
     for _ in range(GMM_MAX_ITER):
         # E step in log space
         log_prob = np.empty((n, k))
@@ -113,21 +118,25 @@ def em_fit(z: np.ndarray, k: int, means0: np.ndarray) -> EMResult:
         m = log_prob.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(log_prob - m).sum(axis=1))
         ll = float(lse.sum())
-        resp = np.exp(log_prob - lse[:, None])
-        if history and abs(ll - history[-1]) < GMM_TOL:
+        gain = ll - history[-1] if history else np.inf
+        if gain >= 0.0:
             history.append(ll)
+            best = EMResult(means, covs, weights, np.exp(log_prob - lse[:, None]), history, ok=True)
+        if gain < GMM_REL_TOL * abs(ll):
             break
-        history.append(ll)
-        # M step
+        # M step from the iterate just scored
+        resp = best.resp
         nk = resp.sum(axis=0)
         if np.any(nk < 1e-10):
-            return EMResult(means, covs, weights, resp, history, ok=False)
+            best.ok = False
+            break
         weights = nk / n
         means = (resp.T @ z) / nk[:, None]
+        covs = np.empty((k, d))
         for c in range(k):
             diff = z - means[c]
             covs[c] = (resp[:, c] @ (diff * diff)) / nk[c] + GMM_RIDGE
-    return EMResult(means, covs, weights, resp, history, ok=True)
+    return best
 
 
 def gmm_cluster(z: np.ndarray, k: int, restarts: int = GMM_RESTARTS, rng: np.random.Generator | None = None) -> ClusterModel:

@@ -92,19 +92,58 @@ def init_params(rng: np.random.Generator, n_genes: int, n_mor: int | None, cfg: 
     return ModelParams(gnn_tra, gnn_mor, fusion, decoder, cfg.theta, cfg.fusion_mode)
 
 
-def normalized_adjacency(graph: NeighborGraph) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I."""
-    src, dst = graph.sources, graph.indices
-    a = np.eye(graph.n)
-    a[np.concatenate([src, dst]), np.concatenate([dst, src])] = 1.0
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    # in place: the result is the only n x n array of a run
-    a *= dinv[:, None]
-    a *= dinv[None, :]
-    return a
+class NormalizedAdjacency:
+    """A symmetric sparse n x n matrix in NeighborGraph's CSR layout plus one
+    float64 weight per entry; `a_hat @ h` propagates the rows of h over it.
+
+    Row i's entries, its own included, are indices[indptr[i]:indptr[i + 1]] in
+    ascending order. The product visits them by slot: rows sorted by entry
+    count, largest first, so slot s (each row's s-th entry) covers a prefix of
+    that order, the rows with more than s entries. Time and memory grow with
+    the entries, never with n times the largest row.
+    """
+
+    __slots__ = ("n", "indptr", "indices", "weights", "_rank", "_slot_ptr", "_slot_cols", "_slot_weights")
+
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
+        self.n, self.indptr, self.indices, self.weights = n, indptr, indices, weights
+        counts = np.diff(indptr)
+        order = np.argsort(-counts, kind="stable")
+        self._rank = np.argsort(order)  # row i's position in that order
+        per_slot = (n - np.cumsum(np.bincount(counts)))[:-1]  # rows with more than s entries
+        self._slot_ptr = np.concatenate([[0], np.cumsum(per_slot)])
+        # entries slot by slot, each slot's rows in order
+        slot = np.repeat(np.arange(len(per_slot)), per_slot)
+        entry = indptr[order[np.arange(len(slot)) - self._slot_ptr[slot]]] + slot
+        self._slot_cols, self._slot_weights = indices[entry], weights[entry][:, None]
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        if h.shape[0] != self.n:
+            raise ShapeMismatch(f"adjacency has {self.n} rows, features {h.shape[0]}")
+        ptr, cols, w = self._slot_ptr, self._slot_cols, self._slot_weights
+        # every row holds its self loop, so slot 0 covers all rows
+        out = h[cols[: ptr[1]]] * w[: ptr[1]]
+        for lo, hi in zip(ptr[1:-1], ptr[2:]):
+            term = h[cols[lo:hi]]
+            term *= w[lo:hi]
+            out[: hi - lo] += term
+        return out[self._rank]
 
 
-def _stack_forward(x: np.ndarray, layers, a_hat: np.ndarray | None):
+def normalized_adjacency(graph: NeighborGraph) -> NormalizedAdjacency:
+    """D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I, A the symmetrized graph."""
+    n, src, dst = graph.n, graph.sources, graph.indices
+    # one code per entry, self loops included, row-major: sorted, they give CSR
+    # order; duplicates (edges listed both ways) are dropped
+    code = np.sort(np.concatenate([src * n + dst, dst * n + src, np.arange(n) * (n + 1)]))
+    rows, cols = np.divmod(code[np.diff(code, prepend=-1) != 0], n)
+    counts = np.bincount(rows, minlength=n)
+    dinv = 1.0 / np.sqrt(counts.astype(np.float64))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return NormalizedAdjacency(n, indptr, cols, dinv[rows] * dinv[cols])
+
+
+def _stack_forward(x: np.ndarray, layers, a_hat: NormalizedAdjacency | None):
     """Shared forward for GCN stacks (a_hat given) and plain MLPs (a_hat None)."""
     h = x
     acts, aggs, pre = [], [], []
@@ -138,16 +177,14 @@ def _stack_backward(dout: np.ndarray, layers, cache) -> np.ndarray | None:
         if li == 0 and a_hat is not None:
             return None  # no caller reads the gradient of a GCN stack's input features
         dagg = g @ layer.w.T
-        dx = dagg if a_hat is None else a_hat.T @ dagg
+        dx = dagg if a_hat is None else a_hat @ dagg  # a_hat is symmetric
         if li > 0:
             g = dx * (cache["pre"][li - 1] > 0.0)
     return dx
 
 
-def gcn_forward(x: np.ndarray, a_hat: np.ndarray, layers):
+def gcn_forward(x: np.ndarray, a_hat: NormalizedAdjacency, layers):
     """Two (or more) graph convolutions: relu between layers, linear last."""
-    if a_hat.shape[0] != x.shape[0]:
-        raise ShapeMismatch("adjacency and features disagree on row count")
     return _stack_forward(x, layers, a_hat)
 
 
@@ -200,7 +237,7 @@ class EmbeddingSet:
         self.x_hat = x_hat
 
 
-def forward_all(params: ModelParams, x_tra: np.ndarray, x_mor: np.ndarray | None, a_hat: np.ndarray):
+def forward_all(params: ModelParams, x_tra: np.ndarray, x_mor: np.ndarray | None, a_hat: NormalizedAdjacency):
     if params.has_mor != (x_mor is not None):
         raise ShapeMismatch("model and inputs disagree about the morphology modality")
     y_tra, c_tra = gcn_forward(x_tra, a_hat, params.gnn_tra)

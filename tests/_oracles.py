@@ -229,6 +229,32 @@ def gene_shift_oracle(params, data, spatial) -> np.ndarray:
     return shifts
 
 
+def em_oracle(z: np.ndarray, k: int, means0: np.ndarray, iters: int) -> tuple[list, list]:
+    """Log-likelihood and responsibilities of each of `iters` diagonal EM iterates, never stopping early."""
+    from topofuse.downstream import GMM_RIDGE
+
+    n, d = z.shape
+    means, covs, weights = means0.copy(), np.tile(z.var(axis=0) + GMM_RIDGE, (k, 1)), np.full(k, 1.0 / k)
+    lls, resps = [], []
+    for _ in range(iters):
+        log_prob = np.empty((n, k))
+        for c in range(k):
+            diff = z - means[c]
+            log_prob[:, c] = (
+                -0.5 * (np.log(2.0 * np.pi * covs[c]).sum() + (diff * diff / covs[c]).sum(axis=1))
+                + np.log(weights[c])
+            )
+        m = log_prob.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(log_prob - m).sum(axis=1))
+        resp = np.exp(log_prob - lse[:, None])
+        lls.append(float(lse.sum()))
+        resps.append(resp)
+        nk = resp.sum(axis=0)
+        weights, means = nk / n, (resp.T @ z) / nk[:, None]
+        covs = np.array([(resp[:, c] @ (z - means[c]) ** 2) / nk[c] + GMM_RIDGE for c in range(k)])
+    return lls, resps
+
+
 def topo_dz_oracle(anchors, partners, z: np.ndarray, t: np.ndarray, nu: float, clamp_eps: float) -> np.ndarray:
     """Latent gradient of the topology loss, scattered with two np.add.at calls."""
     diff = z[anchors] - z[partners]

@@ -4,6 +4,7 @@ import os
 import shutil
 import signal
 import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -546,6 +547,22 @@ class TestOverrideParsing:
 
 
 _REPORT = ["report", "--top-n", "3", "--threads", "1"] + _SMALL
+
+
+def test_report_imports_no_scipy(pipeline, tmp_path):
+    # importing scipy.sparse alone costs a process about 22 MB and 166 ms
+    argv = _REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from topofuse import cli\n"
+        f"assert cli.run({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 WATCHDOG_S = 60
 _WORKER_ANALYSES = ("input-space modality contribution", "visualization", "embedding-space modality contribution")
 

@@ -21,9 +21,14 @@ def _graph_line(n):
     return topology.build_spatial_graph(coords, 1.0)
 
 
+def _dense(a_hat):
+    """The n x n matrix of a normalized adjacency, read back through its product."""
+    return a_hat @ np.eye(a_hat.n)
+
+
 class TestNormalizedAdjacency:
     def test_path_graph_hand_values(self):
-        a_hat = network.normalized_adjacency(_graph_line(3))
+        a_hat = _dense(network.normalized_adjacency(_graph_line(3)))
         # degrees of A + I are [2, 3, 2]
         s6 = 1.0 / np.sqrt(6.0)
         expected = np.array([[0.5, s6, 0.0], [s6, 1.0 / 3.0, s6], [0.0, s6, 0.5]])
@@ -31,7 +36,7 @@ class TestNormalizedAdjacency:
 
     def test_symmetric_with_unit_spectral_radius(self, rng):
         coords = rng.uniform(0, 4, size=(20, 2))
-        a_hat = network.normalized_adjacency(topology.build_spatial_graph(coords, 1.5))
+        a_hat = _dense(network.normalized_adjacency(topology.build_spatial_graph(coords, 1.5)))
         assert np.array_equal(a_hat, a_hat.T)
         evals = np.linalg.eigvalsh(a_hat)
         assert evals.max() <= 1.0 + 1e-12
@@ -39,13 +44,35 @@ class TestNormalizedAdjacency:
     def test_regular_graph_rows_sum_to_one(self):
         # 4-cycle: every node has degree 2, so A + I is 3-regular
         g = csr_graph([(1, 3), (0, 2), (1, 3), (0, 2)])
-        a_hat = network.normalized_adjacency(g)
+        a_hat = _dense(network.normalized_adjacency(g))
         assert np.allclose(a_hat.sum(axis=1), 1.0, atol=1e-15)
 
     def test_matches_per_edge_loop(self):
         # nodes 3 and 5 are isolated; 0 -> 4, 1 -> 2 and 6 -> 4 are one-way
         nbrs = [(1, 4), (0, 2), (), (), (0,), (), (4,)]
-        assert np.array_equal(network.normalized_adjacency(csr_graph(nbrs)), normalized_adjacency_oracle(nbrs))
+        assert np.array_equal(_dense(network.normalized_adjacency(csr_graph(nbrs))), normalized_adjacency_oracle(nbrs))
+
+    def test_gcn_forward_and_backward_match_the_dense_product(self, rng):
+        # node 0 links to every even node (a hub), 3 and 7 have no neighbour,
+        # and 9 -> 10 is one-way
+        n = 12
+        nbrs = [tuple(range(2, n, 2)), (5,), (0,), (), (0, 5), (1, 4), (0,), (), (0,), (10,), (0,), ()]
+        dense = normalized_adjacency_oracle(nbrs)
+        a_hat = network.normalized_adjacency(csr_graph(nbrs))
+        layers = network.init_params(rng, 6, None, _cfg(d_emb=5)).gnn_tra
+        x = rng.normal(size=(n, 6))
+        y, cache = network.gcn_forward(x, a_hat, layers)
+        hidden = np.maximum(dense @ x @ layers[0].w + layers[0].b, 0.0)
+        assert np.allclose(y, dense @ hidden @ layers[1].w + layers[1].b, rtol=0.0, atol=1e-12)
+
+        dy = rng.normal(size=y.shape)
+        for layer in layers:
+            layer.zero_grad()
+        network._stack_backward(dy, layers, cache)
+        dhidden = (dense.T @ (dy @ layers[1].w.T)) * (hidden > 0.0)
+        assert np.allclose(layers[1].gw, (dense @ hidden).T @ dy, rtol=0.0, atol=1e-12)
+        assert np.allclose(layers[0].gw, (dense @ x).T @ dhidden, rtol=0.0, atol=1e-12)
+        assert np.allclose(layers[0].gb, dhidden.sum(axis=0), rtol=0.0, atol=1e-12)
 
 
 class TestInitParams:
