@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Sweep `topofuse report` over training seeds, data seeds and epoch counts.
 
-usage: python3 scripts/seed_sweep.py TAG [--src DIR] [--jobs N] [--epochs E ...]
+usage: python3 scripts/seed_sweep.py TAG [--src DIR]
 
-Runs `report --threads 1`, at each epoch count (default 150 and 600), on:
+Runs `report --threads 1`, at each of EPOCHS (150 and 600), on:
   - `synth --seed 42` (4x50 spots) with training seeds 1-10;
   - `synth --seed S` for S = 1..5 with training seed 42;
   - the 8x125 section (`synth --seed 42 --domains 8 --spots-per-domain 125`)
     with training seed 42.
 Every command imports topofuse from DIR (default: this checkout's src/), so
-the same script measures any tree. N runs go at a time (default 2).
+the same script measures any tree. JOBS (2) runs go at a time.
 
 Per run it records the exit code, ARI and MRRE from report.json, the
 criterion-6 verdict (ARI >= 0.80 and MRRE <= 4.5), the mean embedding norm
@@ -36,6 +36,8 @@ DATASETS = {
     **{f"synth{s}": ["--seed", str(s)] for s in range(1, 6)},
     "section8x125": ["--seed", "42", "--domains", "8", "--spots-per-domain", "125"],
 }
+JOBS = 2
+EPOCHS = (150, 600)
 RUNS = [("synth42", s) for s in range(1, 11)] + [(f"synth{s}", 42) for s in range(1, 6)] + [("section8x125", 42)]
 
 
@@ -106,8 +108,6 @@ def main(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("tag")
     ap.add_argument("--src", type=Path, default=REPO / "src")
-    ap.add_argument("--jobs", type=int, default=2)
-    ap.add_argument("--epochs", type=int, nargs="+", default=[150, 600])
     args = ap.parse_args(argv)
     src = args.src.resolve()
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,11 +117,11 @@ def main(argv) -> int:
                 [sys.executable, "-m", "topofuse", "synth", "--out", str(work / name), "--threads", "1", *flags],
                 env=_env(src), check=True, capture_output=True,
             )
-        jobs = [(d, s, e) for e in args.epochs for d, s in RUNS]
-        with ThreadPoolExecutor(args.jobs) as pool:
+        jobs = [(d, s, e) for e in EPOCHS for d, s in RUNS]
+        with ThreadPoolExecutor(JOBS) as pool:
             rows = list(pool.map(lambda job: one_run(src, work, *job), jobs))
     out = Path(f"BENCH_seeds_{args.tag}.json")
-    out.write_text(json.dumps({"epochs": args.epochs, "runs": rows}, indent=1) + "\n", encoding="utf-8")
+    out.write_text(json.dumps({"epochs": list(EPOCHS), "runs": rows}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

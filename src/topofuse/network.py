@@ -93,8 +93,8 @@ def init_params(rng: np.random.Generator, n_genes: int, n_mor: int | None, cfg: 
 
 
 class NormalizedAdjacency:
-    """A symmetric sparse n x n matrix in NeighborGraph's CSR layout plus one
-    float64 weight per entry; `a_hat @ h` propagates the rows of h over it.
+    """A symmetric sparse n x n matrix, given in NeighborGraph's CSR layout plus
+    one float64 weight per entry; `a_hat @ h` propagates the rows of h over it.
 
     Row i's entries, its own included, are indices[indptr[i]:indptr[i + 1]] in
     ascending order. The product visits them by slot: rows sorted by entry
@@ -103,10 +103,10 @@ class NormalizedAdjacency:
     the entries, never with n times the largest row.
     """
 
-    __slots__ = ("n", "indptr", "indices", "weights", "_rank", "_slot_ptr", "_slot_cols", "_slot_weights")
+    __slots__ = ("n", "_rank", "_slot_ptr", "_slot_cols", "_slot_weights")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
-        self.n, self.indptr, self.indices, self.weights = n, indptr, indices, weights
+        self.n = n
         counts = np.diff(indptr)
         order = np.argsort(-counts, kind="stable")
         self._rank = np.argsort(order)  # row i's position in that order
