@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,14 +178,14 @@ def refine_labels(labels: np.ndarray, coords: np.ndarray, k: int = REFINE_K) -> 
         raise LengthMismatch("labels and coordinates disagree on length")
     n = len(labels)
     graph = knn_graph(coords, min(k, n - 1))
+    ids, code = np.unique(labels, return_inverse=True)
+    m = len(ids)
+    # row i: the spot's own label and its k neighbours' labels, as codes
+    voters = np.column_stack([code, code[graph.indices.reshape(n, -1)]])
+    votes = np.bincount((np.arange(n)[:, None] * m + voters).ravel(), minlength=n * m).reshape(n, m)
+    sole = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) == 1
     out = labels.copy()
-    for i in range(n):
-        nbrs = graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
-        votes = Counter([int(labels[i])] + [int(labels[j]) for j in nbrs])
-        top = max(votes.values())
-        winners = [lab for lab, c in votes.items() if c == top]
-        if len(winners) == 1:
-            out[i] = winners[0]
+    out[sole] = ids[votes[sole].argmax(axis=1)]
     return out
 
 
@@ -411,14 +410,10 @@ def paga_connectivity(z: np.ndarray, labels: np.ndarray, k: int = 15) -> PagaGra
     sizes = np.bincount(code, minlength=m)
     ca, cb = code[lo], code[hi]
     counts = np.bincount(np.minimum(ca, cb) * m + np.maximum(ca, cb), minlength=m * m).reshape(m, m)
-    conn = np.zeros((m, m))
-    possible = n * (n - 1) / 2.0
-    for ai in range(m):
-        for bi in range(ai + 1, m):
-            expected = total * sizes[ai] * sizes[bi] / possible
-            observed = counts[ai, bi]
-            v = 0.0 if expected <= 0 else min(1.0, observed / expected)
-            conn[ai, bi] = conn[bi, ai] = v
+    # every cluster and the graph hold at least one member and edge, so expected > 0
+    expected = total * np.outer(sizes, sizes) / (n * (n - 1) / 2.0)
+    conn = np.triu(np.minimum(1.0, counts / expected), 1)
+    conn += conn.T
     return PagaGraph(cluster_ids=cluster_ids, connectivity=conn)
 
 

@@ -3,7 +3,9 @@
 The similarity kernel is a heavy-tailed power law; the topology loss is a
 binary cross entropy between kernel similarities in the latent space and a
 prior built from per-modality embeddings. The prior side is treated as a
-constant: no gradient flows through it.
+constant: no gradient flows through it. In training those embeddings come
+from a fixed prior network, the encoders as initialized, so each modality's
+target structure comes from its own data and never follows the fitted model.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .preprocess import PreprocessedData
 from .topology import N_NEG, NeighborGraph, PairBatch, knn_graph, sample_pairs
 
 S_CLAMP = 1e-7
-GRAPH_REFRESH = 10  # epochs between modality-graph rebuilds
 DROPOUT_P = 0.1
 PAIR_BLOCK = 1024  # pairs per block of the prior and distance temporaries in topo_loss
 
@@ -181,8 +182,9 @@ def train(
 
     Per epoch and modality: sample an augmented view plus uniform negatives,
     embed the base and augmented inputs, and descend the topology loss plus
-    lambda_ times the reconstruction loss with full-batch Adam. Modality
-    graphs are rebuilt from the current embeddings every GRAPH_REFRESH epochs.
+    lambda_ times the reconstruction loss with full-batch Adam. The modality
+    kNN graphs are built once from the inputs, and the loss's prior comes from
+    a frozen copy of the encoders taken right after initialization.
     """
     n = data.n_spots
     if spatial.n != n:
@@ -198,14 +200,15 @@ def train(
         mods.append(("mor", data.mor, cfg.k_mo, cfg.r_u_mo))
     graphs = {name: knn_graph(x, k) for name, x, k, _ in mods}
     encoders = {"tra": params.gnn_tra, "mor": params.gnn_mor}
+    priors = {name: [Dense(layer.w.copy(), layer.b.copy()) for layer in encoders[name]] for name, *_ in mods}
 
     adam = Adam([layer for _, layer in params.named_layers()], cfg.lr)
     history = []
     fallbacks = 0
     for epoch in range(1, cfg.epochs + 1):
-        if epoch > 1 and (epoch - 1) % GRAPH_REFRESH == 0:
-            graphs = {name: knn_graph(gcn_forward(x, a_hat, encoders[name])[0], k) for name, x, k, _ in mods}
-        losses, l_rec, epoch_fallbacks = _epoch_grads(data, params, encoders, mods, graphs, a_hat, kcfg, cfg, rng)
+        losses, l_rec, epoch_fallbacks = _epoch_grads(
+            data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng
+        )
         fallbacks += epoch_fallbacks
         total = sum(losses.values()) + cfg.lambda_ * l_rec
         if not np.isfinite(total):
@@ -229,14 +232,16 @@ def train(
     return state, es_final
 
 
-def _epoch_grads(data, params, encoders, mods, graphs, a_hat, kcfg, cfg, rng) -> tuple[dict, float, int]:
+def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng) -> tuple[dict, float, int]:
     """Accumulate one epoch's gradients into params.
 
-    Returns the topology loss per modality, the reconstruction loss and the
-    number of augmentation fallbacks.
+    `priors` holds each modality's frozen encoder: the topology loss's target
+    is its output on the same masked base and view inputs the trained encoder
+    sees. Returns the topology loss per modality, the reconstruction loss and
+    the number of augmentation fallbacks.
 
     The epoch's batches, masks and caches are freed when it returns, before the
-    next epoch or graph refresh allocates its own.
+    next epoch allocates its own.
     """
     n = data.n_spots
     batches = {}
@@ -260,6 +265,7 @@ def _epoch_grads(data, params, encoders, mods, graphs, a_hat, kcfg, cfg, rng) ->
     losses = {}
     ys = {"tra": es.y_tra, "mor": es.y_mor}
     masks = {"tra": m_tr, "mor": m_mo}
+    bases = {"tra": xt, "mor": xm}
     for name, batch in batches.items():
         mask = masks[name]
         x_view = batch.aug_payload if mask is None else batch.aug_payload * mask
@@ -269,7 +275,7 @@ def _epoch_grads(data, params, encoders, mods, graphs, a_hat, kcfg, cfg, rng) ->
         y_view, c_view = gcn_forward(x_view, a_hat, encoders[name])
         ys_view = {**ys, name: y_view}
         z_view, c_fuse = fuse_forward(ys_view["tra"], ys_view["mor"], params)
-        y_full = np.concatenate([ys[name], y_view], axis=0)
+        y_full = np.concatenate([gcn_forward(x, a_hat, priors[name])[0] for x in (bases[name], x_view)], axis=0)
         z_full = np.concatenate([es.z, z_view], axis=0)
         l_m, dz_full, _ = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
         losses[name] = l_m

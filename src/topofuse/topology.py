@@ -184,88 +184,6 @@ class PairBatch:
         return len(self.anchors)
 
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def replay_draws(rng: np.random.Generator, deg: np.ndarray, n_neg: int, p_u: float):
-    """The scalar draws of sample_pairs, replayed from one `random_raw` block.
-
-    In anchor order: `rng.integers(deg[i])` and `rng.uniform(0.0, p_u)` when
-    deg[i] > 0, then `rng.integers(len(deg) - 1, size=n_neg)`. Returns
-    (pick, r, neg), 0 where an anchor draws nothing, and leaves the generator
-    in the state those calls leave. Returns None with the state untouched when
-    the block cannot reproduce them: a bit generator other than PCG64, or a
-    bounded draw that numpy would reject and redraw.
-
-    numpy's PCG64 hands out 32-bit draws in halves of one 64-bit word: the
-    low half first, the high half kept in `has_uint32`/`uinteger` for the next
-    32-bit draw. A bound k > 1 takes one 32-bit x and keeps (x k) >> 32 unless
-    (x k) mod 2^32 < (2^32 - k) mod k (Lemire's method); a bound of 1 takes
-    nothing. A uniform takes a fresh word w as p_u (w >> 11) 2^-53 and leaves
-    the 32-bit buffer alone.
-    """
-    n = len(deg)
-    if type(rng.bit_generator) is not np.random.PCG64 or n > 1 << 32 or np.any(deg > 0xFFFFFFFF):
-        return None
-    # slot 0: the neighbour draw, slot 1: r (a 64-bit word), slots 2...: the negatives
-    width = 2 + n_neg
-    valid = np.empty((n, width), dtype=bool)
-    valid[:, 0] = deg > 1
-    valid[:, 1] = deg > 0
-    valid[:, 2:] = n > 2
-    bound = np.full((n, width), n - 1, dtype=np.uint64)
-    bound[:, 0] = deg
-    events = np.flatnonzero(valid)
-    slot = events % width
-    is32 = slot != 1
-    saved = rng.bit_generator.state
-    has0 = saved["has_uint32"]
-    # a 32-bit draw opens a word when the buffer is empty: every other one
-    opens = ~is32 | ((np.cumsum(is32) - 1 + has0) % 2 == 0)
-    word = np.cumsum(opens)
-    # words[0] holds the buffered half a generator may enter with
-    words = np.empty(word[-1] + 1 if len(word) else 1, dtype=np.uint64)
-    words[0] = saved["uinteger"] << 32
-    words[1:] = rng.bit_generator.random_raw(len(words) - 1)
-    # a buffered draw takes the high half of the word the draw before it opened
-    own, opened = word[is32], opens[is32]
-    src = np.where(opened, own, np.concatenate([[0], own[:-1]]))
-    x = np.where(opened, words[src] & _LOW32, words[src] >> np.uint64(32))
-    k = bound.ravel()[events[is32]]
-    m = x * k
-    if np.any(m & _LOW32 < (np.uint64(1 << 32) - k) % k):
-        rng.bit_generator.state = saved
-        return None
-    state = rng.bit_generator.state
-    state["has_uint32"] = (has0 + len(x)) % 2
-    # the last 32-bit draw's word is the last one a 32-bit draw opened
-    state["uinteger"] = int(words[src[-1]] >> np.uint64(32)) if len(x) else saved["uinteger"]
-    rng.bit_generator.state = state
-
-    val = (m >> np.uint64(32)).astype(np.int64)
-    slot32 = slot[is32]
-    pick = np.zeros(n, dtype=np.int64)
-    pick[deg > 1] = val[slot32 == 0]
-    r = np.zeros(n)
-    r[deg > 0] = 0.0 + p_u * ((words[word[~is32]] >> np.uint64(11)) * 2.0**-53)
-    neg = np.zeros((n, n_neg), dtype=np.int64)
-    if n > 2:
-        neg[:] = val[slot32 >= 2].reshape(n, n_neg)
-    return pick, r, neg
-
-
-def _scalar_draws(rng: np.random.Generator, deg: np.ndarray, n_neg: int, p_u: float):
-    """What `replay_draws` returns, drawn with one generator call at a time."""
-    n = len(deg)
-    pick, r, neg = np.zeros(n, dtype=np.int64), np.zeros(n), np.empty((n, n_neg), dtype=np.int64)
-    for i, d in enumerate(deg.tolist()):
-        if d:
-            pick[i] = rng.integers(d)
-            r[i] = rng.uniform(0.0, p_u)
-        neg[i] = rng.integers(n - 1, size=n_neg)
-    return pick, r, neg
-
-
 def sample_pairs(
     n: int,
     graph: NeighborGraph,
@@ -278,12 +196,10 @@ def sample_pairs(
 
     Anchor i's augmented row is (1 - r) x_i + r x_j for a uniformly chosen
     neighbour j and r ~ U(0, p_u); an anchor without neighbours keeps its own
-    row and counts as a fallback. Draws per anchor, in order: the neighbour
-    (only when there is one), r (likewise), then the `n_neg` negatives as one
-    array draw, which leaves the values and generator state of `n_neg` scalar
-    draws. `replay_draws` makes them all from one block; one call at a time
-    draws only the batches it cannot reproduce. A seeded generator reproduces
-    the batch exactly.
+    row and counts as a fallback. Three array draws make the batch, in order:
+    the neighbour position of every anchor with neighbours, their r, then the
+    (n, n_neg) negatives over the n - 1 other rows. A seeded generator
+    reproduces the batch exactly.
     """
     if n < 2:
         raise OutOfRange("need at least 2 rows to sample pairs")
@@ -292,10 +208,12 @@ def sample_pairs(
     if not 0 < p_u <= 1:
         raise OutOfRange("p_u must lie in (0, 1]")
     deg = np.diff(graph.indptr)
-    pick, r, neg = replay_draws(rng, deg, n_neg, p_u) or _scalar_draws(rng, deg, n_neg, p_u)
-    partner = np.arange(n)
     has = deg > 0
-    partner[has] = graph.indices[graph.indptr[:-1][has] + pick[has]]
+    partner = np.arange(n)
+    partner[has] = graph.indices[graph.indptr[:-1][has] + rng.integers(deg[has])]
+    r = np.zeros(n)
+    r[has] = rng.uniform(0.0, p_u, has.sum())
+    neg = rng.integers(n - 1, size=(n, n_neg))
     payload = (1.0 - r)[:, None] * features + r[:, None] * features[partner]
     isolated = graph.isolated
     # copied: mixing with r = 0 gives x_i back only where x_i is finite

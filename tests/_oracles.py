@@ -175,42 +175,35 @@ def vis_pairs_oracle(n: int, neighbors, n_neg: int, rng: np.random.Generator):
     return np.asarray(anchors, dtype=np.int64), np.asarray(partners, dtype=np.int64)
 
 
-def augment(features: np.ndarray, i: int, neighbors, p_u: float, rng: np.random.Generator):
-    """Row i mixed toward a uniformly chosen neighbour: ((1 - r) x_i + r x_j, r), r ~ U(0, p_u).
-
-    A node without neighbours falls back to a copy of its own row with r = 0
-    and draws nothing.
-    """
-    nbrs = neighbors[i]
-    if not nbrs:
-        return features[i].copy(), 0.0
-    j = nbrs[int(rng.integers(len(nbrs)))]
-    r = float(rng.uniform(0.0, p_u))
-    return (1.0 - r) * features[i] + r * features[j], r
-
-
 def sample_pairs_oracle(n: int, neighbors, features: np.ndarray, n_neg: int, p_u: float, rng: np.random.Generator):
-    """Training pairs one scalar draw at a time: per anchor `augment`, then `n_neg` negatives.
+    """Training pairs from three array draws, assembled one anchor at a time.
 
-    Returns (anchors, partners, h, payload, fallbacks).
+    The draws, in order: a neighbour position for each anchor that has
+    neighbours, r ~ U(0, p_u) for the same anchors, then n x n_neg negatives
+    over the n - 1 rows other than the anchor. Anchor i's payload row is
+    (1 - r) x_i + r x_j; one without neighbours copies its own row and counts
+    as a fallback. Returns (anchors, partners, h, payload, fallbacks).
     """
+    linked = [i for i in range(n) if neighbors[i]]
+    picks = rng.integers(np.array([len(neighbors[i]) for i in linked], dtype=np.int64))
+    rs = rng.uniform(0.0, p_u, len(linked))
+    negs = rng.integers(n - 1, size=(n, n_neg))
+    mix = {i: (neighbors[i][int(pick)], float(r)) for i, pick, r in zip(linked, picks, rs)}
     anchors, partners, h, payload = [], [], [], []
-    fallbacks = 0
     for i in range(n):
-        row, _ = augment(features, i, neighbors, p_u, rng)
-        fallbacks += not neighbors[i]
-        payload.append(row)
+        if i in mix:
+            j, r = mix[i]
+            payload.append((1.0 - r) * features[i] + r * features[j])
+        else:
+            payload.append(features[i].copy())
         anchors.append(i)
         partners.append(n + i)
         h.append(1)
-        for _ in range(n_neg):
-            t = int(rng.integers(n - 1))
-            if t >= i:
-                t += 1
+        for t in negs[i].tolist():
             anchors.append(i)
-            partners.append(t)
+            partners.append(t + 1 if t >= i else t)
             h.append(0)
-    return np.asarray(anchors), np.asarray(partners), np.asarray(h), np.asarray(payload), fallbacks
+    return np.asarray(anchors), np.asarray(partners), np.asarray(h), np.asarray(payload), n - len(linked)
 
 
 def gene_shift_oracle(params, data, spatial) -> np.ndarray:
@@ -298,6 +291,20 @@ def normalized_adjacency_oracle(neighbors) -> np.ndarray:
     a += np.eye(n)
     dinv = 1.0 / np.sqrt(a.sum(axis=1))
     return a * dinv[:, None] * dinv[None, :]
+
+
+def refine_labels_oracle(neighbors, labels) -> np.ndarray:
+    """Per-spot majority over its own label and its neighbours' labels; a tie keeps the label."""
+    out = labels.copy()
+    for i, nbrs in enumerate(neighbors):
+        votes = {}
+        for lab in [labels[i]] + [labels[j] for j in nbrs]:
+            votes[lab] = votes.get(lab, 0) + 1
+        top = max(votes.values())
+        winners = [lab for lab, c in votes.items() if c == top]
+        if len(winners) == 1:
+            out[i] = winners[0]
+    return out
 
 
 def paga_oracle(neighbors, labels) -> np.ndarray:

@@ -10,7 +10,16 @@ from topofuse.errors import (
     ShapeMismatch,
 )
 
-from _oracles import csr_graph, em_oracle, gene_shift_oracle, neighbor_lists, paga_oracle, undirected_knn_edges, vis_pairs_oracle
+from _oracles import (
+    csr_graph,
+    em_oracle,
+    gene_shift_oracle,
+    neighbor_lists,
+    paga_oracle,
+    refine_labels_oracle,
+    undirected_knn_edges,
+    vis_pairs_oracle,
+)
 
 
 def _blobs(rng, centers, per=20, scale=0.3):
@@ -126,6 +135,21 @@ class TestRefineLabels:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             downstream.refine_labels(np.zeros(3), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_matches_loop_oracle_with_ties(self, k):
+        # k + 1 votes over three labels: two-way ties, and with k = 6 three-way ones
+        ties = 0
+        for seed in range(20):
+            data = np.random.default_rng(seed)
+            coords = data.uniform(0, 5, size=(40, 2))
+            labels = np.array([4, 9, 11])[data.integers(3, size=40)]
+            nbrs = neighbor_lists(topology.knn_graph(coords, k))
+            want = refine_labels_oracle(nbrs, labels)
+            assert np.array_equal(downstream.refine_labels(labels, coords, k=k), want)
+            counts = [np.bincount(labels[[i, *nb]], minlength=12) for i, nb in enumerate(nbrs)]
+            ties += sum((c == c.max()).sum() > 1 for c in counts)
+        assert ties > 20
 
 
 class TestDeconvolve:

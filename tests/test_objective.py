@@ -313,6 +313,44 @@ class TestTrain:
         # one base pass per epoch plus the final pass
         assert len(calls) == 4
 
+    def test_modality_graphs_are_built_once(self, rng, monkeypatch):
+        calls = []
+        real = objective.knn_graph
+
+        def counting(x, k):
+            calls.append(x.shape)
+            return real(x, k)
+
+        monkeypatch.setattr(objective, "knn_graph", counting)
+        pre, graph = _toy_training(rng)
+        cfg = dataio.RunConfig().replace(epochs=25, seed=7, d_emb=4, k_tr=3, k_mo=3)
+        objective.train(pre, graph, cfg)
+        assert calls == [pre.tra.shape, pre.mor.shape]
+
+    def test_prior_never_follows_the_trained_weights(self, rng, monkeypatch):
+        real = objective.topo_loss
+
+        def priors_seen(lr):
+            seen = []
+
+            def recording(batch, y_m, *args, **kwargs):
+                seen.append(y_m.copy())
+                return real(batch, y_m, *args, **kwargs)
+
+            monkeypatch.setattr(objective, "topo_loss", recording)
+            cfg = dataio.RunConfig().replace(lr=lr, epochs=12, seed=7, d_emb=4, k_tr=3, k_mo=3)
+            state, _ = objective.train(pre, graph, cfg)
+            return seen, state
+
+        pre, graph = _toy_training(rng)
+        frozen, still = priors_seen(0.0)
+        trained, moved = priors_seen(0.01)
+        assert len(trained) == len(frozen) == 2 * 12
+        assert all(np.array_equal(a, b) for a, b in zip(trained, frozen))
+        # the encoders did move, so a prior taken from them would differ
+        for name in ("gnn_tra", "gnn_mor"):
+            assert not np.array_equal(getattr(moved.params, name)[0].w, getattr(still.params, name)[0].w)
+
     def test_graph_size_mismatch(self, rng):
         pre, graph = _toy_training(rng)
         line = np.column_stack([np.arange(5.0), np.zeros(5)])
