@@ -8,7 +8,8 @@
 # with --threads 1 and the same relative --out paths:
 #   - synth --seed 42 for the 4x50, 8x125 and 4x200 sections;
 #   - report on 4x50 at the default config and at epochs=150, and on 8x125
-#     at epochs=20;
+#     at epochs=20, with and without its labels.csv (without them report
+#     scores the inputs in its own process, after clustering);
 #   - train (epochs=40) -> cluster (refine=true) -> visualize -> deconvolve
 #     -> markers -> trajectory -> evaluate on 4x200.
 # Then runs the working tree's 8x125 report once more under `taskset -c 0`:
@@ -51,6 +52,9 @@ run_all() {
     tf report --data d50 --out report50
     tf report --data d50 --out report50-e150 --set epochs=150
     tf report --data d125 --out report125-e20 --set epochs=20
+    cp -r d125 d125-nolabels
+    rm d125-nolabels/labels.csv
+    tf report --data d125-nolabels --out report125-nolabels-e20 --set epochs=20
     tf train --data d200 --out train --set epochs=40
     local emb=train/embedding.csv labels=cluster/labels.csv ckpt=ckpt.any
     ln -s "$(ls train/ckpt.*)" "$ckpt"

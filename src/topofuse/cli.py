@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{message}\n{self.format_usage()}")
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the counts --top-n, --mrre-k, --paga-k and --restarts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="topofuse", description="Topology-preserving multi-modal embedding for spatial omics")
     p.add_argument("--version", action="version", version=f"topofuse {VERSION}")
@@ -82,7 +90,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("cluster", help="mixture-model clustering of an embedding")
     common(sp, data=True, emb=True)
-    sp.add_argument("--restarts", type=int, default=10)
+    sp.add_argument("--restarts", type=positive_int, default=10)
 
     sp = sub.add_parser("visualize", help="2-D visualization of an embedding")
     common(sp, emb=True)
@@ -94,24 +102,24 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("markers", help="rank genes by knockout displacement")
     common(sp, data=True, labels=True, ckpt=True)
-    sp.add_argument("--top-n", type=int, default=10)
+    sp.add_argument("--top-n", type=positive_int, default=10)
 
     sp = sub.add_parser("trajectory", help="cluster-graph connectivity")
     common(sp, emb=True, labels=True)
-    sp.add_argument("--paga-k", type=int, default=15)
+    sp.add_argument("--paga-k", type=positive_int, default=15)
 
     sp = sub.add_parser("evaluate", help="agreement metrics for an embedding")
     common(sp, data=True, emb=True)
     sp.add_argument("--labels", default=None, help="predicted labels.csv")
-    sp.add_argument("--mrre-k", type=int, default=10)
+    sp.add_argument("--mrre-k", type=positive_int, default=10)
 
     sp = sub.add_parser("report", help="train plus every downstream analysis")
     common(sp, data=True)
     sp.add_argument("--l1", type=float, default=0.1)
-    sp.add_argument("--top-n", type=int, default=10)
-    sp.add_argument("--paga-k", type=int, default=15)
-    sp.add_argument("--mrre-k", type=int, default=10)
-    sp.add_argument("--restarts", type=int, default=10)
+    sp.add_argument("--top-n", type=positive_int, default=10)
+    sp.add_argument("--paga-k", type=positive_int, default=15)
+    sp.add_argument("--mrre-k", type=positive_int, default=10)
+    sp.add_argument("--restarts", type=positive_int, default=10)
     return p
 
 
@@ -189,16 +197,12 @@ def _check_out(out):
 def _load_data(d):
     from .dataio import load_dataset
 
-    tra = os.path.join(d, "tra.csv")
-    coords = os.path.join(d, "coords.csv")
-    mor = os.path.join(d, "mor.csv")
-    labels = os.path.join(d, "labels.csv")
-    return load_dataset(
-        tra,
-        coords,
-        mor_path=mor if os.path.isfile(mor) else None,
-        labels_path=labels if os.path.isfile(labels) else None,
-    )
+    def optional(name):
+        path = os.path.join(d, name)
+        return path if os.path.isfile(path) else None
+
+    tra, coords = os.path.join(d, "tra.csv"), os.path.join(d, "coords.csv")
+    return load_dataset(tra, coords, optional("mor.csv"), optional("labels.csv"))
 
 
 def _model_inputs(ds, cfg):
@@ -252,13 +256,13 @@ def cmd_preprocess(args, cfg) -> dict:
     return {}
 
 
-def _train_once(ds, cfg):
+def _train_once(pre, spatial, eps, cfg):
+    """Train on `_model_inputs`' output; the parameters record the radius `eps`."""
     from .objective import train
 
-    pre, spatial, eps = _model_inputs(ds, cfg)
     state, emb = train(pre, spatial, cfg)
     state.params.epsilon_used = eps
-    return pre, spatial, eps, state, emb
+    return state, emb
 
 
 def _save_model(out, spot_ids, emb, params):
@@ -333,41 +337,12 @@ def _contribution(mats, labels, seed):
     return modality_contribution(mats, labels, names=["tra", "mor"], seed=seed)
 
 
-def _fingerprint(ds) -> str:
-    """sha256 of what the input-space contribution reads: spot ids, gene ids, expression, morphology."""
-    import hashlib
-
-    import numpy as np
-
-    h = hashlib.sha256("\n".join([*ds.spot_ids, "", *ds.gene_ids]).encode())
-    for a in (ds.tra, ds.mor):
-        h.update(b"none" if a is None else f"{a.dtype.str}{a.shape}".encode())
-        if a is not None:
-            h.update(np.ascontiguousarray(a))
-    return h.hexdigest()
-
-
-def _input_contribution(data, cfg, labels, fingerprint):
-    """`_contribution` of the preprocessed inputs, read from `data` here so no caller ships them.
-
-    `fingerprint` is the caller's `_fingerprint` of the dataset it read: data that
-    changed since then raise InvalidDataset rather than mix two versions in one report.
-    """
-    from .errors import InvalidDataset
-    from .preprocess import preprocess_dataset
-
-    ds = _load_data(data)
-    if _fingerprint(ds) != fingerprint:
-        raise InvalidDataset(f"{data} changed while report was reading it: the worker process read other values")
-    pre = preprocess_dataset(ds, cfg)
-    return _contribution([pre.tra, pre.mor], labels, cfg.seed)
-
-
 def cmd_train(args, cfg) -> dict:
     from .dataio import write_losses_csv, write_matrix_csv
 
     ds = _load_data(args.data)
-    pre, spatial, eps, state, emb = _train_once(ds, cfg)
+    pre, spatial, eps = _model_inputs(ds, cfg)
+    state, emb = _train_once(pre, spatial, eps, cfg)
     _save_model(args.out, ds.spot_ids, emb, state.params)
     for name, y in (("y_tra.csv", emb.y_tra), ("y_mor.csv", emb.y_mor)):
         if y is not None:
@@ -479,16 +454,16 @@ def cmd_report(args, cfg) -> dict:
     from .worker import analysis_jobs
 
     inputs, embeddings = "input-space modality contribution", "embedding-space modality contribution"
-    ds = _load_data(args.data)
     # analyses that need no cluster labels run in the worker, when there is one,
-    # beside training and clustering; the results come back by name below
+    # beside training and clustering; the results come back by name below.
+    # Entered first, so the worker starts while this process reads --data
     with analysis_jobs(args.threads) as jobs:
-        # the worker reads --data itself, so with the dataset's own labels it can
-        # score the inputs while this process trains
-        inputs_remote = jobs.remote and ds.labels is not None
-        if inputs_remote:
-            jobs.submit(inputs, _input_contribution, args.data, cfg, ds.labels, _fingerprint(ds))
-        pre, spatial, eps, state, emb = _train_once(ds, cfg)
+        ds = _load_data(args.data)
+        pre, spatial, eps = _model_inputs(ds, cfg)
+        # with the dataset's own labels the inputs are scored while this process trains
+        if ds.labels is not None:
+            jobs.submit(inputs, _contribution, [pre.tra, pre.mor], ds.labels, cfg.seed)
+        state, emb = _train_once(pre, spatial, eps, cfg)
         jobs.submit("visualization", _fit_vis, emb.z, cfg)
         k, labels = _cluster(ds, emb.z, cfg, args.restarts)
         contrib_labels = ds.labels if ds.labels is not None else labels
@@ -497,9 +472,9 @@ def cmd_report(args, cfg) -> dict:
         markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
         metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
         paga_edges = _paga_edges(emb.z, labels, args.paga_k)[1] if len(set(labels.tolist())) >= 2 else None
-        # otherwise the inputs are scored here: a worker that reloads the data
-        # only after clustering measured no faster
-        local = {} if inputs_remote else {inputs: _contribution([pre.tra, pre.mor], contrib_labels, cfg.seed)}
+        # without them the inputs are scored here, by cluster: queued behind the
+        # worker's two analyses they measured slower
+        local = {} if ds.labels is not None else {inputs: _contribution([pre.tra, pre.mor], labels, cfg.seed)}
         done = {**local, **jobs.results()}
     vis, vis_history = done["visualization"]
     payload = {
@@ -518,25 +493,23 @@ def cmd_report(args, cfg) -> dict:
     if paga_edges is not None:
         payload["paga_edges"] = paga_edges
     payload["markers"] = [{"cluster": c, "rank": r, "gene_id": g, "importance": v} for c, r, g, v in markers]
-    parts = {"inputs": done[inputs], "embeddings": done[embeddings]}
-    per_spot = None
-    if parts["inputs"] is not None:
-        per_spot = np.column_stack([part.per_spot for part in parts.values()])
-        payload["modality_contribution"] = {
-            "names": ["tra_input", "mor_input", "tra_emb", "mor_emb"],
-            **{key: {"summary": part.summary, "train_accuracy": part.train_accuracy} for key, part in parts.items()},
-        }
 
     def out(name):
         return os.path.join(args.out, name)
 
+    parts = {"inputs": done[inputs], "embeddings": done[embeddings]}
+    if parts["inputs"] is not None:
+        names = ["tra_input", "mor_input", "tra_emb", "mor_emb"]
+        payload["modality_contribution"] = {
+            "names": names,
+            **{key: {"summary": part.summary, "train_accuracy": part.train_accuracy} for key, part in parts.items()},
+        }
+        per_spot = np.column_stack([part.per_spot for part in parts.values()])
+        write_matrix_csv(out("contributions.csv"), ds.spot_ids, names, per_spot)
     write_labels_csv(out("labels.csv"), ds.spot_ids, labels)
     write_matrix_csv(out("vis.csv"), ds.spot_ids, ["v0", "v1"], vis)
     write_markers_csv(out("markers.csv"), markers)
     write_deconvolution_csv(out("deconvolution.csv"), ds.spot_ids, dec.cluster_ids, dec.weights, dec.impurity)
-    if per_spot is not None:
-        names = payload["modality_contribution"]["names"]
-        write_matrix_csv(out("contributions.csv"), ds.spot_ids, names, per_spot)
     write_json(out("report.json"), payload)
     plot_scatter(ds.coords, labels, out("domains.svg"))
     plot_scatter(vis, labels, out("vis.svg"))

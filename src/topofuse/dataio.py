@@ -420,24 +420,15 @@ def write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def write_dataset(ds: SpotDataset, out_dir: str) -> list[str]:
-    """Write a dataset as tra/coords(/mor/labels) CSVs; returns written paths."""
-    paths = []
-    p = os.path.join(out_dir, "tra.csv")
-    write_matrix_csv(p, ds.spot_ids, ds.gene_ids, ds.tra)
-    paths.append(p)
-    p = os.path.join(out_dir, "coords.csv")
-    write_matrix_csv(p, ds.spot_ids, ["x", "y"], ds.coords)
-    paths.append(p)
+def write_dataset(ds: SpotDataset, out_dir: str):
+    """Write a dataset as the tra/coords(/mor/labels) CSVs that load_dataset reads."""
+    write_matrix_csv(os.path.join(out_dir, "tra.csv"), ds.spot_ids, ds.gene_ids, ds.tra)
+    write_matrix_csv(os.path.join(out_dir, "coords.csv"), ds.spot_ids, ["x", "y"], ds.coords)
     if ds.mor is not None:
-        p = os.path.join(out_dir, "mor.csv")
-        write_matrix_csv(p, ds.spot_ids, [f"m{i}" for i in range(ds.mor.shape[1])], ds.mor)
-        paths.append(p)
+        cols = [f"m{i}" for i in range(ds.mor.shape[1])]
+        write_matrix_csv(os.path.join(out_dir, "mor.csv"), ds.spot_ids, cols, ds.mor)
     if ds.labels is not None:
-        p = os.path.join(out_dir, "labels.csv")
-        write_labels_csv(p, ds.spot_ids, ds.labels)
-        paths.append(p)
-    return paths
+        write_labels_csv(os.path.join(out_dir, "labels.csv"), ds.spot_ids, ds.labels)
 
 
 def _label_palette(n: int) -> list[str]:

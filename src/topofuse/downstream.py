@@ -31,6 +31,7 @@ from .network import (
     check_genes,
     forward_all,
     fuse_forward,
+    gcn_from_aggregate,
     normalized_adjacency,
 )
 from .objective import Adam, KernelConfig, topo_loss
@@ -336,24 +337,20 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     """Per-spot embedding displacement when each gene column is zeroed.
 
     Zeroing gene g zeroes only column g of the first propagation a_hat @ tra,
-    so that product is computed once and patched per gene. The morphology
+    so the base pass's product is patched per gene. The morphology
     branch is the base pass's, and the decoder, whose output is unused, does
     not run for the knockouts.
     """
     check_genes(params, data.gene_ids)
     a_hat = normalized_adjacency(spatial)
-    base, _ = forward_all(params, data.tra, data.mor, a_hat)
-    first, rest = params.gnn_tra[0], params.gnn_tra[1:]
-    agg = a_hat @ np.ascontiguousarray(data.tra)
+    base, caches = forward_all(params, data.tra, data.mor, a_hat)
+    agg = caches["tra"]["aggs"][0]
     n, g = data.tra.shape
     shifts = np.empty((n, g))
     for gene in range(g):
         x = agg.copy()
         x[:, gene] = 0.0
-        y = x @ first.w + first.b
-        if rest:
-            y, _ = _stack_forward(np.maximum(y, 0.0), rest, a_hat)
-        z, _ = fuse_forward(y, base.y_mor, params)
+        z, _ = fuse_forward(gcn_from_aggregate(x, a_hat, params.gnn_tra), base.y_mor, params)
         shifts[:, gene] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
     return shifts
 

@@ -188,6 +188,13 @@ def gcn_forward(x: np.ndarray, a_hat: NormalizedAdjacency, layers):
     return _stack_forward(x, layers, a_hat)
 
 
+def gcn_from_aggregate(agg: np.ndarray, a_hat: NormalizedAdjacency, layers) -> np.ndarray:
+    """`gcn_forward(x, a_hat, layers)[0]` given the first layer's aggregate `agg = a_hat @ x`."""
+    first, rest = layers[0], layers[1:]
+    y = agg @ first.w + first.b
+    return _stack_forward(np.maximum(y, 0.0), rest, a_hat)[0] if rest else y
+
+
 def fuse_forward(y_tra: np.ndarray, y_mor: np.ndarray | None, params: ModelParams):
     """Blend modality embeddings and push them through the fusion MLP."""
     if y_mor is None:

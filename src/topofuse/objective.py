@@ -25,6 +25,7 @@ from .network import (
     forward_all,
     fuse_forward,
     gcn_forward,
+    gcn_from_aggregate,
     init_params,
     normalized_adjacency,
 )
@@ -265,7 +266,6 @@ def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg,
     losses = {}
     ys = {"tra": es.y_tra, "mor": es.y_mor}
     masks = {"tra": m_tr, "mor": m_mo}
-    bases = {"tra": xt, "mor": xm}
     for name, batch in batches.items():
         mask = masks[name]
         x_view = batch.aug_payload if mask is None else batch.aug_payload * mask
@@ -275,7 +275,8 @@ def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg,
         y_view, c_view = gcn_forward(x_view, a_hat, encoders[name])
         ys_view = {**ys, name: y_view}
         z_view, c_fuse = fuse_forward(ys_view["tra"], ys_view["mor"], params)
-        y_full = np.concatenate([gcn_forward(x, a_hat, priors[name])[0] for x in (bases[name], x_view)], axis=0)
+        # the prior sees the same inputs, so it starts from their cached first aggregates
+        y_full = np.concatenate([gcn_from_aggregate(c["aggs"][0], a_hat, priors[name]) for c in (caches[name], c_view)])
         z_full = np.concatenate([es.z, z_view], axis=0)
         l_m, dz_full, _ = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
         losses[name] = l_m

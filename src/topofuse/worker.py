@@ -4,9 +4,9 @@
 CPUs this process may run on hold two processes of that many BLAS threads,
 and `Inline` otherwise. Both take `submit(name, fn, *args)` in the order the
 jobs should run and return every result by name from `results()`. `fn` is a
-module-level function, pickled by reference. Their `remote` attribute tells
-the caller where the jobs run, so it can hand a worker a path to read in
-place of a large array. Use either as a context manager: leaving it early
+module-level function, pickled by reference, and its arguments, arrays
+included, are pickled with it: a worker gets its data from the caller and
+reads no input file itself. Use either as a context manager: leaving it early
 stops the worker at once.
 """
 
@@ -37,8 +37,6 @@ def analysis_jobs(threads):
 class Inline:
     """Runs every job in this process, in submission order, when `results()` is called."""
 
-    remote = False
-
     def __init__(self):
         self._jobs = {}
 
@@ -61,17 +59,16 @@ class Worker:
     Started by fork-exec, so it shares no memory with this process. It puts the
     directory of this package first on its path, inherits the environment (and
     with it the BLAS thread pins), reads pickled jobs from its stdin and writes
-    one pickled result per job to its stdout, in order.
+    one pickled result per job to its stdout, in order. It imports numpy
+    before it reads a job, so the first job's arrays do not wait on that import.
     """
-
-    remote = True
 
     def __init__(self):
         import subprocess
 
         self._jobs = []
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        code = f"import sys; sys.path.insert(0, {root!r}); from topofuse.worker import serve; serve()"
+        code = f"import sys; sys.path.insert(0, {root!r}); import numpy; from topofuse.worker import serve; serve()"
         self._proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
     def __enter__(self):

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from topofuse import cli, dataio, downstream, network, objective, preprocess, topology
+from topofuse import cli, dataio, downstream, network, objective, preprocess, topology, worker
 from topofuse.errors import NonFiniteLoss, StaleCache, TopofuseError
 
 
@@ -500,6 +500,23 @@ class TestExitCodes:
         assert rc == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--data", "{data}", "--top-n", "-2"],
+            ["evaluate", "--data", "{data}", "--emb", "{emb}", "--mrre-k", "0"],
+            ["trajectory", "--emb", "{emb}", "--labels", "{labels}", "--paga-k", "0"],
+            ["cluster", "--data", "{data}", "--emb", "{emb}", "--restarts", "-1"],
+        ],
+        ids=["top-n", "mrre-k", "paga-k", "restarts"],
+    )
+    def test_counts_must_be_positive(self, pipeline, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        flag, value = argv[-2:]
+        assert cli.run([a.format(**pipeline) for a in argv] + _SMALL + ["--out", str(out)]) == 1
+        assert f"argument {flag}: expects a positive integer, got {value}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_internal_crash_returns_2(self, tmp_path, capsys, monkeypatch):
         def boom(args, cfg):
             raise RuntimeError("handler exploded")
@@ -598,26 +615,6 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def _edit_first_cell_after_load(monkeypatch, pipeline, tmp_path, edit):
-    """A copy of the pipeline's dataset whose last tra.csv cell of the first row
-    becomes `edit(cell)` right after `cli._load_data` has read it, so this process
-    keeps the old rows and a worker reads the new ones."""
-    data = tmp_path / "data"
-    shutil.copytree(pipeline["data"], data)
-    load = cli._load_data
-
-    def load_then_edit(d):
-        ds = load(d)
-        tra = data / "tra.csv"
-        header, first, *rest = tra.read_text().splitlines()
-        head, cell = first.rsplit(",", 1)
-        tra.write_text("\n".join([header, f"{head},{edit(cell)}", *rest]) + "\n")
-        return ds
-
-    monkeypatch.setattr(cli, "_load_data", load_then_edit)
-    return data
-
-
 def _assert_reaped(procs):
     for proc in procs:
         assert proc.returncode is not None
@@ -648,25 +645,46 @@ class TestAnalysisWorker:
         inline, remote = _manifest(outs[1]), _manifest(outs[2])
         assert {key for key in inline if inline[key] != remote[key]} == {"out", "argv"}
 
-    def test_worker_error_exits_1_with_its_message(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+    def test_data_removed_after_reading_changes_nothing(self, pipeline, tmp_path, monkeypatch, workers):
+        # only this process reads --data: the worker gets its inputs from it
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        outs = {cpus: tmp_path / f"cpus{cpus}" for cpus in (1, 2)}
+        _cpus(monkeypatch, 1)
+        assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[1])]) == 0
         load = cli._load_data
-        data = _edit_first_cell_after_load(monkeypatch, pipeline, tmp_path, lambda cell: "oops")
-        _cpus(monkeypatch, 2)
-        capsys.readouterr()
-        assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
-        with pytest.raises(TopofuseError) as expected:
-            load(str(data))
-        assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
-        assert len(workers) == 1
-        _assert_reaped(workers)
 
-    def test_changed_value_exits_1(self, pipeline, tmp_path, monkeypatch, capsys, workers):
-        # a well-formed value the worker would otherwise use in place of the one this process read
-        data = _edit_first_cell_after_load(monkeypatch, pipeline, tmp_path, lambda cell: str(float(cell) + 1.0))
+        def load_then_remove(d):
+            ds = load(d)
+            shutil.rmtree(d)
+            return ds
+
+        monkeypatch.setattr(cli, "_load_data", load_then_remove)
+        _cpus(monkeypatch, 2)
+        assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[2])]) == 0
+        assert not data.exists() and len(workers) == 1
+        _assert_reaped(workers)
+        names = sorted(os.listdir(outs[1]))
+        assert names == sorted(os.listdir(outs[2]))
+        for name in names:
+            if name != "manifest.json":
+                assert _read(outs[1] / name) == _read(outs[2] / name), name
+
+    def test_worker_error_exits_1_with_its_message(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        submit = worker.Worker.submit
+
+        def first_job_fails(jobs, name, fn, *args):
+            if not jobs._jobs:  # the worker raises OutOfRange on one spot
+                fn, args = topology.auto_epsilon, ([[0.0, 0.0]],)
+            submit(jobs, name, fn, *args)
+
+        monkeypatch.setattr(worker.Worker, "submit", first_job_fails)
         _cpus(monkeypatch, 2)
         capsys.readouterr()
-        assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 1
-        assert f"topofuse: error: {data} changed while report was reading it" in capsys.readouterr().err
+        assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
+        with pytest.raises(TopofuseError) as expected:
+            topology.auto_epsilon([[0.0, 0.0]])
+        assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "report.json")
         assert len(workers) == 1
         _assert_reaped(workers)

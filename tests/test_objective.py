@@ -313,6 +313,26 @@ class TestTrain:
         # one base pass per epoch plus the final pass
         assert len(calls) == 4
 
+    def test_propagations_per_epoch(self, rng, monkeypatch):
+        calls = []
+        real = network.NormalizedAdjacency.__matmul__
+
+        def counting(a_hat, h):
+            calls.append(h.shape[1])
+            return real(a_hat, h)
+
+        monkeypatch.setattr(network.NormalizedAdjacency, "__matmul__", counting)
+        pre, graph = _toy_training(rng)
+        counts = []
+        for epochs in (1, 2):
+            calls.clear()
+            objective.train(pre, graph, dataio.RunConfig().replace(epochs=epochs, seed=7, d_emb=4, k_tr=3, k_mo=3))
+            counts.append(len(calls))
+        # per epoch: the base forward 4 (two layers per modality); per modality its
+        # view's forward 2, the frozen prior 1 + 1 (its first aggregates are the
+        # cached ones) and the view's backward 2; the base backward 2
+        assert counts[1] - counts[0] == 18
+
     def test_modality_graphs_are_built_once(self, rng, monkeypatch):
         calls = []
         real = objective.knn_graph

@@ -12,14 +12,14 @@ from topofuse.topology import auto_epsilon
 
 class TestAnalysisJobs:
     @pytest.mark.parametrize(
-        "threads, cpus, remote",
+        "threads, cpus, starts_worker",
         [(None, 8, False), (1, 1, False), (1, 2, True), (2, 3, False), (2, 4, True), (0, 4, False)],
     )
-    def test_a_worker_only_when_two_processes_fit(self, monkeypatch, threads, cpus, remote):
+    def test_a_worker_only_when_two_processes_fit(self, monkeypatch, threads, cpus, starts_worker):
         monkeypatch.setattr(worker, "Worker", lambda: "worker")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         jobs = worker.analysis_jobs(threads)
-        assert (jobs == "worker") == remote
+        assert (jobs == "worker") == starts_worker
 
     def test_inline_when_no_process_can_start(self, monkeypatch):
         def no_process(*args, **kwargs):
