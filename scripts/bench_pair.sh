@@ -10,7 +10,8 @@
 # pairs, the working tree first in even ones. Each run works on its own
 # checkout and imports topofuse from that checkout's src/.
 # Writes OUT as JSON: machine (`cpus`, and `affinity_cpus`, the CPUs this
-# process may run on, which decide whether `report` starts its worker), Python,
+# process may run on, which decide whether `report` starts its worker), the C
+# library (`libc`: the heap policy the CLI sets acts only under glibc), Python,
 # numpy and BLAS, every run's metrics, and per workload and side the median
 # and quartiles of each end-to-end metric. Set PYTHON to pick the interpreter.
 set -euo pipefail
@@ -130,6 +131,7 @@ report = {
         "cpus": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "system": platform.platform(),
+        "libc": list(platform.libc_ver()),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .errors import TopofuseError
+from .worker import keep_freed_memory
 
 VERSION = "0.1.0"
 _THREAD_VARS = (
@@ -37,10 +39,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    """argparse type of the counts --top-n, --mrre-k, --paga-k and --restarts: an integer of at least 1."""
+    """argparse type of --threads and the counts --top-n, --mrre-k, --paga-k and --restarts: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expects a positive integer, got {value}")
+    return value
+
+
+def finite_nonnegative(text: str) -> float:
+    """argparse type of --l1: a finite number of at least 0."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {text}")
     return value
 
 
@@ -54,10 +64,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument(
             "--threads",
-            type=int,
+            type=positive_int,
             default=None,
-            help="BLAS threads per process (1 = deterministic); report adds one worker"
-            " process when the CPUs allow two",
+            help="BLAS threads per process, a positive integer (1 = deterministic); report"
+            " adds one worker process when the CPUs allow two",
         )
         if data:
             sp.add_argument("--data", required=True, help="directory with tra.csv and coords.csv")
@@ -98,7 +108,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("deconvolve", help="L1 decomposition onto cluster means")
     common(sp, emb=True, labels=True)
-    sp.add_argument("--l1", type=float, default=0.1)
+    sp.add_argument("--l1", type=finite_nonnegative, default=0.1)
 
     sp = sub.add_parser("markers", help="rank genes by knockout displacement")
     common(sp, data=True, labels=True, ckpt=True)
@@ -115,7 +125,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("report", help="train plus every downstream analysis")
     common(sp, data=True)
-    sp.add_argument("--l1", type=float, default=0.1)
+    sp.add_argument("--l1", type=finite_nonnegative, default=0.1)
     sp.add_argument("--top-n", type=positive_int, default=10)
     sp.add_argument("--paga-k", type=positive_int, default=15)
     sp.add_argument("--mrre-k", type=positive_int, default=10)
@@ -124,15 +134,19 @@ def _build_parser() -> _Parser:
 
 
 def _pin_threads(argv):
+    """Pin the BLAS pools to --threads before numpy loads; a value that is no positive integer pins nothing."""
     threads = None
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif a.startswith("--threads="):
             threads = a.split("=", 1)[1]
-    if threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(threads)
+    try:
+        threads = positive_int(threads)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return  # absent, or refused when the arguments are parsed
+    for var in _THREAD_VARS:
+        os.environ[var] = str(threads)
 
 
 def _parse_override(text: str):
@@ -534,6 +548,7 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
+    keep_freed_memory()
     _pin_threads(argv)
     parser = _build_parser()
     try:

@@ -284,8 +284,8 @@ def deconvolve(z: np.ndarray, labels: np.ndarray, l1: float) -> DeconvolutionRes
     labels = np.asarray(labels)
     if z.shape[0] != len(labels):
         raise LengthMismatch("labels and embeddings disagree on length")
-    if l1 < 0:
-        raise OutOfRange("l1 must be nonnegative")
+    if not np.isfinite(l1) or l1 < 0:
+        raise OutOfRange(f"l1 must be a finite number >= 0, got {l1}")
     cluster_ids = sorted(set(int(v) for v in labels))
     basis = np.column_stack([z[labels == c].mean(axis=0) for c in cluster_ids])
     k = basis.shape[1]

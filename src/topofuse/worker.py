@@ -8,6 +8,8 @@ module-level function, pickled by reference, and its arguments, arrays
 included, are pickled with it: a worker gets its data from the caller and
 reads no input file itself. Use either as a context manager: leaving it early
 stops the worker at once.
+
+`keep_freed_memory()` sets the heap policy the CLI and the worker run under.
 """
 
 from __future__ import annotations
@@ -18,6 +20,29 @@ import pickle
 import sys
 
 from .errors import TopofuseError, WorkerLost
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt(3) parameters
+MMAP_THRESHOLD = 32 * 1024 * 1024  # the ceiling of glibc's own adaptive threshold
+
+
+def keep_freed_memory():
+    """Keep freed memory in this process's heap instead of handing it back to the kernel.
+
+    Training allocates its temporaries, mostly 100-700 KB arrays, afresh each
+    epoch. By glibc's defaults a block over 128 KB is mmap'ed and freed heap is
+    trimmed, so every epoch would fault those pages in again. Here blocks up to
+    MMAP_THRESHOLD come from the heap, and the heap is never trimmed. Does
+    nothing where the C library has no mallopt.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, -1)
 
 
 def analysis_jobs(threads):
@@ -117,6 +142,7 @@ def serve():
     ends the worker: a TopofuseError goes back as "error" with the exception,
     anything else as "crash" with its traceback.
     """
+    keep_freed_memory()
     import queue
     import threading
     import traceback

@@ -517,6 +517,32 @@ class TestExitCodes:
         assert f"argument {flag}: expects a positive integer, got {value}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--data", "{missing}"],
+            ["deconvolve", "--emb", "{missing}/embedding.csv", "--labels", "{missing}/labels.csv"],
+        ],
+        ids=["report", "deconvolve"],
+    )
+    def test_l1_must_be_a_finite_nonnegative_number(self, tmp_path, capsys, argv, value):
+        # the inputs do not exist, so an exit that names --l1 came before any file was read
+        out, missing = tmp_path / "x", str(tmp_path / "missing")
+        assert cli.run([a.format(missing=missing) for a in argv] + ["--l1", value, "--out", str(out)]) == 1
+        assert f"argument --l1: expects a finite number >= 0, got {value}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_threads_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch, value):
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        out = tmp_path / "x"
+        assert cli.run(["synth", "--out", str(out), "--threads", value]) == 1
+        assert "argument --threads:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert not [var for var in cli._THREAD_VARS if var in os.environ]
+
     def test_internal_crash_returns_2(self, tmp_path, capsys, monkeypatch):
         def boom(args, cfg):
             raise RuntimeError("handler exploded")

@@ -184,8 +184,9 @@ class TestDeconvolve:
 
     def test_bounds(self, rng):
         z = rng.normal(size=(6, 2))
-        with pytest.raises(OutOfRange):
-            downstream.deconvolve(z, np.zeros(6), l1=-0.1)
+        for l1 in (-0.1, np.nan, np.inf):
+            with pytest.raises(OutOfRange):
+                downstream.deconvolve(z, np.zeros(6), l1=l1)
         with pytest.raises(LengthMismatch):
             downstream.deconvolve(z, np.zeros(5), l1=0.1)
 

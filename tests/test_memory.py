@@ -8,15 +8,23 @@ distance, order or rank matrix goes over. The normalized adjacency holds one
 entry per edge and self loop, so training, the knockouts, denoising and a
 propagation over a star graph stay under the same bar; storing the dense
 matrix, or padding every row to the largest degree, goes over.
+
+Under glibc the CLI keeps freed memory in its heap, so a training epoch
+faults in no new pages; this is read from the kernel's minor-fault count of
+`train` processes.
 """
 
+import ctypes
+import os
+import platform
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from topofuse import dataio, downstream, evaluate, network, objective, preprocess, topology
+from topofuse import dataio, downstream, evaluate, network, objective, preprocess, topology, worker
 
 N = 16 * topology.ROW_BLOCK + 5
 NXN_BYTES = N * N * 8
@@ -92,3 +100,41 @@ def test_star_graph_propagation_stays_below_a_quarter_of_n_by_n():
     h = np.random.default_rng(6).normal(size=(N, 4))
     peak = _peak_bytes(lambda: network.normalized_adjacency(star) @ h)
     assert peak < NXN_BYTES / 4, f"the star-graph propagation peaked at {peak / NXN_BYTES:.2f} of one n x n array"
+
+
+def _minor_faults(out, *args) -> int:
+    """Run `python -m topofuse ARGS --threads 1` and return its minor page faults."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(worker.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)}
+    log = out / f"{args[0]}-{len(os.listdir(out))}.log"
+    to_log = [(os.POSIX_SPAWN_OPEN, fd, str(log), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644) for fd in (1, 2)]
+    argv = [sys.executable, "-m", "topofuse", *args, "--threads", "1"]
+    pid = os.posix_spawn(sys.executable, argv, env, file_actions=to_log)
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, log.read_text()
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is set through glibc's mallopt")
+def test_training_epochs_fault_in_no_new_pages(tmp_path):
+    # glibc's default policy, which mmaps each temporary over 128 KB and trims
+    # the heap, faulted in about 2,300 pages per epoch on this 4x50 section
+    data = str(tmp_path / "data")
+    _minor_faults(tmp_path, "synth", "--out", data)
+    faults = {
+        epochs: _minor_faults(tmp_path, "train", "--out", str(tmp_path / f"e{epochs}"), "--data", data,
+                              "--set", f"epochs={epochs}")
+        for epochs in (20, 60)
+    }
+    per_epoch = (faults[60] - faults[20]) / 40
+    assert per_epoch < 10, f"{per_epoch:.1f} minor page faults per extra epoch ({faults})"
+
+
+def _no_c_library(name):
+    raise TypeError("LoadLibrary() argument 1 must be str, not None")  # CDLL(None) on Windows
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library], ids=["no-mallopt", "no-c-library"])
+def test_heap_policy_is_skipped_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert worker.keep_freed_memory() is None
