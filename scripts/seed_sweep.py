@@ -7,16 +7,22 @@ Runs `report --threads 1`, at each of EPOCHS (150 and 600), on:
   - `synth --seed 42` (4x50 spots) with training seeds 1-10;
   - `synth --seed S` for S = 1..5 with training seed 42;
   - the 8x125 section (`synth --seed 42 --domains 8 --spots-per-domain 125`)
-    with training seed 42.
+    with training seed 42;
+  - criterion 7's data, `synth --seed S --signal-mor 0.0` for S = 0..4, with
+    training seed S.
 Every command imports topofuse from DIR (default: this checkout's src/), so
 the same script measures any tree. JOBS (2) runs go at a time.
 
 Per run it records the exit code, ARI and MRRE from report.json, the
 criterion-6 verdict (ARI >= 0.80 and MRRE <= 4.5), the mean embedding norm
 |z|, criterion 7's ratio (median tra over median mor contribution in the
-embedding space) and criterion 9's gap (mean per-gene correlation of the
+embedding space), criterion 9's gap (mean per-gene correlation of the
 decoder's denoised expression with the truth, minus that of the noisy
-input). Writes BENCH_seeds_TAG.json in the current directory.
+input) and criterion 7's own numbers as its test computes them: `ratio_in`
+(median tra over median mor contribution of the preprocessed inputs, each
+modality scored alone), `ratio_emb` (the same for the encoder outputs y_tra
+and y_mor) and `c7_quotient` = ratio_emb / ratio_in; the criterion asks for
+a quotient below 1. Writes BENCH_seeds_TAG.json in the current directory.
 """
 
 from __future__ import annotations
@@ -35,10 +41,12 @@ DATASETS = {
     "synth42": ["--seed", "42"],
     **{f"synth{s}": ["--seed", str(s)] for s in range(1, 6)},
     "section8x125": ["--seed", "42", "--domains", "8", "--spots-per-domain", "125"],
+    **{f"c7synth{s}": ["--seed", str(s), "--signal-mor", "0.0"] for s in range(5)},
 }
 JOBS = 2
 EPOCHS = (150, 600)
 RUNS = [("synth42", s) for s in range(1, 11)] + [(f"synth{s}", 42) for s in range(1, 6)] + [("section8x125", 42)]
+RUNS += [(f"c7synth{s}", s) for s in range(5)]
 
 
 def _env(src: Path) -> dict:
@@ -53,7 +61,7 @@ def measure(data: str, run: str) -> dict:
     """The numbers of one finished run that report.json does not hold."""
     import numpy as np
 
-    from topofuse import dataio, downstream, network, preprocess, topology
+    from topofuse import dataio, downstream, evaluate, network, preprocess, topology
 
     report = json.loads(Path(run, "report.json").read_text(encoding="utf-8"))
     cfg = dataio.config_from_dict(report["config"])
@@ -72,9 +80,19 @@ def measure(data: str, run: str) -> dict:
         keep = (a.std(axis=0) > 0) & (b.std(axis=0) > 0)
         return float(np.mean([np.corrcoef(a[:, j], b[:, j])[0, 1] for j in np.flatnonzero(keep)]))
 
+    def median_contribution(mat):
+        mc = evaluate.modality_contribution([mat], ds.labels, seed=cfg.seed)
+        return mc.summary[next(iter(mc.summary))]["median"]
+
+    es, _ = network.forward_all(params, pre.tra, pre.mor, network.normalized_adjacency(graph))
+    ratio_in = median_contribution(pre.tra) / median_contribution(pre.mor)
+    ratio_emb = median_contribution(es.y_tra) / median_contribution(es.y_mor)
     return {
         "mean_z_norm": float(np.sqrt((z * z).sum(axis=1)).mean()),
         "c7_ratio": emb["tra"]["median"] / emb["mor"]["median"] if emb else None,
+        "ratio_in": ratio_in,
+        "ratio_emb": ratio_emb,
+        "c7_quotient": ratio_emb / ratio_in,
         "c9_gap": mean_gene_corr(x_hat, truth) - mean_gene_corr(noisy, truth),
     }
 
@@ -97,7 +115,11 @@ def one_run(src: Path, work: Path, dataset: str, seed: int, epochs: int) -> dict
         [sys.executable, __file__, "--measure", str(data), str(out)], env=_env(src), capture_output=True, text=True, check=True
     )
     row.update(json.loads(probe.stdout.splitlines()[-1]))
-    print(f"{out.name}: ARI {row['ari']:.4f} MRRE {row['mrre']:.4f} gap {row['c9_gap']:+.4f}", file=sys.stderr)
+    print(
+        f"{out.name}: ARI {row['ari']:.4f} MRRE {row['mrre']:.4f} gap {row['c9_gap']:+.4f}"
+        f" c7 {row['ratio_in']:.2f}->{row['ratio_emb']:.2f}",
+        file=sys.stderr,
+    )
     return row
 
 

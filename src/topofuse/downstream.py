@@ -8,9 +8,8 @@ cluster-graph connectivity and decoder-based denoising.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +59,8 @@ class ClusterModel:
     loglik_history: list
 
     def __post_init__(self):
-        hist = self.loglik_history
-        for a, b in zip(hist, hist[1:]):
-            if b < a:
-                raise DegenerateComponent("log-likelihood decreased during EM")
+        if np.any(np.diff(self.loglik_history) < 0):
+            raise DegenerateComponent("log-likelihood decreased during EM")
 
 
 @dataclass
@@ -100,21 +97,17 @@ def em_fit(z: np.ndarray, k: int, means0: np.ndarray) -> EMResult:
     iterate: its parameters, responsibilities and the non-decreasing history
     that led to it.
     """
-    n, d = z.shape
+    zz = z * z
     means = means0.copy()
     covs = np.tile(z.var(axis=0) + GMM_RIDGE, (k, 1))
     weights = np.full(k, 1.0 / k)
     history = []
     best = None
     for _ in range(GMM_MAX_ITER):
-        # E step in log space
-        log_prob = np.empty((n, k))
-        for c in range(k):
-            diff = z - means[c]
-            log_prob[:, c] = (
-                -0.5 * (np.log(2.0 * np.pi * covs[c]).sum() + (diff * diff / covs[c]).sum(axis=1))
-                + np.log(weights[c])
-            )
+        # E step in log space: the Mahalanobis term as an expanded square
+        inv = 1.0 / covs
+        const = np.log(2.0 * np.pi * covs).sum(axis=1) + (means * means * inv).sum(axis=1)
+        log_prob = -0.5 * (zz @ inv.T - 2.0 * (z @ (means * inv).T) + const) + np.log(weights)
         m = log_prob.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(log_prob - m).sum(axis=1))
         ll = float(lse.sum())
@@ -130,12 +123,9 @@ def em_fit(z: np.ndarray, k: int, means0: np.ndarray) -> EMResult:
         if np.any(nk < 1e-10):
             best.ok = False
             break
-        weights = nk / n
+        weights = nk / len(z)
         means = (resp.T @ z) / nk[:, None]
-        covs = np.empty((k, d))
-        for c in range(k):
-            diff = z - means[c]
-            covs[c] = (resp[:, c] @ (diff * diff)) / nk[c] + GMM_RIDGE
+        covs = (resp.T @ zz) / nk[:, None] - means * means + GMM_RIDGE
     return best
 
 
@@ -153,7 +143,9 @@ def gmm_cluster(z: np.ndarray, k: int, restarts: int = GMM_RESTARTS, rng: np.ran
         res = em_fit(z, k, means0)
         if not res.ok:
             continue
-        if best is None or res.history[-1] > best.history[-1]:
+        # Restarts that reach one optimum, each in its own component order, differ
+        # by rounding only: a later one must win by more than em_fit's stop tolerance.
+        if best is None or res.history[-1] - best.history[-1] > GMM_REL_TOL * abs(best.history[-1]):
             best = res
     if best is None:
         raise DegenerateComponent("every restart collapsed a component")
@@ -245,7 +237,7 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
     for _ in range(VIS_EPOCHS):
         batch = _vis_pairs(plan, rng)
         vi, cache = _stack_forward(z, layers, None)
-        loss, dvi, _ = topo_loss(batch, z, vi, kc, alpha=0.0, nu_prior=cfg.nu)
+        loss, dvi = topo_loss(batch, z, vi, kc, alpha=0.0, nu_prior=cfg.nu)
         if not np.isfinite(loss):
             raise NonFiniteLoss("visualization loss became non-finite")
         for layer in layers:
@@ -255,14 +247,6 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
         history.append(loss)
     vi, _ = _stack_forward(z, layers, None)
     return vi, history
-
-
-def _soft(x: float, thr: float) -> float:
-    if x > thr:
-        return x - thr
-    if x < -thr:
-        return x + thr
-    return 0.0
 
 
 @dataclass
@@ -279,6 +263,8 @@ def deconvolve(z: np.ndarray, labels: np.ndarray, l1: float) -> DeconvolutionRes
     """Solve min_w ||z_i - B w||^2 + l1 ||w||_1 per spot by coordinate descent.
 
     B holds the cluster mean embeddings as columns (sorted by cluster id).
+    Each sweep updates one weight column at a time for every spot still above
+    LASSO_KKT_TOL; a spot that gets below it stops changing.
     """
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels)
@@ -288,46 +274,35 @@ def deconvolve(z: np.ndarray, labels: np.ndarray, l1: float) -> DeconvolutionRes
         raise OutOfRange(f"l1 must be a finite number >= 0, got {l1}")
     cluster_ids = sorted(set(int(v) for v in labels))
     basis = np.column_stack([z[labels == c].mean(axis=0) for c in cluster_ids])
-    k = basis.shape[1]
     col2 = (basis * basis).sum(axis=0)
-    n = z.shape[0]
+    n, k = z.shape[0], basis.shape[1]
     weights = np.zeros((n, k))
-    worst = 0.0
-    converged = True
+    kkt = np.zeros(n)
     thr = l1 / 2.0
-    for idx in range(n):
-        w = weights[idx]
-        r = z[idx].copy()
-        kkt = np.inf
-        for _ in range(LASSO_MAX_SWEEPS):
-            for j in range(k):
-                if col2[j] < 1e-30:
-                    continue
-                rho = basis[:, j] @ r + col2[j] * w[j]
-                new = _soft(rho, thr) / col2[j]
-                if new != w[j]:
-                    r -= (new - w[j]) * basis[:, j]
-                    w[j] = new
-            grad = -2.0 * (basis.T @ r)
-            kkt = 0.0
-            for j in range(k):
-                if w[j] != 0.0:
-                    kkt = max(kkt, abs(grad[j] + l1 * math.copysign(1.0, w[j])))
-                else:
-                    kkt = max(kkt, max(0.0, abs(grad[j]) - l1))
-            if kkt < LASSO_KKT_TOL:
-                break
-        worst = max(worst, kkt)
-        if kkt >= LASSO_KKT_TOL:
-            converged = False
+    live, r, w = np.arange(n), z.copy(), weights.copy()
+    for _ in range(LASSO_MAX_SWEEPS):
+        for j in np.flatnonzero(col2 >= 1e-30):
+            b = basis[:, j]
+            rho = r @ b + col2[j] * w[:, j]
+            new = (np.maximum(rho - thr, 0.0) + np.minimum(rho + thr, 0.0)) / col2[j]
+            r -= np.outer(new - w[:, j], b)
+            w[:, j] = new
+        grad = -2.0 * (r @ basis)
+        step = np.where(w != 0.0, np.abs(grad + l1 * np.sign(w)), np.maximum(np.abs(grad) - l1, 0.0)).max(axis=1)
+        weights[live], kkt[live] = w, step
+        going = step >= LASSO_KKT_TOL
+        if not going.any():
+            break
+        live, r, w = live[going], r[going], w[going]
+    worst = float(kkt.max())
+    converged = worst < LASSO_KKT_TOL
     if not converged:
         warnings.warn(NonConvergenceWarning(f"deconvolution stopped above tolerance (kkt={worst:.2e})"))
-    impurity = weights.std(axis=1)
     return DeconvolutionResult(
         cluster_ids=cluster_ids,
         basis=basis,
         weights=weights,
-        impurity=impurity,
+        impurity=weights.std(axis=1),
         kkt=worst,
         converged=converged,
     )

@@ -73,15 +73,14 @@ def topo_loss(
     alpha: float,
     nu_prior: float | None = None,
     t_fixed: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Cross entropy between latent similarities and the per-modality prior.
 
     `y_m` and `z` carry dataset rows first and augmented-payload rows after
     them, matching the index convention of PairBatch. Returns the scalar loss
-    and gradients for z and y_m; the y_m gradient is identically zero because
-    the prior is detached. `t_fixed` substitutes a precomputed prior per pair,
-    which keeps the loss a pure function of z when differentiating through
-    the encoder.
+    and the gradient for z; the prior is detached, so y_m gets no gradient.
+    `t_fixed` substitutes a precomputed prior per pair, which keeps the loss
+    a pure function of z when differentiating through the encoder.
     """
     if y_m.shape[0] != z.shape[0]:
         raise ShapeMismatch("y_m and z must cover the same rows")
@@ -132,7 +131,7 @@ def topo_loss(
     for c in range(z.shape[1]):
         col = dpair[:, c]
         dz[:, c] = np.bincount(idx, weights=np.concatenate([col, -col]), minlength=z.shape[0])
-    return loss, dz, np.zeros_like(y_m)
+    return loss, dz
 
 
 def recon_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -278,7 +277,7 @@ def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg,
         # the prior sees the same inputs, so it starts from their cached first aggregates
         y_full = np.concatenate([gcn_from_aggregate(c["aggs"][0], a_hat, priors[name]) for c in (caches[name], c_view)])
         z_full = np.concatenate([es.z, z_view], axis=0)
-        l_m, dz_full, _ = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
+        l_m, dz_full = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
         losses[name] = l_m
         dz_base += dz_full[:n]
         backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])

@@ -113,10 +113,10 @@ def test_criterion_1_gradient_fidelity():
 
     def loss_at(p):
         es, _, es_t, _, es_m, _ = forwards(p)
-        l_tr, _, _ = objective.topo_loss(
+        l_tr, _ = objective.topo_loss(
             b_tr, np.vstack([es.y_tra, es_t.y_tra]), np.vstack([es.z, es_t.z]), kc, cfg.alpha, t_fixed=t_tr
         )
-        l_mo, _, _ = objective.topo_loss(
+        l_mo, _ = objective.topo_loss(
             b_mo, np.vstack([es.y_mor, es_m.y_mor]), np.vstack([es.z, es_m.z]), kc, cfg.alpha, t_fixed=t_mo
         )
         l_rec, _ = objective.recon_loss(x_tra, es.x_hat)
@@ -132,7 +132,7 @@ def test_criterion_1_gradient_fidelity():
     ):
         y_full = np.vstack([getattr(es, attr), getattr(es_v, attr)])
         z_full = np.vstack([es.z, es_v.z])
-        _, dz_full, _ = objective.topo_loss(batch, y_full, z_full, kc, cfg.alpha, t_fixed=t_bar)
+        _, dz_full = objective.topo_loss(batch, y_full, z_full, kc, cfg.alpha, t_fixed=t_bar)
         dz_base += dz_full[:n]
         network.backward_all(params, c_v, dz=dz_full[n:])
     network.backward_all(params, c, dz=dz_base, dxhat=cfg.lambda_ * dxhat)
@@ -217,12 +217,12 @@ def test_criterion_3_kernel_and_prior():
     d2 = ((z_full[batch.anchors] - z_full[batch.partners]) ** 2).sum(axis=1)
     assert d2.min() > 1e-6, "degenerate pair would sit on the clamp boundary"
     kc = objective.KernelConfig(nu=1.0)
-    loss, _, _ = objective.topo_loss(batch, z_full, z_full, kc, alpha=0.0)
+    loss, _ = objective.topo_loss(batch, z_full, z_full, kc, alpha=0.0)
     bound = binary_entropy((1.0 + d2) ** -2.0)
     gap = abs(loss - bound)
     above = True
     for scale in (0.01, 0.1, 1.0):
-        loss_p, _, _ = objective.topo_loss(batch, z_full, z_full + rng.normal(scale=scale, size=z_full.shape), kc, alpha=0.0)
+        loss_p, _ = objective.topo_loss(batch, z_full, z_full + rng.normal(scale=scale, size=z_full.shape), kc, alpha=0.0)
         above = above and loss_p >= bound - 1e-12
     ok = self_ok and mono_ok and prior_gap <= 1e-15 and gap <= 1e-9 and above
     _record(

@@ -83,8 +83,10 @@ class TestEmFit:
         best = stop if dropped else stop + 1
         res = downstream.em_fit(z, 8, means0)
         assert res.ok
-        assert res.history == lls[: best + 1]
-        assert np.array_equal(res.resp, resps[best])
+        # the oracle's per-component arithmetic rounds apart from em_fit's matrix products
+        assert len(res.history) == best + 1
+        np.testing.assert_allclose(res.history, lls[: best + 1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.resp, resps[best], rtol=0.0, atol=1e-9)
         self._model(res.history)
 
 
@@ -105,6 +107,21 @@ class TestGmmCluster:
         b = downstream.gmm_cluster(z, 2, rng=np.random.default_rng(7))
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.means, b.means)
+
+    @pytest.mark.parametrize("second, wins", [(4.0e4 * (1 + 1e-14), False), (4.0e4 + 1e-3, True)])
+    def test_later_restart_wins_only_beyond_the_stop_tolerance(self, monkeypatch, second, wins):
+        # restart c puts every spot in component c; a rounding-level gain keeps restart 0
+        fits = iter([(4.0e4, 0), (second, 1)])
+
+        def fit(z, k, means0):
+            ll, c = next(fits)
+            resp = np.zeros((len(z), k))
+            resp[:, c] = 1.0
+            return downstream.EMResult(np.zeros((k, 2)), np.ones((k, 2)), np.full(k, 0.5), resp, [ll], ok=True)
+
+        monkeypatch.setattr(downstream, "em_fit", fit)
+        model = downstream.gmm_cluster(np.zeros((3, 2)), 2, restarts=2)
+        assert np.array_equal(model.labels, np.full(3, int(wins)))
 
     def test_bounds(self, rng):
         z = rng.normal(size=(3, 2))
@@ -181,6 +198,13 @@ class TestDeconvolve:
         with pytest.warns(NonConvergenceWarning):
             res = downstream.deconvolve(z, labels, l1=0.2)
         assert not res.converged
+
+    def test_no_weight_is_a_negative_zero(self, rng):
+        z, labels = _blobs(rng, [(0.0, 0.0, 0.0), (5.0, 0.0, 1.0), (0.0, 5.0, -1.0)], per=20, scale=1.5)
+        res = downstream.deconvolve(z, labels, l1=2.0)
+        zero = res.weights == 0.0
+        assert zero.sum() > 10
+        assert not np.signbit(res.weights[zero]).any()
 
     def test_bounds(self, rng):
         z = rng.normal(size=(6, 2))

@@ -70,20 +70,19 @@ class TestTopoLoss:
         x = math.sqrt(math.sqrt(2.0) - 1.0)
         z = np.array([[0.0], [x]])
         batch = _pair_batch(2, [0], [1], [0])
-        loss, dz, dym = objective.topo_loss(
+        loss, dz = objective.topo_loss(
             batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=np.array([1.0])
         )
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         # dL/dd2 = t * p / (nu * u) = 2 / sqrt(2); dz_i = 2 * dL/dd2 * (z_i - z_j)
         assert dz[0, 0] == pytest.approx(2.0 * math.sqrt(2.0) * -x, rel=1e-12)
         assert dz[1, 0] == -dz[0, 0]
-        assert np.array_equal(dym, np.zeros_like(z))
 
     def test_prior_nu_separate_from_latent_nu(self):
         y = np.array([[0.0], [1.0]])
         z = np.array([[0.0], [1.0]])
         batch = _pair_batch(2, [0], [1], [0])
-        loss, _, _ = objective.topo_loss(
+        loss, _ = objective.topo_loss(
             batch, y, z, objective.KernelConfig(nu=0.5), 0.0, nu_prior=1.0
         )
         # t = 0.25 from nu=1; S = 3^-3 from nu=0.5
@@ -94,7 +93,7 @@ class TestTopoLoss:
         z = rng.normal(size=(4, 3))
         batch = _pair_batch(4, [0], [1], [0], payload_dim=3)
         for t, sign in ((np.array([0.95]), 1.0), (np.array([0.02]), -1.0)):
-            _, dz, _ = objective.topo_loss(
+            _, dz = objective.topo_loss(
                 batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=t
             )
             assert sign * float(dz[0] @ (z[0] - z[1])) > 0.0
@@ -110,10 +109,10 @@ class TestTopoLoss:
         kcfg = objective.KernelConfig(nu=0.8)
 
         def f(zv):
-            loss, _, _ = objective.topo_loss(batch, y, zv, kcfg, 0.0, t_fixed=t_fixed)
+            loss, _ = objective.topo_loss(batch, y, zv, kcfg, 0.0, t_fixed=t_fixed)
             return loss
 
-        _, dz, _ = objective.topo_loss(batch, y, z, kcfg, 0.0, t_fixed=t_fixed)
+        _, dz = objective.topo_loss(batch, y, z, kcfg, 0.0, t_fixed=t_fixed)
         h = 1e-6
         worst = 0.0
         for i in range(n):
@@ -130,12 +129,12 @@ class TestTopoLoss:
         far = np.array([[0.0], [1e6]])
         batch = _pair_batch(2, [0], [1], [0])
         kcfg = objective.KernelConfig(nu=1.0)
-        loss_hi_t, _, _ = objective.topo_loss(batch, far, far, kcfg, 0.0, t_fixed=np.array([1.0]))
+        loss_hi_t, _ = objective.topo_loss(batch, far, far, kcfg, 0.0, t_fixed=np.array([1.0]))
         assert loss_hi_t == pytest.approx(-math.log(1e-7), abs=1e-12)
         near = np.array([[0.0], [0.0]])
-        loss_lo_t, _, _ = objective.topo_loss(batch, near, near, kcfg, 0.0, t_fixed=np.array([0.0]))
+        loss_lo_t, _ = objective.topo_loss(batch, near, near, kcfg, 0.0, t_fixed=np.array([0.0]))
         assert loss_lo_t == pytest.approx(-math.log(1e-7), abs=1e-12)
-        loss_hi, _, _ = objective.topo_loss(batch, near, near, kcfg, 0.0, t_fixed=np.array([1.0]))
+        loss_hi, _ = objective.topo_loss(batch, near, near, kcfg, 0.0, t_fixed=np.array([1.0]))
         assert loss_hi == pytest.approx(-math.log1p(-1e-7), abs=1e-15)
 
     def test_attraction_survives_the_value_clamp(self):
@@ -143,7 +142,7 @@ class TestTopoLoss:
         # pull the pair together: the 1/S factor cancels the kernel tail.
         z = np.array([[0.0], [1e6]])
         batch = _pair_batch(2, [0], [1], [0])
-        _, dz, _ = objective.topo_loss(
+        _, dz = objective.topo_loss(
             batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=np.array([0.5])
         )
         u = 1.0 + 1e12
@@ -156,7 +155,7 @@ class TestTopoLoss:
         batch = _pair_batch(5, [0, 1, 2], [2, 3, 4], [0, 0, 0], payload_dim=2)
         d2 = ((z[batch.anchors] - z[batch.partners]) ** 2).sum(axis=1)
         t = (1.0 + d2) ** -2.0
-        loss, _, _ = objective.topo_loss(
+        loss, _ = objective.topo_loss(
             batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=t
         )
         assert loss == pytest.approx(binary_entropy(t), abs=1e-9)
@@ -172,7 +171,7 @@ class TestTopoLoss:
         batch = _pair_batch(7, anchors, partners, [0] * 10, payload_dim=4)
         t = rng.uniform(0.0, 1.0, size=10)
         kcfg = objective.KernelConfig(nu=0.7)
-        _, dz, _ = objective.topo_loss(batch, z, z, kcfg, 0.0, t_fixed=t)
+        _, dz = objective.topo_loss(batch, z, z, kcfg, 0.0, t_fixed=t)
         want = topo_dz_oracle(batch.anchors, batch.partners, z, t, kcfg.nu, kcfg.clamp_eps)
         assert np.array_equal(dz, want)
         assert np.array_equal(np.signbit(dz), np.signbit(want))

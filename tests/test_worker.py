@@ -6,7 +6,7 @@ import pytest
 
 import topofuse
 from topofuse import worker
-from topofuse.errors import OutOfRange
+from topofuse.errors import OutOfRange, WorkerLost
 from topofuse.topology import auto_epsilon
 
 
@@ -57,4 +57,10 @@ class TestWorker:
         with worker.Worker() as jobs:
             jobs.submit("number", int, "x")
             with pytest.raises(RuntimeError, match="(?s)the number failed in the worker process.*ValueError"):
+                jobs.results()
+
+    def test_a_worker_that_dies_is_named_with_its_job(self):
+        with worker.Worker() as jobs:
+            jobs.submit("exit", os._exit, 3)
+            with pytest.raises(WorkerLost, match="exited with status 3 before returning the exit$"):
                 jobs.results()
