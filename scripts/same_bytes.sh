@@ -15,14 +15,16 @@
 # Then runs the working tree's 8x125 report once more under `taskset -c 0`:
 # on one CPU `report` runs every analysis inline instead of in its worker
 # process, so both paths are checked against REF. Compares the output trees
-# with `diff -r`, manifests included, except the checkpoints (`ckpt.*`): each
+# with `diff -rq`, manifests included, except the checkpoints (`ckpt.*`): each
 # tree reads its own with its own `load_checkpoint`, and the tensors, theta
 # and fusion_mode must be exactly equal, so a change of checkpoint format
 # still shows "same model, same outputs". markers reads the checkpoint
 # through a link named `ckpt.any`, so its manifest records the same argv
 # whatever the format's file name.
 # Prints the sha256 of every embedding.csv and report.json of the working
-# tree and exits 1 on any difference. Set PYTHON to pick the interpreter.
+# tree, runs all four comparisons (ref against the working tree, and against
+# the one-CPU report, each for the outputs and the checkpoints), names each
+# differing file once and exits 1 if any comparison differs. Set PYTHON to pick the interpreter.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -123,10 +125,13 @@ dump_ckpts "$repo/src" "$work/out-new" "$work/ckpt-new"
 dump_ckpts "$repo/src" "$work/out-inline" "$work/ckpt-inline"
 
 (cd "$work/out-new" && find . \( -name embedding.csv -o -name report.json \) | sort | xargs sha256sum)
-if diff -r -x 'ckpt.*' "$work/out-ref" "$work/out-new" \
-    && diff -r -x 'ckpt.*' "$work/out-ref/report125-e20" "$work/out-inline/report125-e20" \
-    && diff -r "$work/ckpt-ref" "$work/ckpt-new" \
-    && diff -r "$work/ckpt-ref/report125-e20" "$work/ckpt-inline/report125-e20"; then
+# every comparison runs, and each differing file is named once
+same=0
+diff -rq -x 'ckpt.*' "$work/out-ref" "$work/out-new" || same=1
+diff -rq -x 'ckpt.*' "$work/out-ref/report125-e20" "$work/out-inline/report125-e20" || same=1
+diff -rq "$work/ckpt-ref" "$work/ckpt-new" || same=1
+diff -rq "$work/ckpt-ref/report125-e20" "$work/ckpt-inline/report125-e20" || same=1
+if [ "$same" -eq 0 ]; then
     echo "same bytes as $1 (checkpoints: same tensors, theta and fusion_mode), one-CPU report included"
 else
     echo "outputs differ from $1" >&2

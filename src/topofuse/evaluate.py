@@ -17,6 +17,7 @@ from .topology import nearest, sq_dist_blocks
 
 SVM_EPOCHS = 200
 SVM_C = 1.0
+SVM_BATCH = 8
 
 
 def ari(a, b) -> float:
@@ -89,15 +90,14 @@ def mrre(x_high: np.ndarray, x_low: np.ndarray, k: int) -> float:
     return float(total / (m * abs(m - 2 * k) / k))
 
 
-def fit_linear_svm(
-    x: np.ndarray, y: np.ndarray, rng: np.random.Generator, epochs: int = SVM_EPOCHS, c: float = SVM_C
-):
-    """One-vs-rest linear SVM by SGD on the hinge + L2 objective.
+def fit_linear_svm(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
+    """One-vs-rest linear SVM by minibatch Pegasos on the hinge + L2 objective.
 
-    The intercept rides along as a constant feature. All classes share one
-    shuffle per epoch and the decaying step size 1 / (lambda * t) with
-    lambda = 1 / (c * n). Returns (weights: classes x features, biases,
-    class values).
+    The intercept rides along as a constant feature. Each epoch shuffles the
+    rows once and steps on consecutive batches of SVM_BATCH of them, all
+    classes at once, with the step size 1 / (lambda * t) of batch t and
+    lambda = 1 / (SVM_C * n) (Shalev-Shwartz et al., ICML 2007). Returns
+    (weights: classes x features, biases, class values).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -105,22 +105,21 @@ def fit_linear_svm(
     classes = sorted(set(y.tolist()))
     if len(classes) < 2:
         raise SingleClass("need at least two classes")
-    lam = 1.0 / (c * n)
+    lam = 1.0 / (SVM_C * n)
     xa = np.column_stack([x, np.ones(n)])
-    # one row of +-1 targets per sample, contiguous for the per-sample loop
     targets = np.stack([np.where(y == cls, 1.0, -1.0) for cls in classes], axis=1)
     wa = np.zeros((len(classes), f + 1))
     step = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
+    for _ in range(SVM_EPOCHS):
+        order = rng.permutation(n)
+        xs, ts = xa[order], targets[order]
+        for lo in range(0, n, SVM_BATCH):
+            x_b, t_b = xs[lo : lo + SVM_BATCH], ts[lo : lo + SVM_BATCH]
             step += 1
             eta = 1.0 / (lam * step)
-            t_i, x_i = targets[i], xa[i]
-            margins = t_i * (wa @ x_i)
+            hit = t_b * (x_b @ wa.T) < 1.0
             wa *= 1.0 - eta * lam
-            hit = margins < 1.0
-            if hit.any():
-                wa[hit] += (eta * t_i[hit])[:, None] * x_i
+            wa += (eta / len(x_b)) * (hit * t_b).T @ x_b
     return wa[:, :f], wa[:, f].copy(), classes
 
 

@@ -86,15 +86,22 @@ class Worker:
     with it the BLAS thread pins), reads pickled jobs from its stdin and writes
     one pickled result per job to its stdout, in order. It imports numpy
     before it reads a job, so the first job's arrays do not wait on that import.
+    `submit` pickles the job at once and hands the bytes to a feeder thread that
+    writes them, so the caller never waits on the pipe while the worker starts.
     """
 
     def __init__(self):
+        import queue
         import subprocess
+        import threading
 
         self._jobs = []
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         code = f"import sys; sys.path.insert(0, {root!r}); import numpy; from topofuse.worker import serve; serve()"
         self._proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._feed = queue.SimpleQueue()
+        self._feeder = threading.Thread(target=self._write_jobs, daemon=True)
+        self._feeder.start()
 
     def __enter__(self):
         return self
@@ -103,18 +110,30 @@ class Worker:
         if self._proc.returncode is None:
             self._proc.kill()
         self._proc.wait()
+        self._stop_feeder()
         for pipe in (self._proc.stdin, self._proc.stdout):
             with contextlib.suppress(OSError):
                 pipe.close()
 
     def submit(self, name, fn, *args):
         self._jobs.append(name)
+        # pickled now: a later change to the caller's arrays cannot reach the worker
+        self._feed.put(pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL))
+
+    def _write_jobs(self):
         # a dead worker breaks the pipe; results() then names the first job it did not answer
         with contextlib.suppress(BrokenPipeError):
-            pickle.dump((fn, args), self._proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            self._proc.stdin.flush()
+            for data in iter(self._feed.get, None):
+                self._proc.stdin.write(data)
+                self._proc.stdin.flush()
+                del data  # freed now, not when the next job comes: the caller trains meanwhile
+
+    def _stop_feeder(self):
+        self._feed.put(None)
+        self._feeder.join()
 
     def results(self) -> dict:
+        self._stop_feeder()
         with contextlib.suppress(BrokenPipeError):
             self._proc.stdin.close()  # no more jobs: the worker exits after the last one
         out = {}

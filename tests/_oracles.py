@@ -334,3 +334,63 @@ def paga_oracle(neighbors, labels) -> np.ndarray:
             v = 0.0 if expected <= 0 else min(1.0, observed / expected)
             conn[ai, bi] = conn[bi, ai] = v
     return conn
+
+
+def pegasos_oracle(x: np.ndarray, y, rng: np.random.Generator, epochs: int, batch: int, c: float = 1.0):
+    """One-vs-rest minibatch Pegasos, one class, row and feature at a time.
+
+    Per epoch one permutation of the rows; per batch of `batch` consecutive
+    rows of it, with t counting batches and eta = 1 / (lam t): every class's
+    hinge hits against the weights before the step, then
+    w = (1 - eta lam) w + eta / |batch| * sum of target * row over the hits.
+    The intercept is a constant feature 1. Returns (weights, biases, classes).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, f = x.shape
+    classes = sorted(set(np.asarray(y).tolist()))
+    lam = 1.0 / (c * n)
+    rows = [[float(v) for v in x[i]] + [1.0] for i in range(n)]
+    w = [[0.0] * (f + 1) for _ in classes]
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n).tolist()
+        for lo in range(0, n, batch):
+            b = order[lo : lo + batch]
+            t += 1
+            eta = 1.0 / (lam * t)
+            for k, cls in enumerate(classes):
+                grad = [0.0] * (f + 1)
+                for i in b:
+                    target = 1.0 if y[i] == cls else -1.0
+                    if target * sum(w[k][j] * rows[i][j] for j in range(f + 1)) < 1.0:
+                        for j in range(f + 1):
+                            grad[j] += target * rows[i][j]
+                for j in range(f + 1):
+                    w[k][j] = (1.0 - eta * lam) * w[k][j] + eta / len(b) * grad[j]
+    w = np.array(w)
+    return w[:, :f], w[:, f], classes
+
+
+def per_sample_svm_oracle(x: np.ndarray, y, rng: np.random.Generator, epochs: int, c: float = 1.0):
+    """One-vs-rest linear SVM by per-sample SGD: Pegasos with batches of one row.
+
+    The fit the package used before it stepped on minibatches; kept to compare
+    the objective values the two reach.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    n, f = x.shape
+    classes = sorted(set(y.tolist()))
+    lam = 1.0 / (c * n)
+    xa = np.column_stack([x, np.ones(n)])
+    targets = np.stack([np.where(y == cls, 1.0, -1.0) for cls in classes], axis=1)
+    wa = np.zeros((len(classes), f + 1))
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            eta = 1.0 / (lam * t)
+            hit = targets[i] * (wa @ xa[i]) < 1.0
+            wa *= 1.0 - eta * lam
+            wa[hit] += (eta * targets[i][hit])[:, None] * xa[i]
+    return wa[:, :f], wa[:, f], classes

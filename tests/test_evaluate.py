@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from topofuse import evaluate
+from topofuse import dataio, evaluate, preprocess, synth
 from topofuse.errors import LengthMismatch, OutOfRange, ShapeMismatch, SingleClass
 
-from _oracles import ari_pair_oracle, block_edge_grid, full_mrre, mrre_oracle
+from _oracles import ari_pair_oracle, block_edge_grid, full_mrre, mrre_oracle, pegasos_oracle, per_sample_svm_oracle
 
 
 class TestAri:
@@ -82,6 +82,14 @@ def _labeled_blobs(rng, centers, per=20, scale=0.3, noise_dims=0, noise_scale=0.
     return x, np.asarray(labels)
 
 
+def _hinge_l2(x, y, w, b, classes):
+    """lam/2 |(w, b)|^2 + the mean over rows of the one-vs-rest hinge losses summed over classes."""
+    lam = 1.0 / (evaluate.SVM_C * len(x))
+    targets = np.where(np.asarray(y)[:, None] == np.asarray(classes)[None, :], 1.0, -1.0)
+    hinge = np.maximum(0.0, 1.0 - targets * (x @ w.T + b)).sum(axis=1).mean()
+    return lam / 2 * ((w * w).sum() + (b * b).sum()) + hinge
+
+
 class TestLinearSvm:
     def test_separable_two_class(self, rng):
         x, y = _labeled_blobs(rng, [(0.0, 0.0), (6.0, 6.0)])
@@ -113,6 +121,27 @@ class TestLinearSvm:
         b = np.zeros(2)
         x = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert evaluate.svm_predict(x, w, b).tolist() == [0, 1]
+
+    def test_matches_the_scalar_minibatch_oracle(self, rng):
+        # 21 rows: two full batches and a short third one per epoch
+        x, y = _labeled_blobs(rng, [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], per=7, scale=1.0)
+        w, b, classes = evaluate.fit_linear_svm(x, y, np.random.default_rng(5))
+        w_o, b_o, classes_o = pegasos_oracle(
+            x, y, np.random.default_rng(5), evaluate.SVM_EPOCHS, evaluate.SVM_BATCH, evaluate.SVM_C
+        )
+        assert classes == classes_o
+        np.testing.assert_allclose(w, w_o, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, b_o, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("modality", ["tra", "mor"])
+    def test_objective_close_to_per_sample_sgd(self, modality):
+        # criterion 7's seed-0 inputs, each modality scored alone as the criterion does
+        ds, truth = synth.generate(synth.SynthSpec(signal_mor=0.0, seed=0))
+        pre = preprocess.preprocess_dataset(ds, dataio.RunConfig().replace(seed=0))
+        x, y = getattr(pre, modality), truth["labels"]
+        fit = evaluate.fit_linear_svm(x, y, np.random.default_rng([0, 17]))
+        old = per_sample_svm_oracle(x, y, np.random.default_rng([0, 17]), evaluate.SVM_EPOCHS, evaluate.SVM_C)
+        assert _hinge_l2(x, y, *fit) == pytest.approx(_hinge_l2(x, y, *old), rel=0.02, abs=1e-3)
 
 
 class TestLinearShap:

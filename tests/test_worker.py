@@ -1,7 +1,9 @@
 import importlib.util
 import os
 import subprocess
+import time
 
+import numpy as np
 import pytest
 
 import topofuse
@@ -64,3 +66,16 @@ class TestWorker:
             jobs.submit("exit", os._exit, 3)
             with pytest.raises(WorkerLost, match="exited with status 3 before returning the exit$"):
                 jobs.results()
+
+    def test_submit_does_not_wait_for_the_worker(self):
+        big = np.arange(2**18, dtype=np.float64)  # 2 MB, far more than a pipe holds
+        with worker.Worker() as jobs:
+            jobs.submit("sleep", time.sleep, 0.3)
+            start = time.perf_counter()
+            jobs.submit("sum", np.sum, big)
+            took = time.perf_counter() - start
+            big[:] = 0.0  # the job was pickled when submitted
+            done = jobs.results()
+        assert took < 0.05
+        assert list(done) == ["sleep", "sum"]
+        assert done["sum"] == float(np.arange(2**18).sum())
