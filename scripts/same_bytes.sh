@@ -24,7 +24,9 @@
 # Prints the sha256 of every embedding.csv and report.json of the working
 # tree, runs all four comparisons (ref against the working tree, and against
 # the one-CPU report, each for the outputs and the checkpoints), names each
-# differing file once and exits 1 if any comparison differs. Set PYTHON to pick the interpreter.
+# differing file once, then the JSON pointer of each differing key of every
+# differing .json file (at most 10 per file), and exits 1 if any comparison
+# differs. Set PYTHON to pick the interpreter.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -124,11 +126,52 @@ dump_ckpts "$work/ref/src" "$work/out-ref" "$work/ckpt-ref"
 dump_ckpts "$repo/src" "$work/out-new" "$work/ckpt-new"
 dump_ckpts "$repo/src" "$work/out-inline" "$work/ckpt-inline"
 
+# json_keys REF_DIR NEW_DIR: "file: /pointer" for each differing value, or key
+# present on one side only, of every .json file both trees hold with other bytes
+json_keys() {
+    "$python" - "$1" "$2" <<'PY'
+import json
+import pathlib
+import sys
+
+ref, new = (pathlib.Path(p) for p in sys.argv[1:])
+
+
+def walk(a, b, path):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in list(a) + [key for key in b if key not in a]:
+            sub = path + "/" + key.replace("~", "~0").replace("/", "~1")
+            if key in a and key in b:
+                yield from walk(a[key], b[key], sub)
+            else:
+                yield sub
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from walk(x, y, f"{path}/{i}")
+    elif json.dumps(a) != json.dumps(b):
+        yield path or "/"
+
+
+for path in sorted(ref.rglob("*.json")):
+    other = new / path.relative_to(ref)
+    if other.is_file() and path.read_bytes() != other.read_bytes():
+        keys = list(walk(json.loads(path.read_text()), json.loads(other.read_text()), ""))
+        more = f" (and {len(keys) - 10} more)" if len(keys) > 10 else ""
+        print(f"{path.relative_to(ref)}: {' '.join(keys[:10]) or '(same values, other bytes)'}{more}")
+PY
+}
+
 (cd "$work/out-new" && find . \( -name embedding.csv -o -name report.json \) | sort | xargs sha256sum)
 # every comparison runs, and each differing file is named once
 same=0
-diff -rq -x 'ckpt.*' "$work/out-ref" "$work/out-new" || same=1
-diff -rq -x 'ckpt.*' "$work/out-ref/report125-e20" "$work/out-inline/report125-e20" || same=1
+if ! diff -rq -x 'ckpt.*' "$work/out-ref" "$work/out-new"; then
+    same=1
+    json_keys "$work/out-ref" "$work/out-new"
+fi
+if ! diff -rq -x 'ckpt.*' "$work/out-ref/report125-e20" "$work/out-inline/report125-e20"; then
+    same=1
+    json_keys "$work/out-ref/report125-e20" "$work/out-inline/report125-e20"
+fi
 diff -rq "$work/ckpt-ref" "$work/ckpt-new" || same=1
 diff -rq "$work/ckpt-ref/report125-e20" "$work/ckpt-inline/report125-e20" || same=1
 if [ "$same" -eq 0 ]; then

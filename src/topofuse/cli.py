@@ -133,22 +133,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _pin_threads(argv):
-    """Pin the BLAS pools to --threads before numpy loads; a value that is no positive integer pins nothing."""
-    threads = None
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif a.startswith("--threads="):
-            threads = a.split("=", 1)[1]
-    try:
-        threads = positive_int(threads)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        return  # absent, or refused when the arguments are parsed
-    for var in _THREAD_VARS:
-        os.environ[var] = str(threads)
-
-
 def _parse_override(text: str):
     key, sep, val = text.partition("=")
     if not sep or not key:
@@ -363,7 +347,7 @@ def cmd_train(args, cfg) -> dict:
             write_matrix_csv(os.path.join(args.out, name), ds.spot_ids, [f"y{i}" for i in range(y.shape[1])], y)
     write_losses_csv(os.path.join(args.out, "losses.csv"), state.history)
     print(f"trained {cfg.epochs} epochs; final loss {state.history[-1]['total']:.6g}")
-    return {"epsilon_used": eps, "isolated_nodes": len(spatial.isolated), "notes": state.notes}
+    return {"epsilon_used": eps, "isolated_nodes": len(spatial.isolated)}
 
 
 def cmd_cluster(args, cfg) -> dict:
@@ -496,7 +480,6 @@ def cmd_report(args, cfg) -> dict:
         "notes": {
             "epsilon_used": eps,
             "isolated_nodes": len(spatial.isolated),
-            "augment_fallbacks": state.notes.get("augment_fallbacks", 0),
             "n_clusters": k,
             "deconvolution_converged": dec.converged,
             "vis_final_loss": vis_history[-1],
@@ -549,10 +532,12 @@ _HANDLERS = {
 
 def run(argv) -> int:
     keep_freed_memory()
-    _pin_threads(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is not None:  # before numpy loads
+            for var in _THREAD_VARS:
+                os.environ[var] = str(args.threads)
         args._argv = list(argv)
         cfg = _resolve_config(args) if "config" in args else None  # synth takes no config
         _check_out(args.out)

@@ -182,39 +182,20 @@ def refine_labels(labels: np.ndarray, coords: np.ndarray, k: int = REFINE_K) -> 
     return out
 
 
-def _vis_plan(graph: NeighborGraph) -> tuple:
-    """Draw bounds of one `_vis_pairs` epoch and the tables that decode them.
-
-    `highs` lists the bounds in the order a per-anchor loop draws them: the
-    positive's neighbour index (only for an anchor with neighbours), then
-    N_NEG negatives over the n - 1 other rows. `first` is the position of
-    each anchor's first draw; the graph's `indptr[:-1]` and `indices` follow.
-    """
-    counts = np.diff(graph.indptr)
-    has = counts > 0
-    per = N_NEG + has
-    first = np.cumsum(per) - per
-    highs = np.full(int(per.sum()), graph.n - 1, dtype=np.int64)
-    highs[first[has]] = counts[has]
-    return highs, has, first, graph.indptr[:-1], graph.indices
-
-
-def _vis_pairs(plan: tuple, rng: np.random.Generator) -> PairBatch:
+def _vis_pairs(graph: NeighborGraph, rng: np.random.Generator) -> PairBatch:
     # one kNN positive plus uniform negatives per anchor; no augmented rows.
     # One array-bounded draw gives the values, and leaves the generator in the
-    # state, of drawing each bound of `highs` on its own in turn.
-    highs, has, first, start, nbr_flat = plan
-    n = len(has)
+    # state, of drawing each anchor's bounds on its own in turn: its neighbour
+    # position, then N_NEG negatives over the n - 1 other rows.
+    n = graph.n
+    highs = np.full((n, 1 + N_NEG), n - 1)
+    highs[:, 0] = np.diff(graph.indptr)
     draws = rng.integers(0, highs)
-    rows = np.arange(n)
-    partners = np.empty((n, 1 + N_NEG), dtype=np.int64)
-    partners[:, 0] = (rows + 1) % n
-    partners[has, 0] = nbr_flat[start[has] + draws[first[has]]]
-    t = draws[(first + has)[:, None] + np.arange(N_NEG)]
-    partners[:, 1:] = t + (t >= rows[:, None])
+    partners = draws + (draws >= np.arange(n)[:, None])  # negatives skip the anchor itself
+    partners[:, 0] = graph.indices[graph.indptr[:-1] + draws[:, 0]]
     return PairBatch(
         n=n,
-        anchors=np.repeat(rows, 1 + N_NEG),
+        anchors=np.repeat(np.arange(n), 1 + N_NEG),
         partners=partners.ravel(),
         h=np.zeros(partners.size, dtype=np.int64),
         aug_payload=np.empty((0, 1)),
@@ -230,12 +211,12 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
     d = z.shape[1]
     rng = np.random.default_rng([cfg.seed, 7])
     layers = [_glorot(rng, d, d), _glorot(rng, d, 2)]
-    plan = _vis_plan(knn_graph(z, cfg.k_tr))
+    graph = knn_graph(z, cfg.k_tr)
     adam = Adam(layers, VIS_LR)
     kc = KernelConfig(nu=VIS_NU_LOW)
     history = []
     for _ in range(VIS_EPOCHS):
-        batch = _vis_pairs(plan, rng)
+        batch = _vis_pairs(graph, rng)
         vi, cache = _stack_forward(z, layers, None)
         loss, dvi = topo_loss(batch, z, vi, kc, alpha=0.0, nu_prior=cfg.nu)
         if not np.isfinite(loss):

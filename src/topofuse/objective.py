@@ -172,7 +172,6 @@ class TrainState:
     params: ModelParams
     epoch: int
     history: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
 
 def train(
@@ -204,12 +203,8 @@ def train(
 
     adam = Adam([layer for _, layer in params.named_layers()], cfg.lr)
     history = []
-    fallbacks = 0
     for epoch in range(1, cfg.epochs + 1):
-        losses, l_rec, epoch_fallbacks = _epoch_grads(
-            data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng
-        )
-        fallbacks += epoch_fallbacks
+        losses, l_rec = _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng)
         total = sum(losses.values()) + cfg.lambda_ * l_rec
         if not np.isfinite(total):
             raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
@@ -228,27 +223,22 @@ def train(
     for t in (es_final.z, es_final.x_hat):
         if not np.all(np.isfinite(t)):
             raise NonFiniteLoss("final embeddings are not finite")
-    state = TrainState(params=params, epoch=cfg.epochs, history=history, notes={"augment_fallbacks": fallbacks})
+    state = TrainState(params=params, epoch=cfg.epochs, history=history)
     return state, es_final
 
 
-def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng) -> tuple[dict, float, int]:
+def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng) -> tuple[dict, float]:
     """Accumulate one epoch's gradients into params.
 
     `priors` holds each modality's frozen encoder: the topology loss's target
     is its output on the same masked base and view inputs the trained encoder
-    sees. Returns the topology loss per modality, the reconstruction loss and
-    the number of augmentation fallbacks.
+    sees. Returns the topology loss per modality and the reconstruction loss.
 
     The epoch's batches, masks and caches are freed when it returns, before the
     next epoch allocates its own.
     """
     n = data.n_spots
-    batches = {}
-    fallbacks = 0
-    for name, x, _, p_u in mods:
-        batches[name] = sample_pairs(n, graphs[name], x, N_NEG, p_u, rng)
-        fallbacks += batches[name].fallbacks
+    batches = {name: sample_pairs(n, graphs[name], x, N_NEG, p_u, rng) for name, x, _, p_u in mods}
 
     params.zero_grads()
     # One dropout realization per modality per epoch, shared between the
@@ -288,4 +278,4 @@ def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg,
         dz=dz_base,
         dxhat=cfg.lambda_ * dxhat if cfg.lambda_ > 0 else None,
     )
-    return losses, l_rec, fallbacks
+    return losses, l_rec

@@ -17,8 +17,8 @@ class NeighborGraph:
     """Adjacency in compressed sparse rows (int64 arrays).
 
     Node i's neighbours, in ascending order, are indices[indptr[i]:indptr[i + 1]].
-    A radius graph is symmetric; a kNN graph is directed, with exactly k
-    out-neighbours per node unless n is too small.
+    A radius graph is symmetric; a kNN graph is directed, with exactly
+    min(k, n - 1) out-neighbours per node.
     """
 
     n: int
@@ -166,7 +166,6 @@ class PairBatch:
     partners: np.ndarray
     h: np.ndarray
     aug_payload: np.ndarray
-    fallbacks: int = 0
 
     def __post_init__(self):
         if not (len(self.anchors) == len(self.partners) == len(self.h)):
@@ -195,11 +194,11 @@ def sample_pairs(
     """One augmented partner plus `n_neg` uniform negatives per anchor.
 
     Anchor i's augmented row is (1 - r) x_i + r x_j for a uniformly chosen
-    neighbour j and r ~ U(0, p_u); an anchor without neighbours keeps its own
-    row and counts as a fallback. Three array draws make the batch, in order:
-    the neighbour position of every anchor with neighbours, their r, then the
-    (n, n_neg) negatives over the n - 1 other rows. A seeded generator
-    reproduces the batch exactly.
+    neighbour j and r ~ U(0, p_u), so every node needs a neighbour, as every
+    node of a kNN graph has. Three array draws make the batch, in order: the
+    neighbour position of every anchor, their r, then the (n, n_neg)
+    negatives over the n - 1 other rows. A seeded generator reproduces the
+    batch exactly.
     """
     if n < 2:
         raise OutOfRange("need at least 2 rows to sample pairs")
@@ -207,20 +206,13 @@ def sample_pairs(
         raise ShapeMismatch("features and graph must cover the same rows")
     if not 0 < p_u <= 1:
         raise OutOfRange("p_u must lie in (0, 1]")
-    deg = np.diff(graph.indptr)
-    has = deg > 0
-    partner = np.arange(n)
-    partner[has] = graph.indices[graph.indptr[:-1][has] + rng.integers(deg[has])]
-    r = np.zeros(n)
-    r[has] = rng.uniform(0.0, p_u, has.sum())
+    partner = graph.indices[graph.indptr[:-1] + rng.integers(np.diff(graph.indptr))]
+    r = rng.uniform(0.0, p_u, n)
     neg = rng.integers(n - 1, size=(n, n_neg))
     payload = (1.0 - r)[:, None] * features + r[:, None] * features[partner]
-    isolated = graph.isolated
-    # copied: mixing with r = 0 gives x_i back only where x_i is finite
-    payload[isolated] = features[isolated]
     neg += neg >= np.arange(n)[:, None]  # skip the anchor itself
     anchors = np.repeat(np.arange(n), 1 + n_neg)
     partners = np.column_stack([n + np.arange(n), neg]).ravel()
     h = np.zeros((n, 1 + n_neg), dtype=np.int64)
     h[:, 0] = 1
-    return PairBatch(n=n, anchors=anchors, partners=partners, h=h.ravel(), aug_payload=payload, fallbacks=len(isolated))
+    return PairBatch(n=n, anchors=anchors, partners=partners, h=h.ravel(), aug_payload=payload)

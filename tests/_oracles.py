@@ -156,14 +156,13 @@ def binary_entropy(t: np.ndarray) -> float:
 def vis_pairs_oracle(n: int, neighbors, n_neg: int, rng: np.random.Generator):
     """Visualization pairs drawn one bound at a time, anchor by anchor.
 
-    Per anchor: its positive's neighbour index (when it has neighbours, else
-    the next row), then `n_neg` negatives drawn over the n - 1 other rows.
-    Returns (anchors, partners).
+    Per anchor: its positive's neighbour index, then `n_neg` negatives drawn
+    over the n - 1 other rows. Returns (anchors, partners).
     """
     anchors, partners = [], []
     for i in range(n):
         nbrs = neighbors[i]
-        j = nbrs[int(rng.integers(len(nbrs)))] if nbrs else (i + 1) % n
+        j = nbrs[int(rng.integers(len(nbrs)))]
         anchors.append(i)
         partners.append(j)
         for _ in range(n_neg):
@@ -178,24 +177,18 @@ def vis_pairs_oracle(n: int, neighbors, n_neg: int, rng: np.random.Generator):
 def sample_pairs_oracle(n: int, neighbors, features: np.ndarray, n_neg: int, p_u: float, rng: np.random.Generator):
     """Training pairs from three array draws, assembled one anchor at a time.
 
-    The draws, in order: a neighbour position for each anchor that has
-    neighbours, r ~ U(0, p_u) for the same anchors, then n x n_neg negatives
-    over the n - 1 rows other than the anchor. Anchor i's payload row is
-    (1 - r) x_i + r x_j; one without neighbours copies its own row and counts
-    as a fallback. Returns (anchors, partners, h, payload, fallbacks).
+    The draws, in order: a neighbour position for each anchor, r ~ U(0, p_u)
+    for each anchor, then n x n_neg negatives over the n - 1 rows other than
+    the anchor. Anchor i's payload row is (1 - r) x_i + r x_j. Returns
+    (anchors, partners, h, payload).
     """
-    linked = [i for i in range(n) if neighbors[i]]
-    picks = rng.integers(np.array([len(neighbors[i]) for i in linked], dtype=np.int64))
-    rs = rng.uniform(0.0, p_u, len(linked))
+    picks = rng.integers(np.array([len(neighbors[i]) for i in range(n)], dtype=np.int64))
+    rs = rng.uniform(0.0, p_u, n)
     negs = rng.integers(n - 1, size=(n, n_neg))
-    mix = {i: (neighbors[i][int(pick)], float(r)) for i, pick, r in zip(linked, picks, rs)}
     anchors, partners, h, payload = [], [], [], []
     for i in range(n):
-        if i in mix:
-            j, r = mix[i]
-            payload.append((1.0 - r) * features[i] + r * features[j])
-        else:
-            payload.append(features[i].copy())
+        j, r = neighbors[i][int(picks[i])], float(rs[i])
+        payload.append((1.0 - r) * features[i] + r * features[j])
         anchors.append(i)
         partners.append(n + i)
         h.append(1)
@@ -203,7 +196,7 @@ def sample_pairs_oracle(n: int, neighbors, features: np.ndarray, n_neg: int, p_u
             anchors.append(i)
             partners.append(t + 1 if t >= i else t)
             h.append(0)
-    return np.asarray(anchors), np.asarray(partners), np.asarray(h), np.asarray(payload), n - len(linked)
+    return np.asarray(anchors), np.asarray(partners), np.asarray(h), np.asarray(payload)
 
 
 def gene_shift_oracle(params, data, spatial) -> np.ndarray:

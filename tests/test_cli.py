@@ -92,7 +92,7 @@ class TestPipelineOutputs:
         assert len(lines) == 6
         m = _manifest(pipeline["train"])
         assert m["config"]["epochs"] == 5
-        assert set(m["notes"]) == {"augment_fallbacks"}
+        assert "notes" not in m
         assert "epsilon_used" in m and "isolated_nodes" in m
 
     def test_cluster_covers_every_spot(self, pipeline):
@@ -542,6 +542,16 @@ class TestExitCodes:
         assert "argument --threads:" in capsys.readouterr().err
         assert not os.path.exists(out)
         assert not [var for var in cli._THREAD_VARS if var in os.environ]
+
+    @pytest.mark.parametrize(
+        "flag", [["--threads", "2"], ["--threads=2"], ["--thread", "2"]], ids=["split", "joined", "prefix"]
+    )
+    def test_threads_pin_every_blas_pool(self, tmp_path, monkeypatch, flag):
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, "unset")  # restored after the test
+        missing = str(tmp_path / "missing")
+        assert cli.run(["preprocess", "--data", missing, "--out", str(tmp_path / "x")] + flag) == 1
+        assert {var: os.environ[var] for var in cli._THREAD_VARS} == dict.fromkeys(cli._THREAD_VARS, "2")
 
     def test_internal_crash_returns_2(self, tmp_path, capsys, monkeypatch):
         def boom(args, cfg):

@@ -179,16 +179,6 @@ class TestAugment:
         batch = topology.sample_pairs(3, g, feats, 1, 0.4, np.random.default_rng(99))
         assert np.array_equal(batch.aug_payload[0], (1.0 - r) * feats[0] + r * feats[j])
 
-    def test_isolated_node_falls_back_to_itself(self, rng):
-        feats = np.arange(6.0).reshape(3, 2)
-        feats[0, 1] = -0.0
-        g = csr_graph([(), (2,), (1,)])
-        batch = topology.sample_pairs(3, g, feats, 1, 0.5, rng)
-        assert batch.fallbacks == 1
-        assert batch.aug_payload[0].tobytes() == feats[0].tobytes()  # -0.0 included
-        batch.aug_payload[0, 0] = -1.0  # the payload row is a copy
-        assert feats[0, 0] == 0.0
-
     def test_p_u_bounds(self, rng):
         feats = np.zeros((2, 1))
         g = csr_graph([(1,), (0,)])
@@ -201,33 +191,24 @@ class TestSamplePairs:
     def test_layout_and_replayability(self):
         """Three array draws, in the documented order, on any bit generator.
 
-        Anchors 0 and 3 have no neighbours and anchor 1 has one, so the first
-        draw covers only anchors with neighbours and a bound of 1 is among them.
+        With k = 1 every neighbour draw has a bound of 1.
         """
         n, n_neg, p_u = 7, 3, 0.3
         feats = np.random.default_rng(5).normal(size=(n, 4))
         feats[0, 1] = -0.0
-        neighbors = [nbrs[:1] if i == 1 else () if i in (0, 3) else nbrs
-                     for i, nbrs in enumerate(neighbor_lists(topology.knn_graph(feats, 3)))]
-        graph = csr_graph(neighbors)
-        for bit_generator in (np.random.PCG64, np.random.MT19937):
-            rng, clone = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
-            batch = topology.sample_pairs(n, graph, feats, n_neg, p_u, rng)
-            anchors, partners, h, payload, fallbacks = sample_pairs_oracle(n, neighbors, feats, n_neg, p_u, clone)
-            assert batch.size == n * (1 + n_neg)
-            assert np.array_equal(batch.anchors, anchors)
-            assert np.array_equal(batch.partners, partners)
-            assert np.array_equal(batch.h, h)
-            assert batch.aug_payload.tobytes() == payload.tobytes()
-            assert batch.fallbacks == fallbacks == 2
-            # the generator is left where the three draws leave it
-            assert rng.random() == clone.random()
-
-    def test_counts_fallbacks_for_isolated_anchors(self, rng):
-        feats = np.ones((4, 2))
-        graph = csr_graph([(), (), (3,), (2,)])
-        batch = topology.sample_pairs(4, graph, feats, 1, 0.5, rng)
-        assert batch.fallbacks == 2
+        for k in (1, 3):
+            graph = topology.knn_graph(feats, k)
+            for bit_generator in (np.random.PCG64, np.random.MT19937):
+                rng, clone = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+                batch = topology.sample_pairs(n, graph, feats, n_neg, p_u, rng)
+                anchors, partners, h, payload = sample_pairs_oracle(n, neighbor_lists(graph), feats, n_neg, p_u, clone)
+                assert batch.size == n * (1 + n_neg)
+                assert np.array_equal(batch.anchors, anchors)
+                assert np.array_equal(batch.partners, partners)
+                assert np.array_equal(batch.h, h)
+                assert batch.aug_payload.tobytes() == payload.tobytes()
+                # the generator is left where the three draws leave it
+                assert rng.random() == clone.random()
 
     def test_errors(self, rng):
         feats = np.zeros((3, 2))
