@@ -25,8 +25,10 @@
 # tree, runs all four comparisons (ref against the working tree, and against
 # the one-CPU report, each for the outputs and the checkpoints), names each
 # differing file once, then the JSON pointer of each differing key of every
-# differing .json file (at most 10 per file), and exits 1 if any comparison
-# differs. Set PYTHON to pick the interpreter.
+# differing .json file (at most 10 per file) with the largest relative
+# difference of its differing numbers, and for each differing .csv file of the
+# same header, rows and ids the largest relative difference of its numeric
+# cells, and exits 1 if any comparison differs. Set PYTHON to pick the interpreter.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -126,10 +128,15 @@ dump_ckpts "$work/ref/src" "$work/out-ref" "$work/ckpt-ref"
 dump_ckpts "$repo/src" "$work/out-new" "$work/ckpt-new"
 dump_ckpts "$repo/src" "$work/out-inline" "$work/ckpt-inline"
 
-# json_keys REF_DIR NEW_DIR: "file: /pointer" for each differing value, or key
-# present on one side only, of every .json file both trees hold with other bytes
-json_keys() {
+# show_diffs REF_DIR NEW_DIR: for every .json and .csv file both trees hold
+# with other bytes, one line per file. JSON: "file: /pointer ..." for each
+# differing value, or key present on one side only, then the largest relative
+# difference of the differing numbers. CSV whose header, row count and id
+# column match: the largest relative difference of its numeric cells and the
+# count of other cells that differ; any other CSV: what does not match.
+show_diffs() {
     "$python" - "$1" "$2" <<'PY'
+import csv
 import json
 import pathlib
 import sys
@@ -137,27 +144,67 @@ import sys
 ref, new = (pathlib.Path(p) for p in sys.argv[1:])
 
 
-def walk(a, b, path):
+def rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def walk(a, b, path, worst):
     if isinstance(a, dict) and isinstance(b, dict):
         for key in list(a) + [key for key in b if key not in a]:
             sub = path + "/" + key.replace("~", "~0").replace("/", "~1")
             if key in a and key in b:
-                yield from walk(a[key], b[key], sub)
+                yield from walk(a[key], b[key], sub, worst)
             else:
                 yield sub
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from walk(x, y, f"{path}/{i}")
+            yield from walk(x, y, f"{path}/{i}", worst)
     elif json.dumps(a) != json.dumps(b):
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+            worst.append(rel(a, b))
         yield path or "/"
 
 
-for path in sorted(ref.rglob("*.json")):
+def number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_line(a_path, b_path):
+    with open(a_path, newline="") as fa, open(b_path, newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not a or not b or a[0] != b[0]:
+        return "headers differ"
+    if len(a) != len(b):
+        return f"{len(a) - 1} rows against {len(b) - 1}"
+    if any(len(x) != len(y) or x[0] != y[0] for x, y in zip(a[1:], b[1:])):
+        return "row ids or row lengths differ"
+    worst, other = 0.0, 0
+    for x, y in zip(a[1:], b[1:]):
+        for u, v in zip(x[1:], y[1:]):
+            fu, fv = number(u), number(v)
+            if fu is not None and fv is not None:
+                worst = max(worst, rel(fu, fv))
+            elif u != v:
+                other += 1
+    return f"largest relative difference of numeric cells {worst:.3g}; {other} other cells differ"
+
+
+for path in sorted(p for p in ref.rglob("*") if p.suffix in (".json", ".csv")):
     other = new / path.relative_to(ref)
-    if other.is_file() and path.read_bytes() != other.read_bytes():
-        keys = list(walk(json.loads(path.read_text()), json.loads(other.read_text()), ""))
-        more = f" (and {len(keys) - 10} more)" if len(keys) > 10 else ""
-        print(f"{path.relative_to(ref)}: {' '.join(keys[:10]) or '(same values, other bytes)'}{more}")
+    if not other.is_file() or path.read_bytes() == other.read_bytes():
+        continue
+    name = path.relative_to(ref)
+    if path.suffix == ".csv":
+        print(f"{name}: {csv_line(path, other)}")
+        continue
+    worst = []
+    keys = list(walk(json.loads(path.read_text()), json.loads(other.read_text()), "", worst))
+    more = f" (and {len(keys) - 10} more)" if len(keys) > 10 else ""
+    numbers = f"; largest relative difference of differing numbers {max(worst):.3g}" if worst else ""
+    print(f"{name}: {' '.join(keys[:10]) or '(same values, other bytes)'}{more}{numbers}")
 PY
 }
 
@@ -166,11 +213,11 @@ PY
 same=0
 if ! diff -rq -x 'ckpt.*' "$work/out-ref" "$work/out-new"; then
     same=1
-    json_keys "$work/out-ref" "$work/out-new"
+    show_diffs "$work/out-ref" "$work/out-new"
 fi
 if ! diff -rq -x 'ckpt.*' "$work/out-ref/report125-e20" "$work/out-inline/report125-e20"; then
     same=1
-    json_keys "$work/out-ref/report125-e20" "$work/out-inline/report125-e20"
+    show_diffs "$work/out-ref/report125-e20" "$work/out-inline/report125-e20"
 fi
 diff -rq "$work/ckpt-ref" "$work/ckpt-new" || same=1
 diff -rq "$work/ckpt-ref/report125-e20" "$work/ckpt-inline/report125-e20" || same=1

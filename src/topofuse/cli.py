@@ -451,28 +451,38 @@ def cmd_report(args, cfg) -> dict:
     from .downstream import _fit_vis, deconvolve
     from .worker import analysis_jobs
 
+    def out(name):
+        return os.path.join(args.out, name)
+
     inputs, embeddings = "input-space modality contribution", "embedding-space modality contribution"
-    # analyses that need no cluster labels run in the worker, when there is one,
-    # beside training and clustering; the results come back by name below.
-    # Entered first, so the worker starts while this process reads --data
+    # the worker, when there is one, runs the visualization and one of the two
+    # contributions beside this process's work; the results come back by name
+    # below. Entered first, so the worker starts while this process reads --data
     with analysis_jobs(args.threads) as jobs:
         ds = _load_data(args.data)
         pre, spatial, eps = _model_inputs(ds, cfg)
-        # with the dataset's own labels the inputs are scored while this process trains
+        # with the dataset's own labels the worker scores the inputs while this
+        # process trains, and this process scores the embeddings
         if ds.labels is not None:
             jobs.submit(inputs, _contribution, [pre.tra, pre.mor], ds.labels, cfg.seed)
         state, emb = _train_once(pre, spatial, eps, cfg)
         jobs.submit("visualization", _fit_vis, emb.z, cfg)
         k, labels = _cluster(ds, emb.z, cfg, args.restarts)
-        contrib_labels = ds.labels if ds.labels is not None else labels
-        jobs.submit(embeddings, _contribution, [emb.y_tra, emb.y_mor], contrib_labels, cfg.seed)
+        if ds.labels is not None:
+            local = {embeddings: _contribution([emb.y_tra, emb.y_mor], ds.labels, cfg.seed)}
+        else:  # both need the clusters: the worker scores the embeddings after the visualization
+            jobs.submit(embeddings, _contribution, [emb.y_tra, emb.y_mor], labels, cfg.seed)
+            local = {inputs: _contribution([pre.tra, pre.mor], labels, cfg.seed)}
         dec = deconvolve(emb.z, labels, args.l1)
         markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
         metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
         paga_edges = _paga_edges(emb.z, labels, args.paga_k)[1] if len(set(labels.tolist())) >= 2 else None
-        # without them the inputs are scored here, by cluster: queued behind the
-        # worker's two analyses they measured slower
-        local = {} if ds.labels is not None else {inputs: _contribution([pre.tra, pre.mor], labels, cfg.seed)}
+        # what needs nothing from the worker is written while it runs
+        write_labels_csv(out("labels.csv"), ds.spot_ids, labels)
+        write_markers_csv(out("markers.csv"), markers)
+        write_deconvolution_csv(out("deconvolution.csv"), ds.spot_ids, dec.cluster_ids, dec.weights, dec.impurity)
+        plot_scatter(ds.coords, labels, out("domains.svg"))
+        _save_model(args.out, ds.spot_ids, emb, state.params)
         done = {**local, **jobs.results()}
     vis, vis_history = done["visualization"]
     payload = {
@@ -490,10 +500,6 @@ def cmd_report(args, cfg) -> dict:
     if paga_edges is not None:
         payload["paga_edges"] = paga_edges
     payload["markers"] = [{"cluster": c, "rank": r, "gene_id": g, "importance": v} for c, r, g, v in markers]
-
-    def out(name):
-        return os.path.join(args.out, name)
-
     parts = {"inputs": done[inputs], "embeddings": done[embeddings]}
     if parts["inputs"] is not None:
         names = ["tra_input", "mor_input", "tra_emb", "mor_emb"]
@@ -503,14 +509,9 @@ def cmd_report(args, cfg) -> dict:
         }
         per_spot = np.column_stack([part.per_spot for part in parts.values()])
         write_matrix_csv(out("contributions.csv"), ds.spot_ids, names, per_spot)
-    write_labels_csv(out("labels.csv"), ds.spot_ids, labels)
     write_matrix_csv(out("vis.csv"), ds.spot_ids, ["v0", "v1"], vis)
-    write_markers_csv(out("markers.csv"), markers)
-    write_deconvolution_csv(out("deconvolution.csv"), ds.spot_ids, dec.cluster_ids, dec.weights, dec.impurity)
     write_json(out("report.json"), payload)
-    plot_scatter(ds.coords, labels, out("domains.svg"))
     plot_scatter(vis, labels, out("vis.svg"))
-    _save_model(args.out, ds.spot_ids, emb, state.params)
     summary = {key: round(val, 4) for key, val in metrics.items()}
     print(f"report written to {args.out} {json.dumps(summary)}")
     return {"n_clusters": k, "epsilon_used": eps}

@@ -207,7 +207,7 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # JSON text is UTF-8
         raise NonNumericCell(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise NonNumericCell(f"config {path} must hold a flat JSON object")
@@ -249,6 +249,8 @@ def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[st
                     values.append(v)
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InvalidDataset(f"{what} file {path} is not UTF-8 text: {e}") from e
     data = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(cols))
     seen = set()
     for sid in ids:

@@ -30,7 +30,6 @@ from .network import (
     check_genes,
     forward_all,
     fuse_forward,
-    gcn_from_aggregate,
     normalized_adjacency,
 )
 from .objective import Adam, KernelConfig, topo_loss
@@ -223,7 +222,7 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
             raise NonFiniteLoss("visualization loss became non-finite")
         for layer in layers:
             layer.zero_grad()
-        _stack_backward(dvi, layers, cache)
+        _stack_backward(dvi, layers, cache, input_grad=False)
         adam.step()
         history.append(loss)
     vi, _ = _stack_forward(z, layers, None)
@@ -292,21 +291,26 @@ def deconvolve(z: np.ndarray, labels: np.ndarray, l1: float) -> DeconvolutionRes
 def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph) -> np.ndarray:
     """Per-spot embedding displacement when each gene column is zeroed.
 
-    Zeroing gene g zeroes only column g of the first propagation a_hat @ tra,
-    so the base pass's product is patched per gene. The morphology
-    branch is the base pass's, and the decoder, whose output is unused, does
-    not run for the knockouts.
+    Zeroing gene g zeroes only column g of the first propagation agg = a_hat @ tra,
+    so knockout g's first-layer pre-activation is the base pass's minus the
+    rank-1 term outer(agg[:, g], W0[g]): no first-layer product is redone, and
+    the result differs from a full pass by rounding only. A gene whose column
+    is zero keeps the base pass's bytes and a shift of exactly 0. The
+    morphology branch is the base pass's, and the decoder, whose output is
+    unused, does not run for the knockouts.
     """
     check_genes(params, data.gene_ids)
     a_hat = normalized_adjacency(spatial)
     base, caches = forward_all(params, data.tra, data.mor, a_hat)
-    agg = caches["tra"]["aggs"][0]
+    agg, pre0 = caches["tra"]["aggs"][0], caches["tra"]["pre"][0]
+    w0, rest = params.gnn_tra[0].w, params.gnn_tra[1:]
     n, g = data.tra.shape
     shifts = np.empty((n, g))
     for gene in range(g):
-        x = agg.copy()
-        x[:, gene] = 0.0
-        z, _ = fuse_forward(gcn_from_aggregate(x, a_hat, params.gnn_tra), base.y_mor, params)
+        y = pre0 - np.outer(agg[:, gene], w0[gene])
+        if rest:
+            y = _stack_forward(np.maximum(y, 0.0, out=y), rest, a_hat)[0]
+        z, _ = fuse_forward(y, base.y_mor, params)
         shifts[:, gene] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
     return shifts
 

@@ -162,7 +162,12 @@ def _stack_forward(x: np.ndarray, layers, a_hat: NormalizedAdjacency | None):
     return h, cache
 
 
-def _stack_backward(dout: np.ndarray, layers, cache) -> np.ndarray | None:
+def _stack_backward(dout: np.ndarray, layers, cache, input_grad: bool = True) -> np.ndarray | None:
+    """Accumulate the layers' gradients; return the gradient of the stack's input.
+
+    Returns None instead, without computing it, for GCN stacks, whose input
+    gradient no caller reads, and when `input_grad` is False.
+    """
     if cache.get("n_layers") != len(layers):
         raise StaleCache("cache does not match the current layer stack")
     a_hat = cache["a_hat"]
@@ -174,8 +179,8 @@ def _stack_backward(dout: np.ndarray, layers, cache) -> np.ndarray | None:
             raise StaleCache(f"cached activations do not fit layer {li}")
         layer.gw += cache["aggs"][li].T @ g
         layer.gb += g.sum(axis=0)
-        if li == 0 and a_hat is not None:
-            return None  # no caller reads the gradient of a GCN stack's input features
+        if li == 0 and (a_hat is not None or not input_grad):
+            return None
         dagg = g @ layer.w.T
         dx = dagg if a_hat is None else a_hat @ dagg  # a_hat is symmetric
         if li > 0:

@@ -495,6 +495,29 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x")
 
+    def test_data_csv_that_is_not_utf8(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        tra = data / "tra.csv"
+        tra.write_bytes(b"\xff\xfe" + tra.read_bytes())  # a UTF-16 byte-order mark
+        capsys.readouterr()
+        assert cli.run(["train", "--out", str(tmp_path / "x"), "--data", str(data), "--threads", "1"] + _SMALL) == 1
+        err = capsys.readouterr().err
+        assert str(tra) in err and "UTF-8" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_config_file_that_is_not_utf8(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"epochs": 5, "note": "\xff"}')
+        capsys.readouterr()
+        argv = ["train", "--out", str(tmp_path / "x"), "--data", pipeline["data"], "--config", str(config)]
+        assert cli.run(argv + ["--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"config {config} is not valid JSON" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_invalid_spec_value(self, tmp_path, capsys):
         rc = cli.run(["synth", "--out", str(tmp_path / "x"), "--domains", "0"])
         assert rc == 1
@@ -617,7 +640,13 @@ def test_report_imports_no_scipy(pipeline, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 WATCHDOG_S = 60
-_WORKER_ANALYSES = ("input-space modality contribution", "visualization", "embedding-space modality contribution")
+# what report submits to its worker, in order, keyed by the file dropped from the dataset
+_WORKER_ANALYSES = {
+    None: ("input-space modality contribution", "visualization"),
+    "labels.csv": ("visualization", "embedding-space modality contribution"),
+}
+# what report writes before it waits for its worker
+_EARLY_OUTPUTS = ("labels.csv", "markers.csv", "deconvolution.csv", "domains.svg", "embedding.csv", "ckpt.npz")
 
 
 @pytest.fixture
@@ -649,6 +678,18 @@ def workers(monkeypatch):
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _listed_at_wait(monkeypatch, out):
+    """The names in `out` each time report starts waiting for its worker's results."""
+    listed, results = [], worker.Worker.results
+
+    def list_then_wait(jobs):
+        listed.append(sorted(os.listdir(out)))
+        return results(jobs)
+
+    monkeypatch.setattr(worker.Worker, "results", list_then_wait)
+    return listed
 
 
 def _assert_reaped(procs):
@@ -721,8 +762,45 @@ class TestAnalysisWorker:
         with pytest.raises(TopofuseError) as expected:
             topology.auto_epsilon([[0.0, 0.0]])
         assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "out" / "report.json")
+        assert [name for name in (*_EARLY_OUTPUTS, "report.json") if os.path.exists(tmp_path / "out" / name)] == []
         assert len(workers) == 1
+        _assert_reaped(workers)
+
+    def test_failed_visualization_removes_the_early_outputs(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        submit = worker.Worker.submit
+
+        def visualization_fails(jobs, name, fn, *args):
+            if name == "visualization":  # the worker raises OutOfRange on one spot
+                fn, args = topology.auto_epsilon, ([[0.0, 0.0]],)
+            submit(jobs, name, fn, *args)
+
+        monkeypatch.setattr(worker.Worker, "submit", visualization_fails)
+        out = tmp_path / "out"
+        listed = _listed_at_wait(monkeypatch, out)
+        _cpus(monkeypatch, 2)
+        capsys.readouterr()
+        assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(out)]) == 1
+        assert "topofuse: error: " in capsys.readouterr().err
+        assert listed == [sorted(_EARLY_OUTPUTS)]  # written before the wait, and nothing else
+        assert os.listdir(out) == []
+        _assert_reaped(workers)
+
+    @pytest.mark.parametrize("drop", [None, "labels.csv"])
+    def test_worker_runs_the_visualization_and_one_contribution(self, pipeline, tmp_path, monkeypatch, workers, drop):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        if drop:
+            os.remove(data / drop)
+        names, submit = [], worker.Worker.submit
+
+        def record(jobs, name, fn, *args):
+            names.append(name)
+            submit(jobs, name, fn, *args)
+
+        monkeypatch.setattr(worker.Worker, "submit", record)
+        _cpus(monkeypatch, 2)
+        assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
+        assert names == list(_WORKER_ANALYSES[drop])
         _assert_reaped(workers)
 
     def test_training_failure_stops_the_worker(self, pipeline, tmp_path, monkeypatch, capsys, workers):
@@ -751,7 +829,7 @@ class TestAnalysisWorker:
         capsys.readouterr()
         assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert f"the worker process was killed by signal {int(signal.SIGKILL)} before returning the" in err
-        assert any(name in err for name in _WORKER_ANALYSES)
+        first = _WORKER_ANALYSES[None][0]
+        assert f"the worker process was killed by signal {int(signal.SIGKILL)} before returning the {first}" in err
         assert not os.path.exists(tmp_path / "out" / "report.json")
         _assert_reaped(workers)

@@ -226,6 +226,19 @@ class TestBackward:
         hidden = (r @ params.fusion[1].w.T) * (mlp_cache["pre"][0] > 0.0)
         assert np.array_equal(dy, hidden @ params.fusion[0].w.T)
 
+    def test_dropping_the_input_gradient_keeps_the_layer_gradients(self, rng):
+        layers = [network._glorot(rng, 5, 5), network._glorot(rng, 5, 2)]
+        z, cache = network._stack_forward(rng.normal(size=(7, 5)), layers, None)
+        dout = rng.normal(size=z.shape)
+        grads = []
+        for input_grad in (True, False):
+            for layer in layers:
+                layer.zero_grad()
+            dx = network._stack_backward(dout, layers, cache, input_grad=input_grad)
+            assert (dx is None) == (not input_grad)
+            grads.append([(layer.gw.tobytes(), layer.gb.tobytes()) for layer in layers])
+        assert grads[0] == grads[1]
+
     def test_grads_accumulate_until_zeroed(self, rng):
         params = network.init_params(rng, 4, None, _cfg())
         x = rng.normal(size=(3, 4))
