@@ -22,8 +22,9 @@
 # through a link named `ckpt.any`, so its manifest records the same argv
 # whatever the format's file name.
 # Prints the sha256 of every embedding.csv and report.json of the working
-# tree, runs all four comparisons (ref against the working tree, and against
-# the one-CPU report, each for the outputs and the checkpoints), names each
+# tree and the line count of src/topofuse/*.py on each side, runs all four
+# comparisons (ref against the working tree, and against the one-CPU report,
+# each for the outputs and the checkpoints), names each
 # differing file once, then the JSON pointer of each differing key of every
 # differing .json file (at most 10 per file) with the largest relative
 # difference of its differing numbers, and for each differing .csv file of the
@@ -209,6 +210,7 @@ PY
 }
 
 (cd "$work/out-new" && find . \( -name embedding.csv -o -name report.json \) | sort | xargs sha256sum)
+echo "src/topofuse/*.py lines: $(cat "$work"/ref/src/topofuse/*.py | wc -l) at $1, $(cat "$repo"/src/topofuse/*.py | wc -l) in the working tree"
 # every comparison runs, and each differing file is named once
 same=0
 if ! diff -rq -x 'ckpt.*' "$work/out-ref" "$work/out-new"; then

@@ -272,7 +272,7 @@ def _align(ids: list[str], other_ids: list[str], other: np.ndarray, what: str, r
 
 def _integer_labels(values: np.ndarray, path: str) -> np.ndarray:
     rounded = np.rint(values)
-    if not np.allclose(values, rounded, atol=1e-9):
+    if not np.allclose(values, rounded, rtol=0.0, atol=1e-9):
         raise NonNumericCell(f"labels in {path} must be integers")
     return rounded.astype(np.int64)
 

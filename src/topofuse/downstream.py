@@ -32,9 +32,9 @@ from .network import (
     fuse_forward,
     normalized_adjacency,
 )
-from .objective import Adam, KernelConfig, topo_loss
+from .objective import Adam, topo_loss
 from .preprocess import PreprocessedData
-from .topology import N_NEG, NeighborGraph, PairBatch, knn_graph
+from .topology import N_NEG, NeighborGraph, knn_graph
 
 GMM_RESTARTS = 10
 GMM_MAX_ITER = 500
@@ -181,24 +181,19 @@ def refine_labels(labels: np.ndarray, coords: np.ndarray, k: int = REFINE_K) -> 
     return out
 
 
-def _vis_pairs(graph: NeighborGraph, rng: np.random.Generator) -> PairBatch:
-    # one kNN positive plus uniform negatives per anchor; no augmented rows.
-    # One array-bounded draw gives the values, and leaves the generator in the
-    # state, of drawing each anchor's bounds on its own in turn: its neighbour
-    # position, then N_NEG negatives over the n - 1 other rows.
+def _vis_pairs(graph: NeighborGraph, rng: np.random.Generator) -> np.ndarray:
+    # topo_loss's partner table, all dataset rows: one kNN positive plus
+    # uniform negatives per anchor. One array-bounded draw gives the values,
+    # and leaves the generator in the state, of drawing each anchor's bounds
+    # on its own in turn: its neighbour position, then N_NEG negatives over
+    # the n - 1 other rows.
     n = graph.n
     highs = np.full((n, 1 + N_NEG), n - 1)
     highs[:, 0] = np.diff(graph.indptr)
     draws = rng.integers(0, highs)
     partners = draws + (draws >= np.arange(n)[:, None])  # negatives skip the anchor itself
     partners[:, 0] = graph.indices[graph.indptr[:-1] + draws[:, 0]]
-    return PairBatch(
-        n=n,
-        anchors=np.repeat(np.arange(n), 1 + N_NEG),
-        partners=partners.ravel(),
-        h=np.zeros(partners.size, dtype=np.int64),
-        aug_payload=np.empty((0, 1)),
-    )
+    return partners
 
 
 def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
@@ -212,12 +207,12 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
     layers = [_glorot(rng, d, d), _glorot(rng, d, 2)]
     graph = knn_graph(z, cfg.k_tr)
     adam = Adam(layers, VIS_LR)
-    kc = KernelConfig(nu=VIS_NU_LOW)
     history = []
     for _ in range(VIS_EPOCHS):
-        batch = _vis_pairs(graph, rng)
+        partners = _vis_pairs(graph, rng)
         vi, cache = _stack_forward(z, layers, None)
-        loss, dvi = topo_loss(batch, z, vi, kc, alpha=0.0, nu_prior=cfg.nu)
+        # alpha = 0: the kNN positive's prior gets no boost
+        loss, dvi = topo_loss(partners, z, vi, VIS_NU_LOW, alpha=0.0, nu_prior=cfg.nu)
         if not np.isfinite(loss):
             raise NonFiniteLoss("visualization loss became non-finite")
         for layer in layers:

@@ -30,23 +30,11 @@ from .network import (
     normalized_adjacency,
 )
 from .preprocess import PreprocessedData
-from .topology import N_NEG, NeighborGraph, PairBatch, knn_graph, sample_pairs
+from .topology import N_NEG, NeighborGraph, knn_graph, sample_pairs
 
 S_CLAMP = 1e-7
 DROPOUT_P = 0.1
 PAIR_BLOCK = 1024  # pairs per block of the prior and distance temporaries in topo_loss
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    nu: float
-    clamp_eps: float = S_CLAMP
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise OutOfRange("nu must be positive")
-        if not 0 < self.clamp_eps < 0.5:
-            raise OutOfRange("clamp_eps must lie in (0, 0.5)")
 
 
 def kappa(a: np.ndarray, b: np.ndarray, nu: float) -> np.ndarray:
@@ -66,48 +54,54 @@ def topo_prior(y_i: np.ndarray, y_j: np.ndarray, h: np.ndarray | int, alpha: flo
 
 
 def topo_loss(
-    batch: PairBatch,
+    partners: np.ndarray,
     y_m: np.ndarray,
     z: np.ndarray,
-    cfg: KernelConfig,
+    nu: float,
     alpha: float,
     nu_prior: float | None = None,
     t_fixed: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Cross entropy between latent similarities and the per-modality prior.
 
-    `y_m` and `z` carry dataset rows first and augmented-payload rows after
-    them, matching the index convention of PairBatch. Returns the scalar loss
-    and the gradient for z; the prior is detached, so y_m gets no gradient.
-    `t_fixed` substitutes a precomputed prior per pair, which keeps the loss
-    a pure function of z when differentiating through the encoder.
+    `partners` is an (n, c) int table: row i pairs anchor i, row i of `y_m`
+    and `z`, with c partner rows. Column 0 is its positive, whose prior gets
+    the e^alpha boost; the other columns are its negatives. Returns the scalar
+    loss and the gradient for z; the prior is detached, so y_m gets no
+    gradient. `t_fixed`, shaped like `partners`, substitutes a precomputed
+    prior per pair, which keeps the loss a pure function of z when
+    differentiating through the encoder.
     """
+    if nu <= 0:
+        raise OutOfRange("nu must be positive")
     if y_m.shape[0] != z.shape[0]:
         raise ShapeMismatch("y_m and z must cover the same rows")
-    if batch.size and int(batch.partners.max()) >= z.shape[0]:
-        raise ShapeMismatch("batch indices run past the embedding rows")
-    nu_p = cfg.nu if nu_prior is None else nu_prior
-    i, j = batch.anchors, batch.partners
-    if t_fixed is not None and t_fixed.shape != i.shape:
-        raise ShapeMismatch("t_fixed must give one prior per batch pair")
+    n, c = partners.shape
+    if n > z.shape[0] or (partners.size and (partners.min() < 0 or partners.max() >= z.shape[0])):
+        raise ShapeMismatch("partner table runs past the embedding rows")
+    if t_fixed is not None and t_fixed.shape != partners.shape:
+        raise ShapeMismatch("t_fixed must give one prior per table entry")
+    nu_p = nu if nu_prior is None else nu_prior
+    i, j = np.repeat(np.arange(n), c), partners.ravel()
+    h = np.arange(len(i)) % c == 0
 
     # Pair blocks bound the pair x feature temporaries; every row's arithmetic
     # is that of the whole batch at once.
-    t = np.empty(len(i)) if t_fixed is None else t_fixed
+    t = np.empty(len(i)) if t_fixed is None else t_fixed.ravel()
     diff = z[i]
     d2 = np.empty(len(i))
     for start in range(0, len(i), PAIR_BLOCK):
         blk = slice(start, start + PAIR_BLOCK)
         if t_fixed is None:
-            t[blk] = topo_prior(y_m[i[blk]], y_m[j[blk]], batch.h[blk], alpha, nu_p)
+            t[blk] = topo_prior(y_m[i[blk]], y_m[j[blk]], h[blk], alpha, nu_p)
         d = diff[blk]
         d -= z[j[blk]]
         d2[blk] = (d * d).sum(axis=1)
-    p = (cfg.nu + 1.0) / cfg.nu
-    u = 1.0 + d2 / cfg.nu
-    log_s_raw = -p * np.log1p(d2 / cfg.nu)
+    p = (nu + 1.0) / nu
+    u = 1.0 + d2 / nu
+    log_s_raw = -p * np.log1p(d2 / nu)
     s_raw = np.exp(log_s_raw)
-    lo, hi = cfg.clamp_eps, 1.0 - cfg.clamp_eps
+    lo, hi = S_CLAMP, 1.0 - S_CLAMP
     log_s = np.where(s_raw < lo, np.log(lo),
                      np.where(s_raw > hi, np.log1p(-lo), log_s_raw))
     log_1ms = np.where(s_raw > hi, np.log(lo),
@@ -119,18 +113,22 @@ def topo_loss(
     # far-apart pairs with a live target still move. Only the repulsion
     # ratio is capped at the clamp ceiling.
     s_cap = np.minimum(s_raw, hi)
-    dd2 = (p / cfg.nu) * (t / u - (1.0 - t) * s_cap / ((1.0 - s_cap) * u))
+    dd2 = (p / nu) * (t / u - (1.0 - t) * s_cap / ((1.0 - s_cap) * u))
     dpair = diff
     dpair *= (2.0 * dd2)[:, None]
-    # One weighted bincount per column adds each row's terms in pair order,
-    # anchor terms before partner terms, exactly as np.add.at over i and then
-    # j would, at a third of its cost. A single bincount over all columns is
-    # as exact but holds 2m x d index and weight arrays at once.
-    idx = np.concatenate([i, j])
+    # Anchor i's terms are its row's c consecutive pairs. Their sum in column
+    # order heads one weighted bincount per column, before the partner terms
+    # in pair order: every term adds in the order np.add.at over anchors and
+    # then partners would, and bincount's zero start gives the same signed
+    # zeros. A single bincount over all columns would hold m x d index and
+    # weight arrays at once.
+    head = dpair[::c].copy()
+    for k in range(1, c):
+        head += dpair[k::c]
+    idx = np.concatenate([np.arange(n), j])
     dz = np.empty_like(z)
-    for c in range(z.shape[1]):
-        col = dpair[:, c]
-        dz[:, c] = np.bincount(idx, weights=np.concatenate([col, -col]), minlength=z.shape[0])
+    for col in range(z.shape[1]):
+        dz[:, col] = np.bincount(idx, weights=np.concatenate([head[:, col], -dpair[:, col]]), minlength=z.shape[0])
     return loss, dz
 
 
@@ -192,7 +190,6 @@ def train(
     params = init_params(rng, data.tra.shape[1], None if data.mor is None else data.mor.shape[1], cfg)
     params.gene_ids = list(data.gene_ids)
     a_hat = normalized_adjacency(spatial)
-    kcfg = KernelConfig(nu=cfg.nu)
 
     mods = [("tra", data.tra, cfg.k_tr, cfg.r_u_tr)]
     if data.mor is not None:
@@ -204,7 +201,7 @@ def train(
     adam = Adam([layer for _, layer in params.named_layers()], cfg.lr)
     history = []
     for epoch in range(1, cfg.epochs + 1):
-        losses, l_rec = _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng)
+        losses, l_rec = _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, cfg, rng)
         total = sum(losses.values()) + cfg.lambda_ * l_rec
         if not np.isfinite(total):
             raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
@@ -227,7 +224,7 @@ def train(
     return state, es_final
 
 
-def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg, rng) -> tuple[dict, float]:
+def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, cfg, rng) -> tuple[dict, float]:
     """Accumulate one epoch's gradients into params.
 
     `priors` holds each modality's frozen encoder: the topology loss's target
@@ -255,9 +252,9 @@ def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg,
     losses = {}
     ys = {"tra": es.y_tra, "mor": es.y_mor}
     masks = {"tra": m_tr, "mor": m_mo}
-    for name, batch in batches.items():
+    for name, (payload, partners) in batches.items():
         mask = masks[name]
-        x_view = batch.aug_payload if mask is None else batch.aug_payload * mask
+        x_view = payload if mask is None else payload * mask
         # A view re-runs only the encoder of the modality it perturbs; the
         # other encoder's output and cache are the base pass's, and the
         # decoder does not run because the view has no reconstruction term.
@@ -267,7 +264,7 @@ def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, kcfg, cfg,
         # the prior sees the same inputs, so it starts from their cached first aggregates
         y_full = np.concatenate([gcn_from_aggregate(c["aggs"][0], a_hat, priors[name]) for c in (caches[name], c_view)])
         z_full = np.concatenate([es.z, z_view], axis=0)
-        l_m, dz_full = topo_loss(batch, y_full, z_full, kcfg, cfg.alpha)
+        l_m, dz_full = topo_loss(partners, y_full, z_full, cfg.nu, cfg.alpha)
         losses[name] = l_m
         dz_base += dz_full[:n]
         backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])

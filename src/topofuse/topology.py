@@ -153,36 +153,6 @@ def knn_graph(x: np.ndarray, k: int) -> NeighborGraph:
     return NeighborGraph(n=n, indptr=np.arange(n + 1) * k, indices=indices)
 
 
-@dataclass
-class PairBatch:
-    """Anchor/partner index pairs for the topology loss.
-
-    Partners of h=0 entries are dataset row indices; partners of h=1 entries
-    point past the dataset into `aug_payload` (index n + payload row).
-    """
-
-    n: int
-    anchors: np.ndarray
-    partners: np.ndarray
-    h: np.ndarray
-    aug_payload: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.anchors) == len(self.partners) == len(self.h)):
-            raise ShapeMismatch("batch arrays disagree on length")
-        aug = self.h == 1
-        if np.any(self.partners[aug] < self.n):
-            raise OutOfRange("augmented entries must point into the payload")
-        plain = ~aug
-        bad = (self.partners[plain] >= self.n) | (self.partners[plain] == self.anchors[plain])
-        if np.any(bad):
-            raise OutOfRange("negative entries must name a dataset row other than the anchor")
-
-    @property
-    def size(self) -> int:
-        return len(self.anchors)
-
-
 def sample_pairs(
     n: int,
     graph: NeighborGraph,
@@ -190,8 +160,12 @@ def sample_pairs(
     n_neg: int,
     p_u: float,
     rng: np.random.Generator,
-) -> PairBatch:
+) -> tuple[np.ndarray, np.ndarray]:
     """One augmented partner plus `n_neg` uniform negatives per anchor.
+
+    Returns (payload, partners). `partners` is the (n, 1 + n_neg) table of
+    objective.topo_loss: row i is anchor i, column 0 its augmented row
+    n + i (payload row i), the other columns its negatives.
 
     Anchor i's augmented row is (1 - r) x_i + r x_j for a uniformly chosen
     neighbour j and r ~ U(0, p_u), so every node needs a neighbour, as every
@@ -211,8 +185,4 @@ def sample_pairs(
     neg = rng.integers(n - 1, size=(n, n_neg))
     payload = (1.0 - r)[:, None] * features + r[:, None] * features[partner]
     neg += neg >= np.arange(n)[:, None]  # skip the anchor itself
-    anchors = np.repeat(np.arange(n), 1 + n_neg)
-    partners = np.column_stack([n + np.arange(n), neg]).ravel()
-    h = np.zeros((n, 1 + n_neg), dtype=np.int64)
-    h[:, 0] = 1
-    return PairBatch(n=n, anchors=anchors, partners=partners, h=h.ravel(), aug_payload=payload)
+    return payload, np.column_stack([n + np.arange(n), neg])

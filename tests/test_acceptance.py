@@ -91,22 +91,23 @@ def test_criterion_1_gradient_fidelity():
     a_hat = network.normalized_adjacency(topology.build_spatial_graph(coords, eps))
 
     params = network.init_params(rng, g, m, cfg)
-    b_tr = topology.sample_pairs(n, topology.knn_graph(x_tra, cfg.k_tr), x_tra, topology.N_NEG, cfg.r_u_tr, rng)
-    b_mo = topology.sample_pairs(n, topology.knn_graph(x_mor, cfg.k_mo), x_mor, topology.N_NEG, cfg.r_u_mo, rng)
-    kc = objective.KernelConfig(cfg.nu)
+    pay_tr, b_tr = topology.sample_pairs(n, topology.knn_graph(x_tra, cfg.k_tr), x_tra, topology.N_NEG, cfg.r_u_tr, rng)
+    pay_mo, b_mo = topology.sample_pairs(n, topology.knn_graph(x_mor, cfg.k_mo), x_mor, topology.N_NEG, cfg.r_u_mo, rng)
 
     def forwards(p):
         es, c = network.forward_all(p, x_tra, x_mor, a_hat)
-        es_t, c_t = network.forward_all(p, b_tr.aug_payload, x_mor, a_hat)
-        es_m, c_m = network.forward_all(p, x_tra, b_mo.aug_payload, a_hat)
+        es_t, c_t = network.forward_all(p, pay_tr, x_mor, a_hat)
+        es_m, c_m = network.forward_all(p, x_tra, pay_mo, a_hat)
         return es, c, es_t, c_t, es_m, c_m
 
     # The prior is detached during training, so freeze it at the base point
     # to keep the finite-difference objective a pure function of the weights.
     es0, _, es_t0, _, es_m0, _ = forwards(params)
 
-    def prior(batch, y_full):
-        return objective.topo_prior(y_full[batch.anchors], y_full[batch.partners], batch.h, cfg.alpha, cfg.nu)
+    def prior(partners, y_full):
+        # column 0 of each table row is the augmented partner, the one h = 1 boosts
+        h = np.arange(partners.shape[1]) == 0
+        return objective.topo_prior(y_full[:n, None], y_full[partners], h, cfg.alpha, cfg.nu)
 
     t_tr = prior(b_tr, np.vstack([es0.y_tra, es_t0.y_tra]))
     t_mo = prior(b_mo, np.vstack([es0.y_mor, es_m0.y_mor]))
@@ -114,10 +115,10 @@ def test_criterion_1_gradient_fidelity():
     def loss_at(p):
         es, _, es_t, _, es_m, _ = forwards(p)
         l_tr, _ = objective.topo_loss(
-            b_tr, np.vstack([es.y_tra, es_t.y_tra]), np.vstack([es.z, es_t.z]), kc, cfg.alpha, t_fixed=t_tr
+            b_tr, np.vstack([es.y_tra, es_t.y_tra]), np.vstack([es.z, es_t.z]), cfg.nu, cfg.alpha, t_fixed=t_tr
         )
         l_mo, _ = objective.topo_loss(
-            b_mo, np.vstack([es.y_mor, es_m.y_mor]), np.vstack([es.z, es_m.z]), kc, cfg.alpha, t_fixed=t_mo
+            b_mo, np.vstack([es.y_mor, es_m.y_mor]), np.vstack([es.z, es_m.z]), cfg.nu, cfg.alpha, t_fixed=t_mo
         )
         l_rec, _ = objective.recon_loss(x_tra, es.x_hat)
         return l_tr + l_mo + cfg.lambda_ * l_rec
@@ -132,7 +133,7 @@ def test_criterion_1_gradient_fidelity():
     ):
         y_full = np.vstack([getattr(es, attr), getattr(es_v, attr)])
         z_full = np.vstack([es.z, es_v.z])
-        _, dz_full = objective.topo_loss(batch, y_full, z_full, kc, cfg.alpha, t_fixed=t_bar)
+        _, dz_full = objective.topo_loss(batch, y_full, z_full, cfg.nu, cfg.alpha, t_fixed=t_bar)
         dz_base += dz_full[:n]
         network.backward_all(params, c_v, dz=dz_full[n:])
     network.backward_all(params, c, dz=dz_base, dxhat=cfg.lambda_ * dxhat)
@@ -212,17 +213,16 @@ def test_criterion_3_kernel_and_prior():
     # latent similarity, so the loss must hit the binary-entropy floor.
     n, d = 8, 3
     feats = rng.normal(size=(n, d))
-    batch = topology.sample_pairs(n, topology.knn_graph(feats, 3), feats, topology.N_NEG, 0.3, rng)
-    z_full = np.vstack([feats, batch.aug_payload]) * 0.5
-    d2 = ((z_full[batch.anchors] - z_full[batch.partners]) ** 2).sum(axis=1)
+    payload, partners = topology.sample_pairs(n, topology.knn_graph(feats, 3), feats, topology.N_NEG, 0.3, rng)
+    z_full = np.vstack([feats, payload]) * 0.5
+    d2 = ((z_full[:n, None] - z_full[partners]) ** 2).sum(axis=-1).ravel()
     assert d2.min() > 1e-6, "degenerate pair would sit on the clamp boundary"
-    kc = objective.KernelConfig(nu=1.0)
-    loss, _ = objective.topo_loss(batch, z_full, z_full, kc, alpha=0.0)
+    loss, _ = objective.topo_loss(partners, z_full, z_full, 1.0, alpha=0.0)
     bound = binary_entropy((1.0 + d2) ** -2.0)
     gap = abs(loss - bound)
     above = True
     for scale in (0.01, 0.1, 1.0):
-        loss_p, _ = objective.topo_loss(batch, z_full, z_full + rng.normal(scale=scale, size=z_full.shape), kc, alpha=0.0)
+        loss_p, _ = objective.topo_loss(partners, z_full, z_full + rng.normal(scale=scale, size=z_full.shape), 1.0, alpha=0.0)
         above = above and loss_p >= bound - 1e-12
     ok = self_ok and mono_ok and prior_gap <= 1e-15 and gap <= 1e-9 and above
     _record(

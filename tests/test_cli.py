@@ -540,6 +540,25 @@ class TestExitCodes:
         assert f"argument {flag}: expects a positive integer, got {value}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "source, value",
+        [("data", "2.00001"), ("labels", "100000.5")],
+        ids=["dataset", "labels-flag"],
+    )
+    def test_non_integer_labels(self, pipeline, tmp_path, capsys, source, value):
+        # each value lies within numpy's default relative tolerance of an integer
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        path = data / "labels.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(header + first.split(",")[0] + f",{value}\n" + "".join(rest), encoding="utf-8")
+        if source == "data":
+            argv = ["preprocess", "--data", str(data), "--set", "tau=1"]
+        else:
+            argv = ["trajectory", "--emb", pipeline["emb"], "--labels", str(path)]
+        assert cli.run(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert f"labels in {path} must be integers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize(
         "argv",

@@ -210,6 +210,19 @@ class TestDataset:
             )
 
 
+    def test_labels_within_rounding_of_an_integer_accepted(self, tmp_path, rng):
+        ds = _toy_dataset(rng, with_labels=False)
+        dataio.write_dataset(ds, str(tmp_path))
+        (tmp_path / "labels.csv").write_text(
+            "spot_id,label\n" + "".join(f"s{i},{3 + 1e-12!r}\n" for i in range(ds.n_spots))
+        )
+        loaded = dataio.load_dataset(
+            str(tmp_path / "tra.csv"),
+            str(tmp_path / "coords.csv"),
+            labels_path=str(tmp_path / "labels.csv"),
+        )
+        assert loaded.labels.tolist() == [3] * ds.n_spots
+
 class TestReport:
     def test_label_row_mismatch(self, tmp_path):
         with pytest.raises(RowCountMismatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topofuse import dataio, downstream, network, preprocess, topology
 from topofuse.errors import (
@@ -369,8 +371,21 @@ class TestVisualization:
         graph = topology.knn_graph(np.random.default_rng(seed).normal(size=(200, 3)), 6)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            batch = downstream._vis_pairs(graph, fast)
+            table = downstream._vis_pairs(graph, fast)
             anchors, partners = vis_pairs_oracle(graph.n, neighbor_lists(graph), topology.N_NEG, slow)
-            assert np.array_equal(batch.anchors, anchors)
-            assert np.array_equal(batch.partners, partners)
+            assert np.array_equal(anchors, np.repeat(np.arange(graph.n), 1 + topology.N_NEG))
+            assert np.array_equal(table.ravel(), partners)
             assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_vis_pairs_invariants(n, k, seed):
+    rng = np.random.default_rng(seed)
+    graph = topology.knn_graph(rng.normal(size=(n, 3)), min(k, n - 1))
+    partners = downstream._vis_pairs(graph, rng)
+    assert partners.shape == (n, 1 + topology.N_NEG)
+    nbrs = neighbor_lists(graph)
+    assert all(partners[i, 0] in nbrs[i] for i in range(n))
+    neg = partners[:, 1:]
+    assert np.all((neg >= 0) & (neg < n))
+    assert np.all(neg != np.arange(n)[:, None])

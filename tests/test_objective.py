@@ -10,16 +10,6 @@ from topofuse.errors import NonFiniteLoss, OutOfRange, ShapeMismatch
 from _oracles import binary_entropy, topo_dz_oracle
 
 
-def _pair_batch(n, anchors, partners, h, payload_dim=1):
-    return topology.PairBatch(
-        n=n,
-        anchors=np.asarray(anchors, dtype=np.int64),
-        partners=np.asarray(partners, dtype=np.int64),
-        h=np.asarray(h, dtype=np.int64),
-        aug_payload=np.zeros((0, payload_dim)),
-    )
-
-
 class TestKappa:
     def test_hand_values(self):
         assert objective.kappa([0.0, 0.0], [1.0, 0.0], 1.0) == 0.25
@@ -41,14 +31,6 @@ class TestKappa:
         with pytest.raises(OutOfRange):
             objective.kappa([0.0], [1.0], 0.0)
 
-    def test_kernel_config_validation(self):
-        with pytest.raises(OutOfRange):
-            objective.KernelConfig(nu=-1.0)
-        with pytest.raises(OutOfRange):
-            objective.KernelConfig(nu=1.0, clamp_eps=0.5)
-        with pytest.raises(OutOfRange):
-            objective.KernelConfig(nu=1.0, clamp_eps=0.0)
-
 
 class TestTopoPrior:
     def test_augmented_boost_and_cap(self):
@@ -69,10 +51,7 @@ class TestTopoLoss:
         # nu=1, d^2 = sqrt(2)-1 gives S = 1/2, so a t=1 pair costs ln 2
         x = math.sqrt(math.sqrt(2.0) - 1.0)
         z = np.array([[0.0], [x]])
-        batch = _pair_batch(2, [0], [1], [0])
-        loss, dz = objective.topo_loss(
-            batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=np.array([1.0])
-        )
+        loss, dz = objective.topo_loss(np.array([[1]]), z, z, 1.0, 0.0, t_fixed=np.array([[1.0]]))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         # dL/dd2 = t * p / (nu * u) = 2 / sqrt(2); dz_i = 2 * dL/dd2 * (z_i - z_j)
         assert dz[0, 0] == pytest.approx(2.0 * math.sqrt(2.0) * -x, rel=1e-12)
@@ -81,38 +60,29 @@ class TestTopoLoss:
     def test_prior_nu_separate_from_latent_nu(self):
         y = np.array([[0.0], [1.0]])
         z = np.array([[0.0], [1.0]])
-        batch = _pair_batch(2, [0], [1], [0])
-        loss, _ = objective.topo_loss(
-            batch, y, z, objective.KernelConfig(nu=0.5), 0.0, nu_prior=1.0
-        )
-        # t = 0.25 from nu=1; S = 3^-3 from nu=0.5
+        loss, _ = objective.topo_loss(np.array([[1]]), y, z, 0.5, 0.0, nu_prior=1.0)
+        # t = 0.25 from nu=1 (alpha = 0 leaves the positive unboosted); S = 3^-3 from nu=0.5
         s = 27.0**-1.0
         assert loss == pytest.approx(-(0.25 * math.log(s) + 0.75 * math.log(1 - s)), abs=1e-12)
 
     def test_high_target_pulls_low_target_pushes(self, rng):
         z = rng.normal(size=(4, 3))
-        batch = _pair_batch(4, [0], [1], [0], payload_dim=3)
-        for t, sign in ((np.array([0.95]), 1.0), (np.array([0.02]), -1.0)):
-            _, dz = objective.topo_loss(
-                batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=t
-            )
+        for t, sign in ((np.array([[0.95]]), 1.0), (np.array([[0.02]]), -1.0)):
+            _, dz = objective.topo_loss(np.array([[1]]), z, z, 1.0, 0.0, t_fixed=t)
             assert sign * float(dz[0] @ (z[0] - z[1])) > 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
         n, d = 6, 3
         z = rng.normal(size=(n, d))
         y = rng.normal(size=(n, d))
-        anchors = [0, 1, 2, 3, 4, 5, 0, 2]
-        partners = [3, 4, 5, 0, 1, 2, 5, 4]
-        batch = _pair_batch(n, anchors, partners, [0] * 8, payload_dim=d)
-        t_fixed = rng.uniform(0.2, 0.8, size=8)
-        kcfg = objective.KernelConfig(nu=0.8)
+        partners = np.array([[3, 5], [4, 0], [5, 4], [0, 1], [1, 2], [2, 3]])
+        t_fixed = rng.uniform(0.2, 0.8, size=partners.shape)
 
         def f(zv):
-            loss, _ = objective.topo_loss(batch, y, zv, kcfg, 0.0, t_fixed=t_fixed)
+            loss, _ = objective.topo_loss(partners, y, zv, 0.8, 0.0, t_fixed=t_fixed)
             return loss
 
-        _, dz = objective.topo_loss(batch, y, z, kcfg, 0.0, t_fixed=t_fixed)
+        _, dz = objective.topo_loss(partners, y, z, 0.8, 0.0, t_fixed=t_fixed)
         h = 1e-6
         worst = 0.0
         for i in range(n):
@@ -127,24 +97,20 @@ class TestTopoLoss:
 
     def test_clamp_floors_the_value(self):
         far = np.array([[0.0], [1e6]])
-        batch = _pair_batch(2, [0], [1], [0])
-        kcfg = objective.KernelConfig(nu=1.0)
-        loss_hi_t, _ = objective.topo_loss(batch, far, far, kcfg, 0.0, t_fixed=np.array([1.0]))
+        pair = np.array([[1]])
+        loss_hi_t, _ = objective.topo_loss(pair, far, far, 1.0, 0.0, t_fixed=np.array([[1.0]]))
         assert loss_hi_t == pytest.approx(-math.log(1e-7), abs=1e-12)
         near = np.array([[0.0], [0.0]])
-        loss_lo_t, _ = objective.topo_loss(batch, near, near, kcfg, 0.0, t_fixed=np.array([0.0]))
+        loss_lo_t, _ = objective.topo_loss(pair, near, near, 1.0, 0.0, t_fixed=np.array([[0.0]]))
         assert loss_lo_t == pytest.approx(-math.log(1e-7), abs=1e-12)
-        loss_hi, _ = objective.topo_loss(batch, near, near, kcfg, 0.0, t_fixed=np.array([1.0]))
+        loss_hi, _ = objective.topo_loss(pair, near, near, 1.0, 0.0, t_fixed=np.array([[1.0]]))
         assert loss_hi == pytest.approx(-math.log1p(-1e-7), abs=1e-15)
 
     def test_attraction_survives_the_value_clamp(self):
         # S underflows past the clamp floor, yet a live target must still
         # pull the pair together: the 1/S factor cancels the kernel tail.
         z = np.array([[0.0], [1e6]])
-        batch = _pair_batch(2, [0], [1], [0])
-        _, dz = objective.topo_loss(
-            batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=np.array([0.5])
-        )
+        _, dz = objective.topo_loss(np.array([[1]]), z, z, 1.0, 0.0, t_fixed=np.array([[0.5]]))
         u = 1.0 + 1e12
         expected = 2.0 * (0.5 * 2.0 / u) * -1e6
         assert dz[0, 0] == pytest.approx(expected, rel=1e-9)
@@ -152,41 +118,50 @@ class TestTopoLoss:
 
     def test_loss_at_matching_similarities_is_entropy_floor(self, rng):
         z = rng.normal(size=(5, 2))
-        batch = _pair_batch(5, [0, 1, 2], [2, 3, 4], [0, 0, 0], payload_dim=2)
-        d2 = ((z[batch.anchors] - z[batch.partners]) ** 2).sum(axis=1)
+        partners = np.array([[2], [3], [4]])
+        d2 = ((z[:3] - z[partners[:, 0]]) ** 2).sum(axis=1)
         t = (1.0 + d2) ** -2.0
-        loss, _ = objective.topo_loss(
-            batch, z, z, objective.KernelConfig(nu=1.0), 0.0, t_fixed=t
-        )
+        loss, _ = objective.topo_loss(partners, z, z, 1.0, 0.0, t_fixed=t[:, None])
         assert loss == pytest.approx(binary_entropy(t), abs=1e-9)
 
     def test_scatter_matches_add_at(self, rng):
-        # repeated anchors and partners, an all-zero column and two equal rows,
-        # whose pair contributes signed zeros
-        z = rng.normal(size=(7, 4))
-        z[:, 1] = 0.0
-        z[5] = z[2]
-        anchors = [0, 0, 2, 2, 3, 5, 0, 6, 2, 4]
-        partners = [1, 1, 5, 0, 0, 2, 6, 0, 4, 0]
-        batch = _pair_batch(7, anchors, partners, [0] * 10, payload_dim=4)
-        t = rng.uniform(0.0, 1.0, size=10)
-        kcfg = objective.KernelConfig(nu=0.7)
-        _, dz = objective.topo_loss(batch, z, z, kcfg, 0.0, t_fixed=t)
-        want = topo_dz_oracle(batch.anchors, batch.partners, z, t, kcfg.nu, kcfg.clamp_eps)
-        assert np.array_equal(dz, want)
-        assert np.array_equal(np.signbit(dz), np.signbit(want))
+        # random tables with repeated partners, an all-zero column and two equal
+        # rows, whose pairs contribute signed zeros; column 0 holds the views
+        # n + i, as in training, or dataset rows, as in the visualization
+        n, c = 7, 4
+        for views in (True, False):
+            z = rng.normal(size=(2 * n if views else n, 3))
+            z[:, 1] = 0.0
+            z[5] = z[2]
+            for _ in range(10):
+                partners = rng.integers(0, n, size=(n, c))
+                partners[2, 1:3] = 5
+                partners[5, 2] = 2
+                if views:
+                    partners[:, 0] = n + np.arange(n)
+                t = rng.uniform(0.0, 1.0, size=(n, c))
+                _, dz = objective.topo_loss(partners, z, z, 0.7, 0.0, t_fixed=t)
+                want = topo_dz_oracle(np.repeat(np.arange(n), c), partners.ravel(), z, t.ravel(), 0.7, objective.S_CLAMP)
+                assert np.array_equal(dz, want)
+                assert np.array_equal(np.signbit(dz), np.signbit(want))
 
     def test_shape_errors(self):
         z = np.zeros((3, 2))
-        batch = _pair_batch(3, [0], [1], [0], payload_dim=2)
-        kcfg = objective.KernelConfig(nu=1.0)
+        pair = np.array([[1]])
         with pytest.raises(ShapeMismatch):
-            objective.topo_loss(batch, np.zeros((2, 2)), z, kcfg, 0.0)
+            objective.topo_loss(pair, np.zeros((2, 2)), z, 1.0, 0.0)
         with pytest.raises(ShapeMismatch):
-            objective.topo_loss(batch, z, z, kcfg, 0.0, t_fixed=np.zeros(4))
-        tall = _pair_batch(3, [0, 0], [1, 4], [0, 1], payload_dim=2)
-        with pytest.raises(ShapeMismatch):
-            objective.topo_loss(tall, z, z, kcfg, 0.0)
+            objective.topo_loss(pair, z, z, 1.0, 0.0, t_fixed=np.zeros(1))
+        # a partner past the rows, a negative partner, a table longer than z
+        for partners in ([[1], [4]], [[1], [-1]], [[1], [2], [0], [1]]):
+            with pytest.raises(ShapeMismatch):
+                objective.topo_loss(np.array(partners), z, z, 1.0, 0.0)
+
+    def test_nonpositive_nu(self):
+        z = np.zeros((2, 1))
+        for nu in (0.0, -1.0):
+            with pytest.raises(OutOfRange):
+                objective.topo_loss(np.array([[1]]), z, z, nu, 0.0, t_fixed=np.array([[0.5]]))
 
 
 class TestReconLoss:

@@ -176,8 +176,8 @@ class TestAugment:
         probe = np.random.default_rng(99)
         j = [1, 2][int(probe.integers(np.array([2, 1, 1]))[0])]
         r = float(probe.uniform(0.0, 0.4, 3)[0])
-        batch = topology.sample_pairs(3, g, feats, 1, 0.4, np.random.default_rng(99))
-        assert np.array_equal(batch.aug_payload[0], (1.0 - r) * feats[0] + r * feats[j])
+        payload, _ = topology.sample_pairs(3, g, feats, 1, 0.4, np.random.default_rng(99))
+        assert np.array_equal(payload[0], (1.0 - r) * feats[0] + r * feats[j])
 
     def test_p_u_bounds(self, rng):
         feats = np.zeros((2, 1))
@@ -200,13 +200,14 @@ class TestSamplePairs:
             graph = topology.knn_graph(feats, k)
             for bit_generator in (np.random.PCG64, np.random.MT19937):
                 rng, clone = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
-                batch = topology.sample_pairs(n, graph, feats, n_neg, p_u, rng)
-                anchors, partners, h, payload = sample_pairs_oracle(n, neighbor_lists(graph), feats, n_neg, p_u, clone)
-                assert batch.size == n * (1 + n_neg)
-                assert np.array_equal(batch.anchors, anchors)
-                assert np.array_equal(batch.partners, partners)
-                assert np.array_equal(batch.h, h)
-                assert batch.aug_payload.tobytes() == payload.tobytes()
+                payload, partners = topology.sample_pairs(n, graph, feats, n_neg, p_u, rng)
+                anchors, want, h, want_payload = sample_pairs_oracle(n, neighbor_lists(graph), feats, n_neg, p_u, clone)
+                # row i of the table holds anchor i's pairs, the augmented one (h = 1) first
+                assert partners.shape == (n, 1 + n_neg)
+                assert np.array_equal(anchors, np.repeat(np.arange(n), 1 + n_neg))
+                assert np.array_equal(partners.ravel(), want)
+                assert np.array_equal(h.reshape(n, -1) == 1, np.broadcast_to(np.arange(1 + n_neg) == 0, partners.shape))
+                assert payload.tobytes() == want_payload.tobytes()
                 # the generator is left where the three draws leave it
                 assert rng.random() == clone.random()
 
@@ -219,51 +220,6 @@ class TestSamplePairs:
             topology.sample_pairs(1, graph, feats, 1, 0.5, rng)
 
 
-class TestPairBatchValidation:
-    def _payload(self, n=3, d=2):
-        return np.zeros((n, d))
-
-    def test_augmented_partner_must_point_into_payload(self):
-        with pytest.raises(OutOfRange):
-            topology.PairBatch(
-                n=3,
-                anchors=np.array([0]),
-                partners=np.array([1]),
-                h=np.array([1]),
-                aug_payload=self._payload(),
-            )
-
-    def test_negative_partner_must_be_a_dataset_row(self):
-        with pytest.raises(OutOfRange):
-            topology.PairBatch(
-                n=3,
-                anchors=np.array([0]),
-                partners=np.array([4]),
-                h=np.array([0]),
-                aug_payload=self._payload(),
-            )
-
-    def test_negative_partner_must_differ_from_anchor(self):
-        with pytest.raises(OutOfRange):
-            topology.PairBatch(
-                n=3,
-                anchors=np.array([2]),
-                partners=np.array([2]),
-                h=np.array([0]),
-                aug_payload=self._payload(),
-            )
-
-    def test_array_length_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            topology.PairBatch(
-                n=3,
-                anchors=np.array([0, 1]),
-                partners=np.array([1]),
-                h=np.array([0]),
-                aug_payload=self._payload(),
-            )
-
-
 @given(
     st.integers(2, 12),
     st.integers(1, 4),
@@ -273,12 +229,10 @@ def test_sample_pairs_invariants(n, n_neg, seed):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, 3))
     graph = topology.knn_graph(feats, min(3, n - 1))
-    batch = topology.sample_pairs(n, graph, feats, n_neg, 0.4, rng)
-    assert batch.size == n * (1 + n_neg)
-    aug = batch.h == 1
-    assert aug.sum() == n
-    assert np.array_equal(batch.partners[aug], n + np.arange(n))
-    neg = ~aug
-    assert np.all(batch.partners[neg] < n)
-    assert np.all(batch.partners[neg] != batch.anchors[neg])
-    assert batch.aug_payload.shape == (n, 3)
+    payload, partners = topology.sample_pairs(n, graph, feats, n_neg, 0.4, rng)
+    assert partners.shape == (n, 1 + n_neg)
+    assert np.array_equal(partners[:, 0], n + np.arange(n))
+    neg = partners[:, 1:]
+    assert np.all((neg >= 0) & (neg < n))
+    assert np.all(neg != np.arange(n)[:, None])
+    assert payload.shape == (n, 3)
