@@ -9,12 +9,12 @@
 #   - synth --seed 42 for the 4x50, 8x125 and 4x200 sections;
 #   - report on 4x50 at the default config and at epochs=150, and on 8x125
 #     at epochs=20, with and without its labels.csv (without them report
-#     scores the inputs in its own process, after clustering);
+#     scores both spaces in its own process, after clustering);
 #   - train (epochs=40) -> cluster (refine=true) -> visualize -> deconvolve
 #     -> markers -> trajectory -> evaluate on 4x200.
 # Then runs the working tree's 8x125 report once more under `taskset -c 0`:
-# on one CPU `report` runs every analysis inline instead of in its worker
-# process, so both paths are checked against REF. Compares the output trees
+# on one CPU `report` runs every analysis inline instead of in forked
+# children, so both paths are checked against REF. Compares the output trees
 # with `diff -rq`, manifests included, except the checkpoints (`ckpt.*`): each
 # tree reads its own with its own `load_checkpoint`, and the tensors, theta
 # and fusion_mode must be exactly equal, so a change of checkpoint format

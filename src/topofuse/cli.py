@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
             type=positive_int,
             default=None,
             help="BLAS threads per process, a positive integer (1 = deterministic); report"
-            " adds one worker process when the CPUs allow two",
+            " forks its side analyses when the CPUs allow two processes",
         )
         if data:
             sp.add_argument("--data", required=True, help="directory with tra.csv and coords.csv")
@@ -455,13 +455,13 @@ def cmd_report(args, cfg) -> dict:
         return os.path.join(args.out, name)
 
     inputs, embeddings = "input-space modality contribution", "embedding-space modality contribution"
-    # the worker, when there is one, runs the visualization and one of the two
-    # contributions beside this process's work; the results come back by name
-    # below. Entered first, so the worker starts while this process reads --data
+    # forked children, one at a time when the CPUs allow them, run the
+    # visualization and, with labels, the input-space contribution beside this
+    # process's work; the results come back by name below
     with analysis_jobs(args.threads) as jobs:
         ds = _load_data(args.data)
         pre, spatial, eps = _model_inputs(ds, cfg)
-        # with the dataset's own labels the worker scores the inputs while this
+        # with the dataset's own labels a child scores the inputs while this
         # process trains, and this process scores the embeddings
         if ds.labels is not None:
             jobs.submit(inputs, _contribution, [pre.tra, pre.mor], ds.labels, cfg.seed)
@@ -470,14 +470,14 @@ def cmd_report(args, cfg) -> dict:
         k, labels = _cluster(ds, emb.z, cfg, args.restarts)
         if ds.labels is not None:
             local = {embeddings: _contribution([emb.y_tra, emb.y_mor], ds.labels, cfg.seed)}
-        else:  # both need the clusters: the worker scores the embeddings after the visualization
-            jobs.submit(embeddings, _contribution, [emb.y_tra, emb.y_mor], labels, cfg.seed)
+        else:  # both need the clusters: this process scores both while the child draws the visualization
             local = {inputs: _contribution([pre.tra, pre.mor], labels, cfg.seed)}
+            local[embeddings] = _contribution([emb.y_tra, emb.y_mor], labels, cfg.seed)
         dec = deconvolve(emb.z, labels, args.l1)
         markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
         metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
         paga_edges = _paga_edges(emb.z, labels, args.paga_k)[1] if len(set(labels.tolist())) >= 2 else None
-        # what needs nothing from the worker is written while it runs
+        # what needs nothing from the child is written while it runs
         write_labels_csv(out("labels.csv"), ds.spot_ids, labels)
         write_markers_csv(out("markers.csv"), markers)
         write_deconvolution_csv(out("deconvolution.csv"), ds.spot_ids, dec.cluster_ids, dec.weights, dec.impurity)

@@ -126,12 +126,6 @@ class RunConfig:
         d.pop("explicit")
         return d
 
-    def replace(self, **kv) -> "RunConfig":
-        merged = self.to_dict()
-        merged.update(kv)
-        explicit = self.explicit | frozenset(kv)
-        return RunConfig(**merged, explicit=explicit)
-
 
 def _validate_config_values(d: dict):
     def bad(key, why):

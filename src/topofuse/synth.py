@@ -34,6 +34,11 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("spacing", "signal_tra", "signal_mor", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise OutOfRange(f"{name} must be finite")
+        if self.seed < 0:
+            raise OutOfRange("seed must be nonnegative")
         if self.n_domains < 1 or self.spots_per_domain < 1:
             raise OutOfRange("need at least one domain and one spot per domain")
         if self.genes < self.n_domains:

@@ -81,8 +81,8 @@ def test_criterion_1_gradient_fidelity():
     n, g, m, d = 6, 4, 3, 5
     # nu=1 keeps every sampled pair inside the unclamped band, so the loss
     # is differentiable everywhere the checker probes.
-    cfg = dataio.RunConfig().replace(
-        d_emb=d, nu=1.0, lambda_=0.37, k_tr=2, k_mo=2, r_u_tr=0.3, r_u_mo=0.3, n_mlp=2
+    cfg = dataio.config_from_dict(
+        {"d_emb": d, "nu": 1.0, "lambda_": 0.37, "k_tr": 2, "k_mo": 2, "r_u_tr": 0.3, "r_u_mo": 0.3, "n_mlp": 2}
     )
     x_tra = rng.normal(size=(n, g))
     x_mor = rng.normal(size=(n, m))
@@ -310,7 +310,7 @@ def test_criterion_7_modality_bias_mitigation():
     ok = True
     for seed in range(5):
         ds, truth = synth.generate(synth.SynthSpec(signal_mor=0.0, seed=seed))
-        cfg = dataio.RunConfig().replace(seed=seed)
+        cfg = dataio.config_from_dict({"seed": seed})
         pre = preprocess.preprocess_dataset(ds, cfg)
         graph = topology.build_spatial_graph(ds.coords, topology.auto_epsilon(ds.coords))
         _, emb = objective.train(pre, graph, cfg)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -450,7 +452,7 @@ class TestForeignCheckpoint:
     def test_denoise_refuses_other_genes(self, pipeline, tmp_path):
         data, old = _renamed_gene_data(pipeline, tmp_path)
         ds = cli._load_data(str(data))
-        pre = preprocess.preprocess_dataset(ds, dataio.RunConfig().replace(tau=1))
+        pre = preprocess.preprocess_dataset(ds, dataio.config_from_dict({"tau": 1}))
         graph = topology.build_spatial_graph(ds.coords, topology.auto_epsilon(ds.coords))
         params = network.load_checkpoint(pipeline["ckpt"])
         with pytest.raises(StaleCache, match=f"is {old!r} in the model and 'renamed' in the data"):
@@ -522,6 +524,24 @@ class TestExitCodes:
         rc = cli.run(["synth", "--out", str(tmp_path / "x"), "--domains", "0"])
         assert rc == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--seed", "-1", "seed"),
+            ("--spacing", "nan", "spacing"),
+            ("--noise-std", "inf", "noise_std"),
+            ("--signal-tra", "nan", "signal_tra"),
+            ("--signal-mor", "inf", "signal_mor"),
+        ],
+    )
+    def test_synth_names_the_bad_number(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert cli.run(["synth", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"topofuse: error: {field} must be " in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
         "argv",
@@ -659,35 +679,39 @@ def test_report_imports_no_scipy(pipeline, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 WATCHDOG_S = 60
-# what report submits to its worker, in order, keyed by the file dropped from the dataset
+# what report submits to its forked children, in order, keyed by the file dropped from the dataset
 _WORKER_ANALYSES = {
     None: ("input-space modality contribution", "visualization"),
-    "labels.csv": ("visualization", "embedding-space modality contribution"),
+    "labels.csv": ("visualization",),
 }
-# what report writes before it waits for its worker
+# what report writes before it waits for its last child
 _EARLY_OUTPUTS = ("labels.csv", "markers.csv", "deconvolution.csv", "domains.svg", "embedding.csv", "ckpt.npz")
 
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Every worker process started during the test, as its Popen object.
+    """The pid of every child forked during the test.
 
-    A watchdog kills them after WATCHDOG_S, so a run that would wait on its
-    worker forever fails the test instead of hanging it.
+    A watchdog kills those not yet reaped after WATCHDOG_S, so a run that
+    would wait on a child forever fails the test instead of hanging it.
     """
-    started, fired = [], []
+    started, fired, fork = [], [], os.fork
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
+    def recorded():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
     def kill_all():
         fired.append(True)
-        for proc in started:
-            proc.kill()
+        for pid in started:
+            # waitid (WNOWAIT: no reaping) raises for a reaped pid, which may name another process by now
+            with contextlib.suppress(ChildProcessError):
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                os.kill(pid, signal.SIGKILL)
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(os, "fork", recorded)
     watchdog = threading.Timer(WATCHDOG_S, kill_all)
     watchdog.start()
     yield started
@@ -701,21 +725,32 @@ def _cpus(monkeypatch, n):
 
 def _listed_at_wait(monkeypatch, out):
     """The names in `out` each time report starts waiting for its worker's results."""
-    listed, results = [], worker.Worker.results
+    listed, results = [], worker.Jobs.results
 
     def list_then_wait(jobs):
         listed.append(sorted(os.listdir(out)))
         return results(jobs)
 
-    monkeypatch.setattr(worker.Worker, "results", list_then_wait)
+    monkeypatch.setattr(worker.Jobs, "results", list_then_wait)
     return listed
 
 
-def _assert_reaped(procs):
-    for proc in procs:
-        assert proc.returncode is not None
+def _block_first_job(monkeypatch):
+    """report's first submitted analysis sleeps past the watchdog instead of running."""
+    submit = worker.Jobs.submit
+
+    def first_job_blocks(jobs, name, fn, *args):
+        if not jobs._jobs:
+            fn, args = time.sleep, (2 * WATCHDOG_S,)
+        submit(jobs, name, fn, *args)
+
+    monkeypatch.setattr(worker.Jobs, "submit", first_job_blocks)
+
+
+def _assert_reaped(pids):
+    for pid in pids:
         with pytest.raises(ChildProcessError):
-            os.waitpid(proc.pid, os.WNOHANG)
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestAnalysisWorker:
@@ -730,7 +765,8 @@ class TestAnalysisWorker:
             _cpus(monkeypatch, cpus)
             outs[cpus] = tmp_path / f"cpus{cpus}"
             assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[cpus])]) == 0
-            assert len(workers) == cpus - 1  # --threads 1: one CPU runs inline, two add a worker
+            # --threads 1: one CPU runs inline, two fork each analysis of _WORKER_ANALYSES
+            assert len(workers) == (cpus - 1) * len(_WORKER_ANALYSES.get(drop, _WORKER_ANALYSES[None]))
         _assert_reaped(workers)
         names = sorted(os.listdir(outs[1]))
         assert names == sorted(os.listdir(outs[2]))
@@ -742,7 +778,7 @@ class TestAnalysisWorker:
         assert {key for key in inline if inline[key] != remote[key]} == {"out", "argv"}
 
     def test_data_removed_after_reading_changes_nothing(self, pipeline, tmp_path, monkeypatch, workers):
-        # only this process reads --data: the worker gets its inputs from it
+        # only this process reads --data: the children get their inputs from its memory
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
         outs = {cpus: tmp_path / f"cpus{cpus}" for cpus in (1, 2)}
@@ -758,7 +794,7 @@ class TestAnalysisWorker:
         monkeypatch.setattr(cli, "_load_data", load_then_remove)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[2])]) == 0
-        assert not data.exists() and len(workers) == 1
+        assert not data.exists() and len(workers) == 2
         _assert_reaped(workers)
         names = sorted(os.listdir(outs[1]))
         assert names == sorted(os.listdir(outs[2]))
@@ -767,14 +803,14 @@ class TestAnalysisWorker:
                 assert _read(outs[1] / name) == _read(outs[2] / name), name
 
     def test_worker_error_exits_1_with_its_message(self, pipeline, tmp_path, monkeypatch, capsys, workers):
-        submit = worker.Worker.submit
+        submit = worker.Jobs.submit
 
         def first_job_fails(jobs, name, fn, *args):
-            if not jobs._jobs:  # the worker raises OutOfRange on one spot
+            if not jobs._jobs:  # the child raises OutOfRange on one spot
                 fn, args = topology.auto_epsilon, ([[0.0, 0.0]],)
             submit(jobs, name, fn, *args)
 
-        monkeypatch.setattr(worker.Worker, "submit", first_job_fails)
+        monkeypatch.setattr(worker.Jobs, "submit", first_job_fails)
         _cpus(monkeypatch, 2)
         capsys.readouterr()
         assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
@@ -782,18 +818,18 @@ class TestAnalysisWorker:
             topology.auto_epsilon([[0.0, 0.0]])
         assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
         assert [name for name in (*_EARLY_OUTPUTS, "report.json") if os.path.exists(tmp_path / "out" / name)] == []
-        assert len(workers) == 1
+        assert len(workers) == 1  # the visualization's submit waits for the failed child and raises
         _assert_reaped(workers)
 
     def test_failed_visualization_removes_the_early_outputs(self, pipeline, tmp_path, monkeypatch, capsys, workers):
-        submit = worker.Worker.submit
+        submit = worker.Jobs.submit
 
         def visualization_fails(jobs, name, fn, *args):
-            if name == "visualization":  # the worker raises OutOfRange on one spot
+            if name == "visualization":  # the child raises OutOfRange on one spot
                 fn, args = topology.auto_epsilon, ([[0.0, 0.0]],)
             submit(jobs, name, fn, *args)
 
-        monkeypatch.setattr(worker.Worker, "submit", visualization_fails)
+        monkeypatch.setattr(worker.Jobs, "submit", visualization_fails)
         out = tmp_path / "out"
         listed = _listed_at_wait(monkeypatch, out)
         _cpus(monkeypatch, 2)
@@ -810,16 +846,16 @@ class TestAnalysisWorker:
         shutil.copytree(pipeline["data"], data)
         if drop:
             os.remove(data / drop)
-        names, submit = [], worker.Worker.submit
+        names, submit = [], worker.Jobs.submit
 
         def record(jobs, name, fn, *args):
             names.append(name)
             submit(jobs, name, fn, *args)
 
-        monkeypatch.setattr(worker.Worker, "submit", record)
+        monkeypatch.setattr(worker.Jobs, "submit", record)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
-        assert names == list(_WORKER_ANALYSES[drop])
+        assert names == list(_WORKER_ANALYSES[drop]) and len(workers) == len(names)
         _assert_reaped(workers)
 
     def test_training_failure_stops_the_worker(self, pipeline, tmp_path, monkeypatch, capsys, workers):
@@ -827,23 +863,26 @@ class TestAnalysisWorker:
             raise NonFiniteLoss("training diverged")
 
         monkeypatch.setattr(objective, "train", diverge)
+        _block_first_job(monkeypatch)
         _cpus(monkeypatch, 2)
         capsys.readouterr()
+        start = time.perf_counter()
         assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
+        # the input-space contribution was still running: its child was killed, not waited for
+        assert time.perf_counter() - start < WATCHDOG_S / 4
         assert "topofuse: error: training diverged" in capsys.readouterr().err
-        # the worker still waited for jobs: it was killed, not waited for
-        assert [proc.returncode for proc in workers] == [-signal.SIGKILL]
+        assert len(workers) == 1
         _assert_reaped(workers)
 
     def test_killed_worker_names_the_analysis(self, pipeline, tmp_path, monkeypatch, capsys, workers):
         train = objective.train
 
         def kill_worker_then_train(*args, **kwargs):
-            workers[0].kill()
-            workers[0].wait(timeout=WATCHDOG_S)
+            os.kill(workers[0], signal.SIGKILL)  # it blocks, so it cannot return first
             return train(*args, **kwargs)
 
         monkeypatch.setattr(objective, "train", kill_worker_then_train)
+        _block_first_job(monkeypatch)
         _cpus(monkeypatch, 2)
         capsys.readouterr()
         assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1

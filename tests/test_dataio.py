@@ -23,8 +23,8 @@ class TestRunConfig:
         for key, kind in dataio._CONFIG_SPEC.items():
             assert isinstance(defaults[key], kind), key
 
-    def test_replace_tracks_explicit_keys_and_ignores_them_for_equality(self):
-        cfg = dataio.RunConfig().replace(nu=1.0, epochs=5)
+    def test_config_from_dict_tracks_explicit_keys_and_ignores_them_for_equality(self):
+        cfg = dataio.config_from_dict({"nu": 1.0, "epochs": 5})
         assert cfg.nu == 1.0 and cfg.epochs == 5
         assert cfg.explicit == frozenset({"nu", "epochs"})
         assert cfg == dataio.RunConfig(nu=1.0, epochs=5)
@@ -53,7 +53,7 @@ class TestRunConfig:
     )
     def test_invalid_values_rejected(self, kv):
         with pytest.raises(OutOfRange):
-            dataio.RunConfig().replace(**kv)
+            dataio.config_from_dict(kv)
 
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(UnknownKey):
@@ -64,7 +64,7 @@ class TestRunConfig:
         assert cfg.epochs == 10 and isinstance(cfg.epochs, int)
 
     def test_round_trip_through_file(self, tmp_path):
-        cfg = dataio.RunConfig().replace(nu=0.2, epochs=33, epsilon_radius=1.25, refine=True)
+        cfg = dataio.config_from_dict({"nu": 0.2, "epochs": 33, "epsilon_radius": 1.25, "refine": True})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert dataio.config_from_dict(dataio.load_config(str(path))) == cfg

@@ -229,7 +229,7 @@ def _marker_setup(rng, n=18, g=5, with_mor=False):
     coords = np.column_stack([np.arange(n) % 6, np.arange(n) // 6]).astype(np.float64)
     graph = topology.build_spatial_graph(coords, 1.0)
     n_mor = 3 if with_mor else None
-    params = network.init_params(rng, g, n_mor, dataio.RunConfig().replace(d_emb=4, n_mlp=1))
+    params = network.init_params(rng, g, n_mor, dataio.config_from_dict({"d_emb": 4, "n_mlp": 1}))
     labels = (np.arange(n) >= n // 2).astype(np.int64)
     return pre, graph, params, labels
 
@@ -358,7 +358,7 @@ class TestDenoise:
 class TestVisualization:
     def test_shape_and_determinism(self, rng):
         z, _ = _blobs(rng, [(0.0, 0.0, 0.0), (6.0, 0.0, 0.0)], per=12)
-        cfg = dataio.RunConfig().replace(seed=9)
+        cfg = dataio.config_from_dict({"seed": 9})
         a, history = downstream._fit_vis(z, cfg)
         b, _ = downstream._fit_vis(z, cfg)
         assert len(history) == downstream.VIS_EPOCHS

@@ -137,7 +137,7 @@ class TestLinearSvm:
     def test_objective_close_to_per_sample_sgd(self, modality):
         # criterion 7's seed-0 inputs, each modality scored alone as the criterion does
         ds, truth = synth.generate(synth.SynthSpec(signal_mor=0.0, seed=0))
-        pre = preprocess.preprocess_dataset(ds, dataio.RunConfig().replace(seed=0))
+        pre = preprocess.preprocess_dataset(ds, dataio.config_from_dict({"seed": 0}))
         x, y = getattr(pre, modality), truth["labels"]
         fit = evaluate.fit_linear_svm(x, y, np.random.default_rng([0, 17]))
         old = per_sample_svm_oracle(x, y, np.random.default_rng([0, 17]), evaluate.SVM_EPOCHS, evaluate.SVM_C)

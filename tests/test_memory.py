@@ -77,7 +77,7 @@ def _pre():
 
 def test_one_training_epoch_stays_below_a_quarter_of_n_by_n(points):
     _, coords = points
-    cfg = dataio.RunConfig().replace(epochs=1, d_emb=4)
+    cfg = dataio.config_from_dict({"epochs": 1, "d_emb": 4})
     peak = _peak_bytes(objective.train, _pre(), _spatial(coords), cfg)
     assert peak < NXN_BYTES / 4, f"train peaked at {peak / NXN_BYTES:.2f} of one n x n array"
 
@@ -86,7 +86,7 @@ def test_one_training_epoch_stays_below_a_quarter_of_n_by_n(points):
 def test_trained_model_analyses_stay_below_a_quarter_of_n_by_n(points, name):
     _, coords = points
     pre = _pre()
-    params = network.init_params(np.random.default_rng(5), 4, None, dataio.RunConfig().replace(d_emb=4))
+    params = network.init_params(np.random.default_rng(5), 4, None, dataio.config_from_dict({"d_emb": 4}))
     params.gene_ids = list(pre.gene_ids)
     graph = _spatial(coords)
     peak = _peak_bytes(getattr(downstream, name), params, pre, graph)

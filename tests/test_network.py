@@ -13,7 +13,7 @@ from _oracles import csr_graph, normalized_adjacency_oracle
 def _cfg(**kv):
     base = dict(d_emb=4, n_mlp=1, tau=1)
     base.update(kv)
-    return dataio.RunConfig().replace(**base)
+    return dataio.config_from_dict(base)
 
 
 def _graph_line(n):

@@ -179,7 +179,7 @@ class TestReconLoss:
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self, rng):
-        cfg = dataio.RunConfig().replace(d_emb=3, n_mlp=1)
+        cfg = dataio.config_from_dict({"d_emb": 3, "n_mlp": 1})
         params = network.init_params(rng, 4, 2, cfg)
         before = {name: (l.w.copy(), l.b.copy()) for name, l in params.named_layers()}
         for _, layer in params.named_layers():
@@ -194,7 +194,7 @@ class TestAdam:
             assert np.array_equal(layer.b, b0 - step)
 
     def test_zero_lr_freezes_params(self, rng):
-        cfg = dataio.RunConfig().replace(d_emb=3, n_mlp=1)
+        cfg = dataio.config_from_dict({"d_emb": 3, "n_mlp": 1})
         params = network.init_params(rng, 4, None, cfg)
         w0 = params.decoder[0].w.copy()
         params.decoder[0].gw[...] = 5.0
@@ -222,7 +222,7 @@ def _toy_training(rng, n=24, g=6, m=3, side=6):
 class TestTrain:
     def test_zero_lr_returns_initial_network_output(self, rng):
         pre, graph = _toy_training(rng)
-        cfg = dataio.RunConfig().replace(lr=0.0, epochs=3, seed=11, d_emb=4, k_tr=3, k_mo=3)
+        cfg = dataio.config_from_dict({"lr": 0.0, "epochs": 3, "seed": 11, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         state, es = objective.train(pre, graph, cfg)
         fresh = network.init_params(
             np.random.default_rng(11), pre.tra.shape[1], pre.mor.shape[1], cfg
@@ -235,7 +235,7 @@ class TestTrain:
 
     def test_zero_lambda_total_is_pure_topology(self, rng):
         pre, graph = _toy_training(rng)
-        cfg = dataio.RunConfig().replace(lambda_=0.0, epochs=4, seed=2, d_emb=4, k_tr=3, k_mo=3)
+        cfg = dataio.config_from_dict({"lambda_": 0.0, "epochs": 4, "seed": 2, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         state, _ = objective.train(pre, graph, cfg)
         for h in state.history:
             assert h["total"] == h["l_topo_tra"] + h["l_topo_mor"]
@@ -244,14 +244,14 @@ class TestTrain:
     def test_single_modality_history_has_no_mor_entry(self, rng):
         pre, graph = _toy_training(rng)
         pre.mor = None
-        cfg = dataio.RunConfig().replace(epochs=2, seed=3, d_emb=4, k_tr=3)
+        cfg = dataio.config_from_dict({"epochs": 2, "seed": 3, "d_emb": 4, "k_tr": 3})
         state, es = objective.train(pre, graph, cfg)
         assert state.history[0]["l_topo_mor"] is None
         assert es.y_mor is None
 
     def test_loss_decreases(self, rng):
         pre, graph = _toy_training(rng, n=60, side=10)
-        cfg = dataio.RunConfig().replace(epochs=80, seed=4, d_emb=8, k_tr=5, k_mo=5)
+        cfg = dataio.config_from_dict({"epochs": 80, "seed": 4, "d_emb": 8, "k_tr": 5, "k_mo": 5})
         state, es = objective.train(pre, graph, cfg)
         totals = [h["total"] for h in state.history]
         assert np.mean(totals[-10:]) < np.mean(totals[:10])
@@ -259,14 +259,14 @@ class TestTrain:
 
     def test_deterministic_given_seed(self, rng):
         pre, graph = _toy_training(rng)
-        cfg = dataio.RunConfig().replace(epochs=6, seed=7, d_emb=4, k_tr=3, k_mo=3)
+        cfg = dataio.config_from_dict({"epochs": 6, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         _, es1 = objective.train(pre, graph, cfg)
         _, es2 = objective.train(pre, graph, cfg)
         assert np.array_equal(es1.z, es2.z)
 
     def test_divergent_run_raises(self, rng):
         pre, graph = _toy_training(rng)
-        cfg = dataio.RunConfig().replace(lr=1e150, epochs=4, seed=5, d_emb=4, k_tr=3, k_mo=3)
+        cfg = dataio.config_from_dict({"lr": 1e150, "epochs": 4, "seed": 5, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NonFiniteLoss):
@@ -282,7 +282,7 @@ class TestTrain:
 
         monkeypatch.setattr(network, "decode_forward", counting)
         pre, graph = _toy_training(rng)
-        cfg = dataio.RunConfig().replace(epochs=3, seed=7, d_emb=4, k_tr=3, k_mo=3)
+        cfg = dataio.config_from_dict({"epochs": 3, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         objective.train(pre, graph, cfg)
         # one base pass per epoch plus the final pass
         assert len(calls) == 4
@@ -300,7 +300,8 @@ class TestTrain:
         counts = []
         for epochs in (1, 2):
             calls.clear()
-            objective.train(pre, graph, dataio.RunConfig().replace(epochs=epochs, seed=7, d_emb=4, k_tr=3, k_mo=3))
+            cfg = dataio.config_from_dict({"epochs": epochs, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
+            objective.train(pre, graph, cfg)
             counts.append(len(calls))
         # per epoch: the base forward 4 (two layers per modality); per modality its
         # view's forward 2, the frozen prior 1 + 1 (its first aggregates are the
@@ -317,7 +318,7 @@ class TestTrain:
 
         monkeypatch.setattr(objective, "knn_graph", counting)
         pre, graph = _toy_training(rng)
-        cfg = dataio.RunConfig().replace(epochs=25, seed=7, d_emb=4, k_tr=3, k_mo=3)
+        cfg = dataio.config_from_dict({"epochs": 25, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         objective.train(pre, graph, cfg)
         assert calls == [pre.tra.shape, pre.mor.shape]
 
@@ -332,7 +333,7 @@ class TestTrain:
                 return real(batch, y_m, *args, **kwargs)
 
             monkeypatch.setattr(objective, "topo_loss", recording)
-            cfg = dataio.RunConfig().replace(lr=lr, epochs=12, seed=7, d_emb=4, k_tr=3, k_mo=3)
+            cfg = dataio.config_from_dict({"lr": lr, "epochs": 12, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
             state, _ = objective.train(pre, graph, cfg)
             return seen, state
 
@@ -350,4 +351,4 @@ class TestTrain:
         line = np.column_stack([np.arange(5.0), np.zeros(5)])
         small = topology.build_spatial_graph(line, 1.0)
         with pytest.raises(ShapeMismatch):
-            objective.train(pre, small, dataio.RunConfig().replace(epochs=1))
+            objective.train(pre, small, dataio.config_from_dict({"epochs": 1}))

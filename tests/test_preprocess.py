@@ -135,7 +135,7 @@ class TestPipeline:
             spot_ids=[f"s{i}" for i in range(n)],
             gene_ids=[f"g{j}" for j in range(g)],
         )
-        pre = preprocess.preprocess_dataset(ds, dataio.RunConfig().replace(tau=1))
+        pre = preprocess.preprocess_dataset(ds, dataio.config_from_dict({"tau": 1}))
         assert "g3" not in pre.gene_ids
         assert len(pre.gene_ids) == pre.tra.shape[1] == g - 1
         assert pre.gene_means.shape == pre.gene_stds.shape == (g - 1,)
@@ -149,7 +149,7 @@ class TestPipeline:
             gene_ids=[f"g{j}" for j in range(8)],
             mor=rng.normal(size=(n, 6)),
         )
-        pre = preprocess.preprocess_dataset(ds, dataio.RunConfig().replace(tau=1))
+        pre = preprocess.preprocess_dataset(ds, dataio.config_from_dict({"tau": 1}))
         assert pre.mor.shape == (n, 6)
         assert pre.pca_basis.shape == (6, 6)
 
@@ -161,7 +161,7 @@ class TestPipeline:
             spot_ids=[f"s{i}" for i in range(n)],
             gene_ids=[f"g{j}" for j in range(5)],
         )
-        pre = preprocess.preprocess_dataset(ds, dataio.RunConfig().replace(tau=1))
+        pre = preprocess.preprocess_dataset(ds, dataio.config_from_dict({"tau": 1}))
         assert pre.mor is None and pre.pca_basis is None
 
 

@@ -23,6 +23,16 @@ class TestSpecValidation:
         with pytest.raises(OutOfRange):
             synth.SynthSpec(**kv)
 
+    @pytest.mark.parametrize(
+        "kv",
+        [{"seed": -1}, {"spacing": float("nan")}, {"noise_std": float("inf")}, {"signal_tra": float("nan")},
+         {"signal_mor": float("inf")}, {"signal_mor": -float("inf")}],
+    )
+    def test_rejects_negative_seed_and_non_finite_floats_by_name(self, kv):
+        (field,) = kv
+        with pytest.raises(OutOfRange, match=f"^{field} must be "):
+            synth.SynthSpec(**kv)
+
 
 class TestGenerate:
     def test_shapes_and_id_formats(self):
