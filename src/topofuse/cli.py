@@ -429,7 +429,7 @@ def cmd_evaluate(args, cfg) -> dict:
     ds = _load_data(args.data)
     _, z = read_spot_csv(args.emb, "embedding", ds.spot_ids, args.data)
     predicted = None
-    if args.labels and ds.labels is not None:
+    if args.labels:
         _, predicted = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
     metrics = _metrics(preprocess_dataset(ds, cfg).tra, z, ds.labels, predicted, args.mrre_k)
     write_json(os.path.join(args.out, "metrics.json"), metrics)

@@ -65,29 +65,6 @@ class SpotDataset:
         return self.tra.shape[0]
 
 
-# Value kind per config key; the defaults are RunConfig's field defaults.
-_CONFIG_SPEC = {
-    "k_tr": int,
-    "k_mo": int,
-    "r_u_tr": float,
-    "r_u_mo": float,
-    "nu": float,
-    "d_emb": int,
-    "theta": float,
-    "lambda_": float,
-    "alpha": float,
-    "tau": int,
-    "n_mlp": int,
-    "lr": float,
-    "epochs": int,
-    "seed": int,
-    "epsilon_radius": object,
-    "n_clusters": int,
-    "refine": bool,
-    "fusion_mode": str,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated hyperparameters for one run.
@@ -127,11 +104,17 @@ class RunConfig:
         return d
 
 
+# Value kind per config key: its default's type. epsilon_radius, a positive
+# number or "auto", is checked on its own.
+_KINDS = {f.name: type(f.default) for f in dataclasses.fields(RunConfig) if f.name != "explicit"}
+_KINDS["epsilon_radius"] = object
+
+
 def _validate_config_values(d: dict):
     def bad(key, why):
         raise OutOfRange(f"config key {key!r}: {why}")
 
-    for key, kind in _CONFIG_SPEC.items():
+    for key, kind in _KINDS.items():
         v = d[key]
         if kind is int:
             if isinstance(v, bool) or not isinstance(v, int):
@@ -180,12 +163,12 @@ def _validate_config_values(d: dict):
 
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from a flat mapping, rejecting unknown keys."""
-    unknown = sorted(set(d) - set(_CONFIG_SPEC))
+    unknown = sorted(set(d) - set(_KINDS))
     if unknown:
         raise UnknownKey(f"unknown config keys: {', '.join(unknown)}")
     values = {k: d[k] for k in d}
     # JSON has no int/float distinction worth fighting over; coerce whole floats.
-    for key, kind in _CONFIG_SPEC.items():
+    for key, kind in _KINDS.items():
         if key in values and kind is int and isinstance(values[key], float) and not isinstance(values[key], bool):
             if float(values[key]).is_integer():
                 values[key] = int(values[key])
@@ -428,18 +411,12 @@ def write_dataset(ds: SpotDataset, out_dir: str):
 
 
 def _label_palette(n: int) -> list[str]:
+    import colorsys
+
     # Golden-angle hue walk; value cycles so nearby indices stay distinguishable.
     colors = []
     for i in range(n):
-        h = (i * 0.61803398875) % 1.0
-        s = 0.65
-        v = (0.75, 0.92, 0.58)[i % 3]
-        k = int(h * 6.0)
-        f = h * 6.0 - k
-        p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-        r, g, b = [
-            (v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q),
-        ][k % 6]
+        r, g, b = colorsys.hsv_to_rgb((i * 0.61803398875) % 1.0, 0.65, (0.75, 0.92, 0.58)[i % 3])
         colors.append("#%02x%02x%02x" % (round(r * 255), round(g * 255), round(b * 255)))
     return colors
 

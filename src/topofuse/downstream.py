@@ -32,7 +32,7 @@ from .network import (
     fuse_forward,
     normalized_adjacency,
 )
-from .objective import Adam, topo_loss
+from .objective import Adam, pair_prior, topo_loss
 from .preprocess import PreprocessedData
 from .topology import N_NEG, NeighborGraph, knn_graph
 
@@ -212,7 +212,7 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
         partners = _vis_pairs(graph, rng)
         vi, cache = _stack_forward(z, layers, None)
         # alpha = 0: the kNN positive's prior gets no boost
-        loss, dvi = topo_loss(partners, z, vi, VIS_NU_LOW, alpha=0.0, nu_prior=cfg.nu)
+        loss, dvi = topo_loss(partners, pair_prior(partners, z, 0.0, cfg.nu), vi, VIS_NU_LOW)
         if not np.isfinite(loss):
             raise NonFiniteLoss("visualization loss became non-finite")
         for layer in layers:

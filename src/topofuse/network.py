@@ -146,19 +146,18 @@ def normalized_adjacency(graph: NeighborGraph) -> NormalizedAdjacency:
 def _stack_forward(x: np.ndarray, layers, a_hat: NormalizedAdjacency | None):
     """Shared forward for GCN stacks (a_hat given) and plain MLPs (a_hat None)."""
     h = x
-    acts, aggs, pre = [], [], []
+    aggs, pre = [], []
     for li, layer in enumerate(layers):
         if h.shape[1] != layer.w.shape[0]:
             raise ShapeMismatch(
                 f"layer {li} expects {layer.w.shape[0]} inputs, got {h.shape[1]}"
             )
-        acts.append(h)
         agg = h if a_hat is None else a_hat @ h
         aggs.append(agg)
         a = agg @ layer.w + layer.b
         pre.append(a)
         h = np.maximum(a, 0.0) if li < len(layers) - 1 else a
-    cache = {"acts": acts, "aggs": aggs, "pre": pre, "a_hat": a_hat, "n_layers": len(layers)}
+    cache = {"aggs": aggs, "pre": pre, "a_hat": a_hat, "n_layers": len(layers)}
     return h, cache
 
 
@@ -262,18 +261,11 @@ def forward_all(params: ModelParams, x_tra: np.ndarray, x_mor: np.ndarray | None
     return EmbeddingSet(y_tra, y_mor, z, x_hat), caches
 
 
-def backward_all(
-    params: ModelParams,
-    caches,
-    dz: np.ndarray | None = None,
-    dxhat: np.ndarray | None = None,
-):
+def backward_all(params: ModelParams, caches, dz: np.ndarray, dxhat: np.ndarray | None = None):
     """Accumulate parameter gradients from latent and reconstruction signals."""
-    z_rows = caches["dec"]["acts"][0].shape
-    dz_total = np.zeros(z_rows) if dz is None else dz.copy()
     if dxhat is not None:
-        dz_total += decode_backward(dxhat, params, caches["dec"])
-    dt, dm = fuse_backward(dz_total, params, caches["fuse"])
+        dz = dz + decode_backward(dxhat, params, caches["dec"])
+    dt, dm = fuse_backward(dz, params, caches["fuse"])
     _stack_backward(dt, params.gnn_tra, caches["tra"])
     if params.has_mor:
         _stack_backward(dm, params.gnn_mor, caches["mor"])

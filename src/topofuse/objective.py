@@ -34,7 +34,7 @@ from .topology import N_NEG, NeighborGraph, knn_graph, sample_pairs
 
 S_CLAMP = 1e-7
 DROPOUT_P = 0.1
-PAIR_BLOCK = 1024  # pairs per block of the prior and distance temporaries in topo_loss
+PAIR_BLOCK = 1024  # pairs per block of the temporaries in pair_prior and topo_loss
 
 
 def kappa(a: np.ndarray, b: np.ndarray, nu: float) -> np.ndarray:
@@ -53,47 +53,47 @@ def topo_prior(y_i: np.ndarray, y_j: np.ndarray, h: np.ndarray | int, alpha: flo
     return np.minimum((1.0 + h * (np.exp(alpha) - 1.0)) * kappa(y_i, y_j, nu), 1.0)
 
 
-def topo_loss(
-    partners: np.ndarray,
-    y_m: np.ndarray,
-    z: np.ndarray,
-    nu: float,
-    alpha: float,
-    nu_prior: float | None = None,
-    t_fixed: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Cross entropy between latent similarities and the per-modality prior.
+def pair_prior(partners: np.ndarray, y: np.ndarray, alpha: float, nu: float) -> np.ndarray:
+    """The topology loss's target per entry of the (n, c) partner table `partners`.
 
-    `partners` is an (n, c) int table: row i pairs anchor i, row i of `y_m`
-    and `z`, with c partner rows. Column 0 is its positive, whose prior gets
-    the e^alpha boost; the other columns are its negatives. Returns the scalar
-    loss and the gradient for z; the prior is detached, so y_m gets no
-    gradient. `t_fixed`, shaped like `partners`, substitutes a precomputed
-    prior per pair, which keeps the loss a pure function of z when
-    differentiating through the encoder.
+    Entry (i, k) is `topo_prior` of rows i and partners[i, k] of `y`; column
+    0, the positive, gets the e^alpha boost.
+    """
+    n, c = partners.shape
+    i, j = np.repeat(np.arange(n), c), partners.ravel()
+    h = np.arange(len(i)) % c == 0
+    t = np.empty(len(i))
+    # pair blocks bound the pair x feature temporaries
+    for start in range(0, len(i), PAIR_BLOCK):
+        blk = slice(start, start + PAIR_BLOCK)
+        t[blk] = topo_prior(y[i[blk]], y[j[blk]], h[blk], alpha, nu)
+    return t.reshape(n, c)
+
+
+def topo_loss(partners: np.ndarray, t: np.ndarray, z: np.ndarray, nu: float) -> tuple[float, np.ndarray]:
+    """Cross entropy between latent similarities and their targets `t`.
+
+    `partners` is an (n, c) int table: row i pairs anchor i, row i of `z`,
+    with c partner rows. `t`, shaped like `partners`, is each pair's target
+    (`pair_prior`); it is a constant, so the loss is a pure function of z.
+    Returns the scalar loss and the gradient for z.
     """
     if nu <= 0:
         raise OutOfRange("nu must be positive")
-    if y_m.shape[0] != z.shape[0]:
-        raise ShapeMismatch("y_m and z must cover the same rows")
     n, c = partners.shape
     if n > z.shape[0] or (partners.size and (partners.min() < 0 or partners.max() >= z.shape[0])):
         raise ShapeMismatch("partner table runs past the embedding rows")
-    if t_fixed is not None and t_fixed.shape != partners.shape:
-        raise ShapeMismatch("t_fixed must give one prior per table entry")
-    nu_p = nu if nu_prior is None else nu_prior
+    if t.shape != partners.shape:
+        raise ShapeMismatch("t must give one target per table entry")
     i, j = np.repeat(np.arange(n), c), partners.ravel()
-    h = np.arange(len(i)) % c == 0
+    t = t.ravel()
 
     # Pair blocks bound the pair x feature temporaries; every row's arithmetic
     # is that of the whole batch at once.
-    t = np.empty(len(i)) if t_fixed is None else t_fixed.ravel()
     diff = z[i]
     d2 = np.empty(len(i))
     for start in range(0, len(i), PAIR_BLOCK):
         blk = slice(start, start + PAIR_BLOCK)
-        if t_fixed is None:
-            t[blk] = topo_prior(y_m[i[blk]], y_m[j[blk]], h[blk], alpha, nu_p)
         d = diff[blk]
         d -= z[j[blk]]
         d2[blk] = (d * d).sum(axis=1)
@@ -168,7 +168,6 @@ class Adam:
 @dataclass
 class TrainState:
     params: ModelParams
-    epoch: int
     history: list = field(default_factory=list)
 
 
@@ -220,7 +219,7 @@ def train(
     for t in (es_final.z, es_final.x_hat):
         if not np.all(np.isfinite(t)):
             raise NonFiniteLoss("final embeddings are not finite")
-    state = TrainState(params=params, epoch=cfg.epochs, history=history)
+    state = TrainState(params=params, history=history)
     return state, es_final
 
 
@@ -264,7 +263,7 @@ def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, cfg, rng) 
         # the prior sees the same inputs, so it starts from their cached first aggregates
         y_full = np.concatenate([gcn_from_aggregate(c["aggs"][0], a_hat, priors[name]) for c in (caches[name], c_view)])
         z_full = np.concatenate([es.z, z_view], axis=0)
-        l_m, dz_full = topo_loss(partners, y_full, z_full, cfg.nu, cfg.alpha)
+        l_m, dz_full = topo_loss(partners, pair_prior(partners, y_full, cfg.alpha, cfg.nu), z_full, cfg.nu)
         losses[name] = l_m
         dz_base += dz_full[:n]
         backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])

@@ -101,14 +101,11 @@ def numerical_rank(m: np.ndarray) -> int:
 
 @dataclass
 class PreprocessedData:
-    """Model-ready matrices plus the bookkeeping to map back to genes."""
+    """Model-ready matrices plus the gene ids of the expression columns."""
 
     tra: np.ndarray
     gene_ids: list[str]
-    gene_means: np.ndarray
-    gene_stds: np.ndarray
     mor: np.ndarray | None = None
-    pca_basis: np.ndarray | None = None
 
     @property
     def n_spots(self) -> int:
@@ -120,17 +117,14 @@ def preprocess_dataset(ds: SpotDataset, cfg: RunConfig) -> PreprocessedData:
     logn = lognorm(filtered)
     hvg = select_hvg(logn, N_TOP_GENES)
     selected = logn[:, hvg]
-    std, means, stds = standardize(selected)
+    std = standardize(selected)[0]
     gene_ids = [ds.gene_ids[kept[i]] for i in hvg]
 
     mor = None
-    basis = None
     if ds.mor is not None:
         if ds.mor.shape[0] != ds.tra.shape[0]:
             raise ShapeMismatch("morphology rows do not match expression rows")
         upper = min(MOR_COMPONENTS, ds.mor.shape[0] - 1, ds.mor.shape[1])
         k = min(upper, max(numerical_rank(ds.mor), 1))
-        mor, basis = pca(ds.mor, k)
-    return PreprocessedData(
-        tra=std, gene_ids=gene_ids, gene_means=means, gene_stds=stds, mor=mor, pca_basis=basis
-    )
+        mor = pca(ds.mor, k)[0]
+    return PreprocessedData(tra=std, gene_ids=gene_ids, mor=mor)

@@ -100,11 +100,13 @@ def build_spatial_graph(coords: np.ndarray, eps: float) -> NeighborGraph:
         raise OutOfRange("epsilon radius must be positive")
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
+    # a square past the largest float would be inf, which the inf self entries pass
+    r2 = min(eps * eps, np.finfo(np.float64).max)
     counts = np.zeros(n + 1, dtype=np.int64)
     indices = [np.zeros(0, dtype=np.int64)]  # no rows: an empty graph
     for lo, d2 in sq_dist_blocks(coords):
         # coincident spots sit at distance 0 and never become neighbors
-        within = (d2 <= eps * eps) & (d2 > 0.0)
+        within = (d2 <= r2) & (d2 > 0.0)
         counts[lo + 1 : lo + 1 + len(d2)] = within.sum(axis=1)
         indices.append(np.nonzero(within)[1])
     graph = NeighborGraph(n=n, indptr=np.cumsum(counts), indices=np.concatenate(indices))

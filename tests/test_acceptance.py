@@ -114,12 +114,8 @@ def test_criterion_1_gradient_fidelity():
 
     def loss_at(p):
         es, _, es_t, _, es_m, _ = forwards(p)
-        l_tr, _ = objective.topo_loss(
-            b_tr, np.vstack([es.y_tra, es_t.y_tra]), np.vstack([es.z, es_t.z]), cfg.nu, cfg.alpha, t_fixed=t_tr
-        )
-        l_mo, _ = objective.topo_loss(
-            b_mo, np.vstack([es.y_mor, es_m.y_mor]), np.vstack([es.z, es_m.z]), cfg.nu, cfg.alpha, t_fixed=t_mo
-        )
+        l_tr, _ = objective.topo_loss(b_tr, t_tr, np.vstack([es.z, es_t.z]), cfg.nu)
+        l_mo, _ = objective.topo_loss(b_mo, t_mo, np.vstack([es.z, es_m.z]), cfg.nu)
         l_rec, _ = objective.recon_loss(x_tra, es.x_hat)
         return l_tr + l_mo + cfg.lambda_ * l_rec
 
@@ -127,13 +123,9 @@ def test_criterion_1_gradient_fidelity():
     es, c, es_t, c_t, es_m, c_m = forwards(params)
     _, dxhat = objective.recon_loss(x_tra, es.x_hat)
     dz_base = np.zeros_like(es.z)
-    for batch, es_v, c_v, attr, t_bar in (
-        (b_tr, es_t, c_t, "y_tra", t_tr),
-        (b_mo, es_m, c_m, "y_mor", t_mo),
-    ):
-        y_full = np.vstack([getattr(es, attr), getattr(es_v, attr)])
+    for batch, es_v, c_v, t_bar in ((b_tr, es_t, c_t, t_tr), (b_mo, es_m, c_m, t_mo)):
         z_full = np.vstack([es.z, es_v.z])
-        _, dz_full = objective.topo_loss(batch, y_full, z_full, cfg.nu, cfg.alpha, t_fixed=t_bar)
+        _, dz_full = objective.topo_loss(batch, t_bar, z_full, cfg.nu)
         dz_base += dz_full[:n]
         network.backward_all(params, c_v, dz=dz_full[n:])
     network.backward_all(params, c, dz=dz_base, dxhat=cfg.lambda_ * dxhat)
@@ -217,12 +209,13 @@ def test_criterion_3_kernel_and_prior():
     z_full = np.vstack([feats, payload]) * 0.5
     d2 = ((z_full[:n, None] - z_full[partners]) ** 2).sum(axis=-1).ravel()
     assert d2.min() > 1e-6, "degenerate pair would sit on the clamp boundary"
-    loss, _ = objective.topo_loss(partners, z_full, z_full, 1.0, alpha=0.0)
+    t = objective.pair_prior(partners, z_full, 0.0, 1.0)
+    loss, _ = objective.topo_loss(partners, t, z_full, 1.0)
     bound = binary_entropy((1.0 + d2) ** -2.0)
     gap = abs(loss - bound)
     above = True
     for scale in (0.01, 0.1, 1.0):
-        loss_p, _ = objective.topo_loss(partners, z_full, z_full + rng.normal(scale=scale, size=z_full.shape), 1.0, alpha=0.0)
+        loss_p, _ = objective.topo_loss(partners, t, z_full + rng.normal(scale=scale, size=z_full.shape), 1.0)
         above = above and loss_p >= bound - 1e-12
     ok = self_ok and mono_ok and prior_gap <= 1e-15 and gap <= 1e-9 and above
     _record(

@@ -280,6 +280,34 @@ class TestJoinBySpotId:
         assert files[key] in err and repr(sid) in err
 
 
+class TestEvaluateWithoutTruth:
+    """`evaluate --labels` on data without its own labels.csv: ARI needs the truth."""
+
+    def _run(self, pipeline, tmp_path, labels):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        os.remove(data / "labels.csv")
+        argv = ["evaluate", "--data", str(data), "--emb", pipeline["emb"], "--labels", labels, "--set", "tau=1"]
+        return cli.run(argv + ["--out", str(tmp_path / "out"), "--threads", "1"])
+
+    def test_valid_labels_give_mrre_only(self, pipeline, tmp_path):
+        assert self._run(pipeline, tmp_path, pipeline["labels"]) == 0
+        with open(tmp_path / "out" / "metrics.json") as fh:
+            assert set(json.load(fh)) == {"mrre"}
+
+    def test_missing_labels_file_exits_1(self, pipeline, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        assert self._run(pipeline, tmp_path, missing) == 1
+        assert missing in capsys.readouterr().err
+
+    def test_labels_with_an_extra_id_exit_1(self, pipeline, tmp_path, capsys):
+        extra = str(tmp_path / "extra_labels.csv")
+        sid = _rewrite_rows(pipeline["labels"], extra, "extra")
+        assert self._run(pipeline, tmp_path, extra) == 1
+        err = capsys.readouterr().err
+        assert extra in err and repr(sid) in err
+
+
 class TestReportMatchesSubcommands:
     def test_subcommands_reproduce_report_artifacts(self, pipeline, tmp_path):
         rep = pipeline["rep"]
@@ -474,6 +502,11 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert cli.run(["synth", "--out", str(tmp_path / "x"), "--bogus"]) == 1
         assert "--bogus" in capsys.readouterr().err
+
+    def test_report_with_a_radius_whose_square_overflows(self, pipeline, tmp_path):
+        argv = ["report", "--data", pipeline["data"], "--out", str(tmp_path / "rep"), "--threads", "1"]
+        shared = ["--set", "epochs=2", "--set", "d_emb=6", "--set", "tau=1", "--set", "epsilon_radius=1e300"]
+        assert cli.run(argv + shared) == 0
 
     def test_unknown_config_key(self, pipeline, tmp_path, capsys):
         rc = cli.run([

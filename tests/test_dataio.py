@@ -17,12 +17,6 @@ from topofuse.errors import (
 
 
 class TestRunConfig:
-    def test_defaults_match_spec_table(self):
-        defaults = dataio.RunConfig().to_dict()
-        assert list(dataio._CONFIG_SPEC) == list(defaults)
-        for key, kind in dataio._CONFIG_SPEC.items():
-            assert isinstance(defaults[key], kind), key
-
     def test_config_from_dict_tracks_explicit_keys_and_ignores_them_for_equality(self):
         cfg = dataio.config_from_dict({"nu": 1.0, "epochs": 5})
         assert cfg.nu == 1.0 and cfg.epochs == 5
@@ -54,6 +48,37 @@ class TestRunConfig:
     def test_invalid_values_rejected(self, kv):
         with pytest.raises(OutOfRange):
             dataio.config_from_dict(kv)
+
+    # per key: a value of the right kind out of range (None where the kind has
+    # no range), and a value of the wrong kind
+    _BAD = {
+        "k_tr": (0, "7"),
+        "k_mo": (-1, 7.5),
+        "r_u_tr": (0.0, "0.1"),
+        "r_u_mo": (1.5, True),
+        "nu": (0.0, "0.05"),
+        "d_emb": (0, True),
+        "theta": (-0.1, [0.9]),
+        "lambda_": (-0.1, "0.01"),
+        "alpha": (-1.0, "2"),
+        "tau": (-1, 50.5),
+        "n_mlp": (0, "1"),
+        "lr": (-0.001, False),
+        "epochs": (0, 2.5),
+        "seed": (-1, "42"),
+        "epsilon_radius": (0.0, True),
+        "n_clusters": (0, "7"),
+        "refine": (None, 1),
+        "fusion_mode": ("mean", 1),
+    }
+
+    def test_bad_value_table_covers_every_key(self):
+        assert list(self._BAD) == list(dataio.RunConfig().to_dict())
+
+    @pytest.mark.parametrize("key, value", [(k, v) for k, pair in _BAD.items() for v in pair if v is not None])
+    def test_every_key_rejects_out_of_range_and_wrong_kind(self, key, value):
+        with pytest.raises(OutOfRange, match=f"config key '{key}'"):
+            dataio.config_from_dict({key: value})
 
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(UnknownKey):

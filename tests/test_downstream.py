@@ -222,8 +222,6 @@ def _marker_setup(rng, n=18, g=5, with_mor=False):
     pre = preprocess.PreprocessedData(
         tra=tra,
         gene_ids=[f"g{i:04d}" for i in range(g)],
-        gene_means=np.zeros(g),
-        gene_stds=np.ones(g),
         mor=rng.normal(size=(n, 3)) if with_mor else None,
     )
     coords = np.column_stack([np.arange(n) % 6, np.arange(n) // 6]).astype(np.float64)

@@ -70,8 +70,6 @@ def _pre():
     return preprocess.PreprocessedData(
         tra=rng.normal(size=(N, genes)),
         gene_ids=[f"g{i}" for i in range(genes)],
-        gene_means=np.zeros(genes),
-        gene_stds=np.ones(genes),
     )
 
 

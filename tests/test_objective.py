@@ -46,12 +46,24 @@ class TestTopoPrior:
             objective.topo_prior(np.zeros(2), np.ones(2), 2, 0.0, 1.0)
 
 
+class TestPairPrior:
+    def test_entries_are_topo_prior_with_column_0_boosted(self, rng):
+        y = rng.normal(size=(9, 3))
+        partners = rng.integers(0, 9, size=(4, 3))
+        t = objective.pair_prior(partners, y, 0.7, 0.4)
+        assert t.shape == partners.shape
+        for i in range(4):
+            for k in range(3):
+                want = objective.topo_prior(y[i], y[partners[i, k]], int(k == 0), 0.7, 0.4)
+                assert t[i, k] == want
+
+
 class TestTopoLoss:
     def test_single_pair_hand_value(self):
         # nu=1, d^2 = sqrt(2)-1 gives S = 1/2, so a t=1 pair costs ln 2
         x = math.sqrt(math.sqrt(2.0) - 1.0)
         z = np.array([[0.0], [x]])
-        loss, dz = objective.topo_loss(np.array([[1]]), z, z, 1.0, 0.0, t_fixed=np.array([[1.0]]))
+        loss, dz = objective.topo_loss(np.array([[1]]), np.array([[1.0]]), z, 1.0)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         # dL/dd2 = t * p / (nu * u) = 2 / sqrt(2); dz_i = 2 * dL/dd2 * (z_i - z_j)
         assert dz[0, 0] == pytest.approx(2.0 * math.sqrt(2.0) * -x, rel=1e-12)
@@ -60,7 +72,8 @@ class TestTopoLoss:
     def test_prior_nu_separate_from_latent_nu(self):
         y = np.array([[0.0], [1.0]])
         z = np.array([[0.0], [1.0]])
-        loss, _ = objective.topo_loss(np.array([[1]]), y, z, 0.5, 0.0, nu_prior=1.0)
+        pair = np.array([[1]])
+        loss, _ = objective.topo_loss(pair, objective.pair_prior(pair, y, 0.0, 1.0), z, 0.5)
         # t = 0.25 from nu=1 (alpha = 0 leaves the positive unboosted); S = 3^-3 from nu=0.5
         s = 27.0**-1.0
         assert loss == pytest.approx(-(0.25 * math.log(s) + 0.75 * math.log(1 - s)), abs=1e-12)
@@ -68,21 +81,20 @@ class TestTopoLoss:
     def test_high_target_pulls_low_target_pushes(self, rng):
         z = rng.normal(size=(4, 3))
         for t, sign in ((np.array([[0.95]]), 1.0), (np.array([[0.02]]), -1.0)):
-            _, dz = objective.topo_loss(np.array([[1]]), z, z, 1.0, 0.0, t_fixed=t)
+            _, dz = objective.topo_loss(np.array([[1]]), t, z, 1.0)
             assert sign * float(dz[0] @ (z[0] - z[1])) > 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
         n, d = 6, 3
         z = rng.normal(size=(n, d))
-        y = rng.normal(size=(n, d))
         partners = np.array([[3, 5], [4, 0], [5, 4], [0, 1], [1, 2], [2, 3]])
-        t_fixed = rng.uniform(0.2, 0.8, size=partners.shape)
+        t = rng.uniform(0.2, 0.8, size=partners.shape)
 
         def f(zv):
-            loss, _ = objective.topo_loss(partners, y, zv, 0.8, 0.0, t_fixed=t_fixed)
+            loss, _ = objective.topo_loss(partners, t, zv, 0.8)
             return loss
 
-        _, dz = objective.topo_loss(partners, y, z, 0.8, 0.0, t_fixed=t_fixed)
+        _, dz = objective.topo_loss(partners, t, z, 0.8)
         h = 1e-6
         worst = 0.0
         for i in range(n):
@@ -98,19 +110,19 @@ class TestTopoLoss:
     def test_clamp_floors_the_value(self):
         far = np.array([[0.0], [1e6]])
         pair = np.array([[1]])
-        loss_hi_t, _ = objective.topo_loss(pair, far, far, 1.0, 0.0, t_fixed=np.array([[1.0]]))
+        loss_hi_t, _ = objective.topo_loss(pair, np.array([[1.0]]), far, 1.0)
         assert loss_hi_t == pytest.approx(-math.log(1e-7), abs=1e-12)
         near = np.array([[0.0], [0.0]])
-        loss_lo_t, _ = objective.topo_loss(pair, near, near, 1.0, 0.0, t_fixed=np.array([[0.0]]))
+        loss_lo_t, _ = objective.topo_loss(pair, np.array([[0.0]]), near, 1.0)
         assert loss_lo_t == pytest.approx(-math.log(1e-7), abs=1e-12)
-        loss_hi, _ = objective.topo_loss(pair, near, near, 1.0, 0.0, t_fixed=np.array([[1.0]]))
+        loss_hi, _ = objective.topo_loss(pair, np.array([[1.0]]), near, 1.0)
         assert loss_hi == pytest.approx(-math.log1p(-1e-7), abs=1e-15)
 
     def test_attraction_survives_the_value_clamp(self):
         # S underflows past the clamp floor, yet a live target must still
         # pull the pair together: the 1/S factor cancels the kernel tail.
         z = np.array([[0.0], [1e6]])
-        _, dz = objective.topo_loss(np.array([[1]]), z, z, 1.0, 0.0, t_fixed=np.array([[0.5]]))
+        _, dz = objective.topo_loss(np.array([[1]]), np.array([[0.5]]), z, 1.0)
         u = 1.0 + 1e12
         expected = 2.0 * (0.5 * 2.0 / u) * -1e6
         assert dz[0, 0] == pytest.approx(expected, rel=1e-9)
@@ -121,7 +133,7 @@ class TestTopoLoss:
         partners = np.array([[2], [3], [4]])
         d2 = ((z[:3] - z[partners[:, 0]]) ** 2).sum(axis=1)
         t = (1.0 + d2) ** -2.0
-        loss, _ = objective.topo_loss(partners, z, z, 1.0, 0.0, t_fixed=t[:, None])
+        loss, _ = objective.topo_loss(partners, t[:, None], z, 1.0)
         assert loss == pytest.approx(binary_entropy(t), abs=1e-9)
 
     def test_scatter_matches_add_at(self, rng):
@@ -140,7 +152,7 @@ class TestTopoLoss:
                 if views:
                     partners[:, 0] = n + np.arange(n)
                 t = rng.uniform(0.0, 1.0, size=(n, c))
-                _, dz = objective.topo_loss(partners, z, z, 0.7, 0.0, t_fixed=t)
+                _, dz = objective.topo_loss(partners, t, z, 0.7)
                 want = topo_dz_oracle(np.repeat(np.arange(n), c), partners.ravel(), z, t.ravel(), 0.7, objective.S_CLAMP)
                 assert np.array_equal(dz, want)
                 assert np.array_equal(np.signbit(dz), np.signbit(want))
@@ -149,19 +161,17 @@ class TestTopoLoss:
         z = np.zeros((3, 2))
         pair = np.array([[1]])
         with pytest.raises(ShapeMismatch):
-            objective.topo_loss(pair, np.zeros((2, 2)), z, 1.0, 0.0)
-        with pytest.raises(ShapeMismatch):
-            objective.topo_loss(pair, z, z, 1.0, 0.0, t_fixed=np.zeros(1))
+            objective.topo_loss(pair, np.zeros(1), z, 1.0)
         # a partner past the rows, a negative partner, a table longer than z
         for partners in ([[1], [4]], [[1], [-1]], [[1], [2], [0], [1]]):
             with pytest.raises(ShapeMismatch):
-                objective.topo_loss(np.array(partners), z, z, 1.0, 0.0)
+                objective.topo_loss(np.array(partners), np.full((len(partners), 1), 0.5), z, 1.0)
 
     def test_nonpositive_nu(self):
         z = np.zeros((2, 1))
         for nu in (0.0, -1.0):
             with pytest.raises(OutOfRange):
-                objective.topo_loss(np.array([[1]]), z, z, nu, 0.0, t_fixed=np.array([[0.5]]))
+                objective.topo_loss(np.array([[1]]), np.array([[0.5]]), z, nu)
 
 
 class TestReconLoss:
@@ -210,8 +220,6 @@ def _toy_training(rng, n=24, g=6, m=3, side=6):
     pre = preprocess.PreprocessedData(
         tra=tra,
         gene_ids=[f"g{i:04d}" for i in range(g)],
-        gene_means=np.zeros(g),
-        gene_stds=np.ones(g),
         mor=mor,
     )
     coords = np.column_stack([np.arange(n) % side, np.arange(n) // side]).astype(np.float64)
@@ -231,7 +239,7 @@ class TestTrain:
         es0, _ = network.forward_all(fresh, pre.tra, pre.mor, a_hat)
         assert np.array_equal(es.z, es0.z)
         assert np.array_equal(es.x_hat, es0.x_hat)
-        assert state.epoch == 3 and len(state.history) == 3
+        assert len(state.history) == 3
 
     def test_zero_lambda_total_is_pure_topology(self, rng):
         pre, graph = _toy_training(rng)
@@ -328,9 +336,9 @@ class TestTrain:
         def priors_seen(lr):
             seen = []
 
-            def recording(batch, y_m, *args, **kwargs):
-                seen.append(y_m.copy())
-                return real(batch, y_m, *args, **kwargs)
+            def recording(batch, t, *args):
+                seen.append(t.copy())
+                return real(batch, t, *args)
 
             monkeypatch.setattr(objective, "topo_loss", recording)
             cfg = dataio.config_from_dict({"lr": lr, "epochs": 12, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})

@@ -45,6 +45,13 @@ class TestSpatialGraph:
         assert neighbor_lists(g) == [(), (), ()]
         assert g.isolated.tolist() == [0, 1, 2]
 
+    def test_radius_whose_square_overflows(self, rng):
+        # 1e200 squared is inf, as is each self entry of the distance blocks
+        coords = rng.uniform(0, 10, size=(6, 2))
+        g = topology.build_spatial_graph(coords, 1e200)
+        assert np.array_equal(np.diff(g.indptr), np.full(6, 5))
+        assert not np.any(g.indices == g.sources)
+
     def test_epsilon_must_be_positive(self):
         with pytest.raises(OutOfRange):
             topology.build_spatial_graph(np.zeros((3, 2)), 0.0)
