@@ -17,7 +17,7 @@ import os
 import sys
 
 from .errors import TopofuseError
-from .worker import keep_freed_memory
+from .worker import Jobs, can_fork, keep_freed_memory
 
 VERSION = "0.1.0"
 _THREAD_VARS = (
@@ -66,8 +66,9 @@ def _build_parser() -> _Parser:
             "--threads",
             type=positive_int,
             default=None,
-            help="BLAS threads per process, a positive integer (1 = deterministic); report"
-            " forks its side analyses when the CPUs allow two processes",
+            help="BLAS threads per process, a positive integer (1 = deterministic); when the CPUs"
+            " allow two processes, train and report fork one epoch feeder and report its side"
+            " analyses, with the same bytes either way",
         )
         if data:
             sp.add_argument("--data", required=True, help="directory with tra.csv and coords.csv")
@@ -254,11 +255,14 @@ def cmd_preprocess(args, cfg) -> dict:
     return {}
 
 
-def _train_once(pre, spatial, eps, cfg):
-    """Train on `_model_inputs`' output; the parameters record the radius `eps`."""
+def _train_once(pre, spatial, eps, cfg, threads):
+    """Train on `_model_inputs`' output; the parameters record the radius `eps`.
+
+    The epoch feeder forks under the same rule as the side analyses, `can_fork(threads)`.
+    """
     from .objective import train
 
-    state, emb = train(pre, spatial, cfg)
+    state, emb = train(pre, spatial, cfg, fork=can_fork(threads))
     state.params.epsilon_used = eps
     return state, emb
 
@@ -340,7 +344,7 @@ def cmd_train(args, cfg) -> dict:
 
     ds = _load_data(args.data)
     pre, spatial, eps = _model_inputs(ds, cfg)
-    state, emb = _train_once(pre, spatial, eps, cfg)
+    state, emb = _train_once(pre, spatial, eps, cfg, args.threads)
     _save_model(args.out, ds.spot_ids, emb, state.params)
     for name, y in (("y_tra.csv", emb.y_tra), ("y_mor.csv", emb.y_mor)):
         if y is not None:
@@ -449,7 +453,6 @@ def cmd_report(args, cfg) -> dict:
         write_matrix_csv,
     )
     from .downstream import _fit_vis, deconvolve
-    from .worker import analysis_jobs
 
     def out(name):
         return os.path.join(args.out, name)
@@ -458,14 +461,14 @@ def cmd_report(args, cfg) -> dict:
     # forked children, one at a time when the CPUs allow them, run the
     # visualization and, with labels, the input-space contribution beside this
     # process's work; the results come back by name below
-    with analysis_jobs(args.threads) as jobs:
+    with Jobs(fork=can_fork(args.threads)) as jobs:
         ds = _load_data(args.data)
         pre, spatial, eps = _model_inputs(ds, cfg)
         # with the dataset's own labels a child scores the inputs while this
         # process trains, and this process scores the embeddings
         if ds.labels is not None:
             jobs.submit(inputs, _contribution, [pre.tra, pre.mor], ds.labels, cfg.seed)
-        state, emb = _train_once(pre, spatial, eps, cfg)
+        state, emb = _train_once(pre, spatial, eps, cfg, args.threads)
         jobs.submit("visualization", _fit_vis, emb.z, cfg)
         k, labels = _cluster(ds, emb.z, cfg, args.restarts)
         if ds.labels is not None:

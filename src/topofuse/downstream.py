@@ -30,6 +30,7 @@ from .network import (
     check_genes,
     forward_all,
     fuse_forward,
+    gcn_forward,
     normalized_adjacency,
 )
 from .objective import Adam, pair_prior, topo_loss
@@ -304,7 +305,7 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     for gene in range(g):
         y = pre0 - np.outer(agg[:, gene], w0[gene])
         if rest:
-            y = _stack_forward(np.maximum(y, 0.0, out=y), rest, a_hat)[0]
+            y = gcn_forward(a_hat @ np.maximum(y, 0.0, out=y), a_hat, rest)[0]
         z, _ = fuse_forward(y, base.y_mor, params)
         shifts[:, gene] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
     return shifts

@@ -144,7 +144,10 @@ def normalized_adjacency(graph: NeighborGraph) -> NormalizedAdjacency:
 
 
 def _stack_forward(x: np.ndarray, layers, a_hat: NormalizedAdjacency | None):
-    """Shared forward for GCN stacks (a_hat given) and plain MLPs (a_hat None)."""
+    """Shared forward for GCN stacks (a_hat given) and plain MLPs (a_hat None).
+
+    A GCN stack's input `x` is its first layer's aggregate a_hat @ input.
+    """
     h = x
     aggs, pre = [], []
     for li, layer in enumerate(layers):
@@ -152,7 +155,7 @@ def _stack_forward(x: np.ndarray, layers, a_hat: NormalizedAdjacency | None):
             raise ShapeMismatch(
                 f"layer {li} expects {layer.w.shape[0]} inputs, got {h.shape[1]}"
             )
-        agg = h if a_hat is None else a_hat @ h
+        agg = h if a_hat is None or li == 0 else a_hat @ h
         aggs.append(agg)
         a = agg @ layer.w + layer.b
         pre.append(a)
@@ -187,16 +190,9 @@ def _stack_backward(dout: np.ndarray, layers, cache, input_grad: bool = True) ->
     return dx
 
 
-def gcn_forward(x: np.ndarray, a_hat: NormalizedAdjacency, layers):
-    """Two (or more) graph convolutions: relu between layers, linear last."""
-    return _stack_forward(x, layers, a_hat)
-
-
-def gcn_from_aggregate(agg: np.ndarray, a_hat: NormalizedAdjacency, layers) -> np.ndarray:
-    """`gcn_forward(x, a_hat, layers)[0]` given the first layer's aggregate `agg = a_hat @ x`."""
-    first, rest = layers[0], layers[1:]
-    y = agg @ first.w + first.b
-    return _stack_forward(np.maximum(y, 0.0), rest, a_hat)[0] if rest else y
+def gcn_forward(agg: np.ndarray, a_hat: NormalizedAdjacency, layers):
+    """Graph convolutions of x from the first one's aggregate `agg = a_hat @ x`: relu between layers, linear last."""
+    return _stack_forward(agg, layers, a_hat)
 
 
 def fuse_forward(y_tra: np.ndarray, y_mor: np.ndarray | None, params: ModelParams):
@@ -249,12 +245,18 @@ class EmbeddingSet:
 
 
 def forward_all(params: ModelParams, x_tra: np.ndarray, x_mor: np.ndarray | None, a_hat: NormalizedAdjacency):
-    if params.has_mor != (x_mor is not None):
+    """`forward_aggregates` of the inputs' first aggregates a_hat @ x."""
+    return forward_aggregates(params, a_hat @ x_tra, None if x_mor is None else a_hat @ x_mor, a_hat)
+
+
+def forward_aggregates(params: ModelParams, agg_tra: np.ndarray, agg_mor: np.ndarray | None, a_hat: NormalizedAdjacency):
+    """One full pass whose encoders start from the first aggregates a_hat @ x of their inputs."""
+    if params.has_mor != (agg_mor is not None):
         raise ShapeMismatch("model and inputs disagree about the morphology modality")
-    y_tra, c_tra = gcn_forward(x_tra, a_hat, params.gnn_tra)
+    y_tra, c_tra = gcn_forward(agg_tra, a_hat, params.gnn_tra)
     y_mor, c_mor = (None, None)
-    if x_mor is not None:
-        y_mor, c_mor = gcn_forward(x_mor, a_hat, params.gnn_mor)
+    if agg_mor is not None:
+        y_mor, c_mor = gcn_forward(agg_mor, a_hat, params.gnn_mor)
     z, c_fuse = fuse_forward(y_tra, y_mor, params)
     x_hat, c_dec = decode_forward(z, params)
     caches = {"tra": c_tra, "mor": c_mor, "fuse": c_fuse, "dec": c_dec}

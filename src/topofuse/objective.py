@@ -10,6 +10,8 @@ target structure comes from its own data and never follows the fitted model.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,15 +24,16 @@ from .network import (
     ModelParams,
     backward_all,
     dropout_mask,
+    forward_aggregates,
     forward_all,
     fuse_forward,
     gcn_forward,
-    gcn_from_aggregate,
     init_params,
     normalized_adjacency,
 )
 from .preprocess import PreprocessedData
 from .topology import N_NEG, NeighborGraph, knn_graph, sample_pairs
+from .worker import feed
 
 S_CLAMP = 1e-7
 DROPOUT_P = 0.1
@@ -172,7 +175,7 @@ class TrainState:
 
 
 def train(
-    data: PreprocessedData, spatial: NeighborGraph, cfg: RunConfig
+    data: PreprocessedData, spatial: NeighborGraph, cfg: RunConfig, fork: bool = False
 ) -> tuple[TrainState, EmbeddingSet]:
     """Fit the fused autoencoder on one dataset.
 
@@ -181,6 +184,10 @@ def train(
     lambda_ times the reconstruction loss with full-batch Adam. The modality
     kNN graphs are built once from the inputs, and the loss's prior comes from
     a frozen copy of the encoders taken right after initialization.
+
+    Each epoch's `_draw` reads only the generator and frozen state, so with
+    `fork` a forked child makes it one epoch ahead (`worker.feed`); the
+    parameters, history and embeddings are the same bytes either way.
     """
     n = data.n_spots
     if spatial.n != n:
@@ -194,26 +201,28 @@ def train(
     if data.mor is not None:
         mods.append(("mor", data.mor, cfg.k_mo, cfg.r_u_mo))
     graphs = {name: knn_graph(x, k) for name, x, k, _ in mods}
-    encoders = {"tra": params.gnn_tra, "mor": params.gnn_mor}
-    priors = {name: [Dense(layer.w.copy(), layer.b.copy()) for layer in encoders[name]] for name, *_ in mods}
+    encoders = {name: getattr(params, "gnn_" + name) for name, *_ in mods}
+    priors = {name: [Dense(layer.w.copy(), layer.b.copy()) for layer in layers] for name, layers in encoders.items()}
+    draw = functools.partial(_draw, mods, graphs, priors, a_hat, cfg, rng)
 
     adam = Adam([layer for _, layer in params.named_layers()], cfg.lr)
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        losses, l_rec = _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, cfg, rng)
-        total = sum(losses.values()) + cfg.lambda_ * l_rec
-        if not np.isfinite(total):
-            raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
-        adam.step()
-        history.append(
-            {
-                "epoch": epoch,
-                "l_topo_tra": losses["tra"],
-                "l_topo_mor": losses.get("mor"),
-                "l_recon": l_rec,
-                "total": total,
-            }
-        )
+    with contextlib.closing(feed(draw, cfg.epochs, fork)) as draws:
+        for epoch in range(1, cfg.epochs + 1):
+            losses, l_rec = _step(data, params, encoders, next(draws), a_hat, cfg)
+            total = sum(losses.values()) + cfg.lambda_ * l_rec
+            if not np.isfinite(total):
+                raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}")
+            adam.step()
+            history.append(
+                {
+                    "epoch": epoch,
+                    "l_topo_tra": losses["tra"],
+                    "l_topo_mor": losses.get("mor"),
+                    "l_recon": l_rec,
+                    "total": total,
+                }
+            )
 
     es_final, _ = forward_all(params, data.tra, data.mor, a_hat)
     for t in (es_final.z, es_final.x_hat):
@@ -223,47 +232,51 @@ def train(
     return state, es_final
 
 
-def _epoch_grads(data, params, encoders, priors, mods, graphs, a_hat, cfg, rng) -> tuple[dict, float]:
-    """Accumulate one epoch's gradients into params.
+def _draw(mods, graphs, priors, a_hat, cfg, rng) -> list[np.ndarray]:
+    """One epoch's part that reads only the generator and frozen state.
 
-    `priors` holds each modality's frozen encoder: the topology loss's target
-    is its output on the same masked base and view inputs the trained encoder
-    sees. Returns the topology loss per modality and the reconstruction loss.
+    Four arrays per modality, in `mods` order: its (n, 1 + N_NEG) partner
+    table, the targets `t` the frozen prior network `priors` gives them, and
+    the first aggregates a_hat @ x of the masked base input and of the masked
+    augmented view. One dropout realization per modality serves both: a fresh
+    mask per view would inject noise far larger than the augmentation shift
+    and blank the prior.
+    """
+    batches = [sample_pairs(len(x), graphs[name], x, N_NEG, p_u, rng) for name, x, _, p_u in mods]
+    masks = [dropout_mask(x.shape, DROPOUT_P, rng) for _, x, *_ in mods]
+    arrays = []
+    for (name, x, *_), (payload, partners), mask in zip(mods, batches, masks):
+        base, view = (a_hat @ (v if mask is None else v * mask) for v in (x, payload))
+        # the prior sees the inputs the trained encoder sees, base rows then view rows
+        y = np.concatenate([gcn_forward(agg, a_hat, priors[name])[0] for agg in (base, view)])
+        arrays += [partners, pair_prior(partners, y, cfg.alpha, cfg.nu), base, view]
+    return arrays
 
-    The epoch's batches, masks and caches are freed when it returns, before the
-    next epoch allocates its own.
+
+def _step(data, params, encoders, arrays, a_hat, cfg) -> tuple[dict, float]:
+    """Accumulate one epoch's gradients into params from its `_draw` `arrays`.
+
+    `encoders` maps each trained modality, in `_draw`'s order, to its
+    layers. Returns the topology loss per modality and the reconstruction
+    loss.
     """
     n = data.n_spots
-    batches = {name: sample_pairs(n, graphs[name], x, N_NEG, p_u, rng) for name, x, _, p_u in mods}
-
+    drawn = {name: arrays[4 * k : 4 * k + 4] for k, name in enumerate(encoders)}
     params.zero_grads()
-    # One dropout realization per modality per epoch, shared between the
-    # base and augmented forwards: a fresh mask per view would inject
-    # noise far larger than the augmentation shift and blank the prior.
-    m_tr = dropout_mask(data.tra.shape, DROPOUT_P, rng)
-    m_mo = dropout_mask(data.mor.shape, DROPOUT_P, rng) if data.mor is not None else None
-    xt = data.tra if m_tr is None else data.tra * m_tr
-    xm = None if data.mor is None else (data.mor if m_mo is None else data.mor * m_mo)
-    es, caches = forward_all(params, xt, xm, a_hat)
+    es, caches = forward_aggregates(params, drawn["tra"][2], drawn["mor"][2] if "mor" in drawn else None, a_hat)
     l_rec, dxhat = recon_loss(data.tra, es.x_hat)
 
     dz_base = np.zeros_like(es.z)
     losses = {}
     ys = {"tra": es.y_tra, "mor": es.y_mor}
-    masks = {"tra": m_tr, "mor": m_mo}
-    for name, (payload, partners) in batches.items():
-        mask = masks[name]
-        x_view = payload if mask is None else payload * mask
+    for name, (partners, t, _, view) in drawn.items():
         # A view re-runs only the encoder of the modality it perturbs; the
         # other encoder's output and cache are the base pass's, and the
         # decoder does not run because the view has no reconstruction term.
-        y_view, c_view = gcn_forward(x_view, a_hat, encoders[name])
+        y_view, c_view = gcn_forward(view, a_hat, encoders[name])
         ys_view = {**ys, name: y_view}
         z_view, c_fuse = fuse_forward(ys_view["tra"], ys_view["mor"], params)
-        # the prior sees the same inputs, so it starts from their cached first aggregates
-        y_full = np.concatenate([gcn_from_aggregate(c["aggs"][0], a_hat, priors[name]) for c in (caches[name], c_view)])
-        z_full = np.concatenate([es.z, z_view], axis=0)
-        l_m, dz_full = topo_loss(partners, pair_prior(partners, y_full, cfg.alpha, cfg.nu), z_full, cfg.nu)
+        l_m, dz_full = topo_loss(partners, t, np.concatenate([es.z, z_view], axis=0), cfg.nu)
         losses[name] = l_m
         dz_base += dz_full[:n]
         backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])

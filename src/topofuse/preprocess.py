@@ -56,19 +56,18 @@ def select_hvg(m: np.ndarray, n_top: int = N_TOP_GENES) -> np.ndarray:
     return np.sort(order[:n_top])
 
 
-def standardize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def standardize(m: np.ndarray) -> np.ndarray:
     """Center and scale columns to unit population std; flat columns go to zero."""
-    means = m.mean(axis=0)
     stds = m.std(axis=0)
-    out = m - means
+    out = m - m.mean(axis=0)
     live = stds >= 1e-12
     out[:, live] /= stds[live]
     out[:, ~live] = 0.0
-    return out, means, stds
+    return out
 
 
-def pca(m: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Project onto the top principal components of the population covariance.
+def pca(m: np.ndarray, n_components: int) -> np.ndarray:
+    """The scores of `m` on the top principal components of its population covariance.
 
     Uses an exact symmetric eigendecomposition. Each basis vector is signed so
     its largest-magnitude entry is positive. Raises RankDeficient when the
@@ -89,7 +88,7 @@ def pca(m: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     basis = evecs[:, :n_components]
     flip = basis[np.argmax(np.abs(basis), axis=0), np.arange(n_components)] < 0
     basis[:, flip] *= -1.0
-    return centered @ basis, basis
+    return centered @ basis
 
 
 def numerical_rank(m: np.ndarray) -> int:
@@ -117,7 +116,7 @@ def preprocess_dataset(ds: SpotDataset, cfg: RunConfig) -> PreprocessedData:
     logn = lognorm(filtered)
     hvg = select_hvg(logn, N_TOP_GENES)
     selected = logn[:, hvg]
-    std = standardize(selected)[0]
+    std = standardize(selected)
     gene_ids = [ds.gene_ids[kept[i]] for i in hvg]
 
     mor = None
@@ -126,5 +125,5 @@ def preprocess_dataset(ds: SpotDataset, cfg: RunConfig) -> PreprocessedData:
             raise ShapeMismatch("morphology rows do not match expression rows")
         upper = min(MOR_COMPONENTS, ds.mor.shape[0] - 1, ds.mor.shape[1])
         k = min(upper, max(numerical_rank(ds.mor), 1))
-        mor = pca(ds.mor, k)[0]
+        mor = pca(ds.mor, k)
     return PreprocessedData(tra=std, gene_ids=gene_ids, mor=mor)

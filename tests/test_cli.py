@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import json
 import os
@@ -6,7 +5,6 @@ import shutil
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -711,7 +709,7 @@ def test_report_imports_no_scipy(pipeline, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-WATCHDOG_S = 60
+WATCHDOG_S = 60  # the `forked` fixture's, in conftest.py
 # what report submits to its forked children, in order, keyed by the file dropped from the dataset
 _WORKER_ANALYSES = {
     None: ("input-space modality contribution", "visualization"),
@@ -722,34 +720,9 @@ _EARLY_OUTPUTS = ("labels.csv", "markers.csv", "deconvolution.csv", "domains.svg
 
 
 @pytest.fixture
-def workers(monkeypatch):
-    """The pid of every child forked during the test.
-
-    A watchdog kills those not yet reaped after WATCHDOG_S, so a run that
-    would wait on a child forever fails the test instead of hanging it.
-    """
-    started, fired, fork = [], [], os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            started.append(pid)
-        return pid
-
-    def kill_all():
-        fired.append(True)
-        for pid in started:
-            # waitid (WNOWAIT: no reaping) raises for a reaped pid, which may name another process by now
-            with contextlib.suppress(ChildProcessError):
-                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-                os.kill(pid, signal.SIGKILL)
-
-    monkeypatch.setattr(os, "fork", recorded)
-    watchdog = threading.Timer(WATCHDOG_S, kill_all)
-    watchdog.start()
-    yield started
-    watchdog.cancel()
-    assert not fired, f"a worker was still running after {WATCHDOG_S} s"
+def workers(forked):
+    """The pid of every child forked during the test, watched as conftest's `forked` fixture watches them."""
+    return forked
 
 
 def _cpus(monkeypatch, n):
@@ -798,8 +771,8 @@ class TestAnalysisWorker:
             _cpus(monkeypatch, cpus)
             outs[cpus] = tmp_path / f"cpus{cpus}"
             assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[cpus])]) == 0
-            # --threads 1: one CPU runs inline, two fork each analysis of _WORKER_ANALYSES
-            assert len(workers) == (cpus - 1) * len(_WORKER_ANALYSES.get(drop, _WORKER_ANALYSES[None]))
+            # --threads 1: one CPU runs inline, two fork each analysis of _WORKER_ANALYSES and the epoch feeder
+            assert len(workers) == (cpus - 1) * (len(_WORKER_ANALYSES.get(drop, _WORKER_ANALYSES[None])) + 1)
         _assert_reaped(workers)
         names = sorted(os.listdir(outs[1]))
         assert names == sorted(os.listdir(outs[2]))
@@ -809,6 +782,21 @@ class TestAnalysisWorker:
                 assert _read(outs[1] / name) == _read(outs[2] / name), name
         inline, remote = _manifest(outs[1]), _manifest(outs[2])
         assert {key for key in inline if inline[key] != remote[key]} == {"out", "argv"}
+
+    def test_train_forks_the_epoch_feeder_when_two_processes_fit(self, pipeline, tmp_path, monkeypatch, workers):
+        outs = {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            argv = ["train", "--threads", "1", "--data", pipeline["data"], "--out", str(outs[cpus])]
+            assert cli.run(argv + _SMALL) == 0
+            assert len(workers) == cpus - 1
+        _assert_reaped(workers)
+        names = sorted(os.listdir(outs[1]))
+        assert names == sorted(os.listdir(outs[2]))
+        for name in names:
+            if name != "manifest.json":
+                assert _read(outs[1] / name) == _read(outs[2] / name), name
 
     def test_data_removed_after_reading_changes_nothing(self, pipeline, tmp_path, monkeypatch, workers):
         # only this process reads --data: the children get their inputs from its memory
@@ -827,7 +815,7 @@ class TestAnalysisWorker:
         monkeypatch.setattr(cli, "_load_data", load_then_remove)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[2])]) == 0
-        assert not data.exists() and len(workers) == 2
+        assert not data.exists() and len(workers) == 3  # two analyses and the epoch feeder
         _assert_reaped(workers)
         names = sorted(os.listdir(outs[1]))
         assert names == sorted(os.listdir(outs[2]))
@@ -851,7 +839,8 @@ class TestAnalysisWorker:
             topology.auto_epsilon([[0.0, 0.0]])
         assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
         assert [name for name in (*_EARLY_OUTPUTS, "report.json") if os.path.exists(tmp_path / "out" / name)] == []
-        assert len(workers) == 1  # the visualization's submit waits for the failed child and raises
+        # the epoch feeder ran after the failed child; the visualization's submit waits for that one and raises
+        assert len(workers) == 2
         _assert_reaped(workers)
 
     def test_failed_visualization_removes_the_early_outputs(self, pipeline, tmp_path, monkeypatch, capsys, workers):
@@ -888,7 +877,7 @@ class TestAnalysisWorker:
         monkeypatch.setattr(worker.Jobs, "submit", record)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
-        assert names == list(_WORKER_ANALYSES[drop]) and len(workers) == len(names)
+        assert names == list(_WORKER_ANALYSES[drop]) and len(workers) == len(names) + 1  # and the epoch feeder
         _assert_reaped(workers)
 
     def test_training_failure_stops_the_worker(self, pipeline, tmp_path, monkeypatch, capsys, workers):

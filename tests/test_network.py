@@ -61,7 +61,7 @@ class TestNormalizedAdjacency:
         a_hat = network.normalized_adjacency(csr_graph(nbrs))
         layers = network.init_params(rng, 6, None, _cfg(d_emb=5)).gnn_tra
         x = rng.normal(size=(n, 6))
-        y, cache = network.gcn_forward(x, a_hat, layers)
+        y, cache = network.gcn_forward(a_hat @ x, a_hat, layers)  # from the first aggregate
         hidden = np.maximum(dense @ x @ layers[0].w + layers[0].b, 0.0)
         assert np.allclose(y, dense @ hidden @ layers[1].w + layers[1].b, rtol=0.0, atol=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -360,3 +361,54 @@ class TestTrain:
         small = topology.build_spatial_graph(line, 1.0)
         with pytest.raises(ShapeMismatch):
             objective.train(pre, small, dataio.config_from_dict({"epochs": 1}))
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkedFeeder:
+    @pytest.mark.parametrize("mor, epochs", [(True, 6), (False, 6), (True, 1)], ids=["mor", "no-mor", "one-epoch"])
+    def test_forked_and_inline_training_give_the_same_bytes(self, rng, forked, mor, epochs):
+        pre, graph = _toy_training(rng)
+        if not mor:
+            pre.mor = None
+        cfg = dataio.config_from_dict({"epochs": epochs, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
+        (inline, es_inline), (remote, es_remote) = (objective.train(pre, graph, cfg, fork=fork) for fork in (False, True))
+        assert len(forked) == (epochs > 1)  # one epoch is drawn here, with no child
+        _assert_reaped(forked)
+        assert repr(inline.history) == repr(remote.history)
+        for (name, a), (_, b) in zip(inline.params.named_layers(), remote.params.named_layers()):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b), name
+        for field in ("y_tra", "y_mor", "z", "x_hat"):
+            a, b = getattr(es_inline, field), getattr(es_remote, field)
+            assert (a is None and b is None) or np.array_equal(a, b), field
+
+    def test_an_error_in_the_feeders_draw_reaches_the_trainer(self, rng, monkeypatch, forked):
+        real, calls = objective.sample_pairs, []
+
+        def third_epoch_fails(n, *args):
+            calls.append(n)
+            if len(calls) > 4:  # two modalities per epoch
+                raise OutOfRange("no pairs for epoch 3")
+            return real(n, *args)
+
+        monkeypatch.setattr(objective, "sample_pairs", third_epoch_fails)
+        pre, graph = _toy_training(rng)
+        cfg = dataio.config_from_dict({"epochs": 6, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
+        with pytest.raises(OutOfRange, match="no pairs for epoch 3"):
+            objective.train(pre, graph, cfg, fork=True)
+        assert len(calls) == 2 and len(forked) == 1  # the trainer drew epoch 1 only
+        _assert_reaped(forked)
+
+    def test_a_divergent_run_kills_and_reaps_the_feeder(self, rng, forked):
+        pre, graph = _toy_training(rng)
+        cfg = dataio.config_from_dict({"lr": 1e150, "epochs": 40, "seed": 5, "d_emb": 4, "k_tr": 3, "k_mo": 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteLoss, match="at epoch [2-9]"):
+                objective.train(pre, graph, cfg, fork=True)
+        assert len(forked) == 1
+        _assert_reaped(forked)

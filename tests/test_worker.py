@@ -1,5 +1,7 @@
+import contextlib
 import importlib.util
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ import pytest
 
 import topofuse
 from topofuse import worker
-from topofuse.errors import OutOfRange, WorkerLost
+from topofuse.errors import OutOfRange, ShapeMismatch, WorkerLost
 from topofuse.topology import auto_epsilon
 
 
@@ -28,21 +30,6 @@ def _raise_unpicklable():
     raise Unpicklable()
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """The pid of every child forked during the test."""
-    pids, fork = [], os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
 class TestAnalysisJobs:
     @pytest.mark.parametrize(
         "threads, cpus, starts_worker",
@@ -50,7 +37,7 @@ class TestAnalysisJobs:
     )
     def test_a_worker_only_when_two_processes_fit(self, monkeypatch, threads, cpus, starts_worker):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert worker.analysis_jobs(threads).fork == starts_worker
+        assert worker.can_fork(threads) == starts_worker
 
     def test_inline_when_no_process_can_start(self, monkeypatch):
         tried = []
@@ -62,7 +49,7 @@ class TestAnalysisJobs:
         monkeypatch.setattr(os, "fork", no_process)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fds = len(os.listdir("/proc/self/fd"))
-        with worker.analysis_jobs(1) as jobs:
+        with worker.Jobs(worker.can_fork(1)) as jobs:
             jobs.submit("pid", os.getpid)
             jobs.submit("sorted", sorted, [3, 1, 2])
             assert len(os.listdir("/proc/self/fd")) == fds  # the pipes of the failed forks are closed
@@ -168,3 +155,129 @@ class TestWorker:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "before submit\n"
+
+
+def _counting_draw(fail_at=None, action=None):
+    """A draw of a float and an int array from a seeded generator; call `fail_at` runs `action` instead."""
+    rng, calls = np.random.default_rng(3), []
+
+    def draw():
+        calls.append(len(calls) + 1)
+        if len(calls) == fail_at:
+            action()
+        return [rng.normal(size=(5, 3)), rng.integers(0, 9, size=7)]
+
+    return draw, calls
+
+
+def _take(draws, count):
+    """Copies of the first `count` results, the generator closed after."""
+    with contextlib.closing(draws):
+        return [[a.copy() for a in next(draws)] for _ in range(count)]
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _gone(pid):
+    """True once `pid` has exited: no such process, or a zombie its new parent has yet to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _fail():
+    raise OutOfRange("the third draw failed")
+
+
+class TestFeed:
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    def test_forked_and_inline_results_are_the_same(self, forked, count):
+        runs = [_take(worker.feed(_counting_draw()[0], count, fork), count) for fork in (False, True)]
+        assert len(forked) == (count > 1)
+        _assert_reaped(forked)
+        for inline, remote in zip(*runs):
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(inline, remote))
+
+    def test_the_first_is_drawn_here_and_the_rest_in_the_child(self, forked):
+        draw, calls = _counting_draw()
+        assert len(_take(worker.feed(draw, 6), 6)) == 6
+        assert calls == [1] and len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_a_draw_error_comes_back_as_itself(self, forked):
+        draw, calls = _counting_draw(3, _fail)
+        with pytest.raises(OutOfRange, match="the third draw failed"):
+            _take(worker.feed(draw, 5), 5)
+        assert calls == [1] and len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_a_feeder_that_dies_is_named_with_its_draw(self, forked):
+        draw, _ = _counting_draw(3, lambda: os._exit(3))
+        with pytest.raises(WorkerLost, match="exited with status 3 before returning the feed's draw 3$"):
+            _take(worker.feed(draw, 5), 5)
+        _assert_reaped(forked)
+
+    def test_a_draw_of_another_layout_raises(self, forked):
+        calls = []
+
+        def other_shape():
+            calls.append(len(calls) + 1)
+            return [np.zeros((5, 3) if calls == [1] else (5, 4)), np.zeros(7, dtype=np.int64)]
+
+        with pytest.raises(ShapeMismatch, match="draw 2 does not fit the layout of the first"):
+            _take(worker.feed(other_shape, 3), 3)
+        _assert_reaped(forked)
+
+    def test_closing_early_kills_and_reaps_the_child(self, forked):
+        draw, _ = _counting_draw(4, lambda: time.sleep(60))
+        start = time.perf_counter()
+        assert len(_take(worker.feed(draw, 10), 2)) == 2
+        assert time.perf_counter() - start < 5
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_inline_when_no_process_can_start(self, monkeypatch):
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        fds = len(os.listdir("/proc/self/fd"))
+        draw, calls = _counting_draw()
+        assert len(_take(worker.feed(draw, 4), 4)) == 4
+        assert calls == [1, 2, 3, 4]
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipes are closed
+
+    def test_an_orphaned_feeder_exits_on_its_own(self):
+        # the caller takes two results, then dies without closing anything
+        code = (
+            "import os, signal\n"
+            "import numpy as np\n"
+            "from topofuse import worker\n"
+            "fork = os.fork\n"
+            "def recorded():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = recorded\n"
+            "rng = np.random.default_rng(0)\n"
+            "draws = worker.feed(lambda: [rng.normal(size=4)], 10)\n"
+            "next(draws)\n"
+            "next(draws)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(worker.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        feeder = int(proc.stdout)
+        deadline = time.perf_counter() + 10
+        while not _gone(feeder) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert _gone(feeder)
