@@ -8,13 +8,13 @@
 # with --threads 1 and the same relative --out paths:
 #   - synth --seed 42 for the 4x50, 8x125 and 4x200 sections;
 #   - report on 4x50 at the default config and at epochs=150, and on 8x125
-#     at epochs=20, with and without its labels.csv (without them report
-#     scores both spaces in its own process, after clustering);
+#     at epochs=20, with and without its labels.csv (the modality
+#     contributions fit the dataset's labels, or without them the clusters');
 #   - train (epochs=40) -> cluster (refine=true) -> visualize -> deconvolve
 #     -> markers -> trajectory -> evaluate on 4x200.
 # Then runs the working tree's 8x125 report and 4x200 train once more under
-# `taskset -c 0`: on one CPU `report` runs every analysis inline instead of in
-# forked children, and both draw each training epoch inline instead of in the
+# `taskset -c 0`: on one CPU `report` draws the visualization inline instead of
+# in its forked child, and both draw each training epoch inline instead of in the
 # forked epoch feeder, so both paths are checked against REF. Compares the output trees
 # with `diff -rq`, manifests included, except the checkpoints (`ckpt.*`): each
 # tree reads its own with its own `load_checkpoint`, and the tensors, theta

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .errors import TopofuseError
-from .worker import Jobs, can_fork, keep_freed_memory
+from .worker import Fork, can_fork, keep_freed_memory
 
 VERSION = "0.1.0"
 _THREAD_VARS = (
@@ -67,8 +67,8 @@ def _build_parser() -> _Parser:
             type=positive_int,
             default=None,
             help="BLAS threads per process, a positive integer (1 = deterministic); when the CPUs"
-            " allow two processes, train and report fork one epoch feeder and report its side"
-            " analyses, with the same bytes either way",
+            " allow two processes, train and report fork one epoch feeder and report, after"
+            " training, one child for the visualization, with the same bytes either way",
         )
         if data:
             sp.add_argument("--data", required=True, help="directory with tra.csv and coords.csv")
@@ -258,7 +258,7 @@ def cmd_preprocess(args, cfg) -> dict:
 def _train_once(pre, spatial, eps, cfg, threads):
     """Train on `_model_inputs`' output; the parameters record the radius `eps`.
 
-    The epoch feeder forks under the same rule as the side analyses, `can_fork(threads)`.
+    The epoch feeder forks under the same rule as report's visualization, `can_fork(threads)`.
     """
     from .objective import train
 
@@ -457,25 +457,17 @@ def cmd_report(args, cfg) -> dict:
     def out(name):
         return os.path.join(args.out, name)
 
-    inputs, embeddings = "input-space modality contribution", "embedding-space modality contribution"
-    # forked children, one at a time when the CPUs allow them, run the
-    # visualization and, with labels, the input-space contribution beside this
-    # process's work; the results come back by name below
-    with Jobs(fork=can_fork(args.threads)) as jobs:
-        ds = _load_data(args.data)
-        pre, spatial, eps = _model_inputs(ds, cfg)
-        # with the dataset's own labels a child scores the inputs while this
-        # process trains, and this process scores the embeddings
-        if ds.labels is not None:
-            jobs.submit(inputs, _contribution, [pre.tra, pre.mor], ds.labels, cfg.seed)
-        state, emb = _train_once(pre, spatial, eps, cfg, args.threads)
-        jobs.submit("visualization", _fit_vis, emb.z, cfg)
+    ds = _load_data(args.data)
+    pre, spatial, eps = _model_inputs(ds, cfg)
+    state, emb = _train_once(pre, spatial, eps, cfg, args.threads)
+    # a forked child, when the CPUs allow it, draws the visualization beside this process's work
+    with Fork("visualization", _fit_vis, emb.z, cfg, fork=can_fork(args.threads)) as vis_fit:
         k, labels = _cluster(ds, emb.z, cfg, args.restarts)
-        if ds.labels is not None:
-            local = {embeddings: _contribution([emb.y_tra, emb.y_mor], ds.labels, cfg.seed)}
-        else:  # both need the clusters: this process scores both while the child draws the visualization
-            local = {inputs: _contribution([pre.tra, pre.mor], labels, cfg.seed)}
-            local[embeddings] = _contribution([emb.y_tra, emb.y_mor], labels, cfg.seed)
+        fit_on = labels if ds.labels is None else ds.labels  # the labels the contributions' SVMs fit
+        parts = {
+            "inputs": _contribution([pre.tra, pre.mor], fit_on, cfg.seed),
+            "embeddings": _contribution([emb.y_tra, emb.y_mor], fit_on, cfg.seed),
+        }
         dec = deconvolve(emb.z, labels, args.l1)
         markers = _marker_rows(pre, state.params, spatial, labels, args.top_n)
         metrics = _metrics(pre.tra, emb.z, ds.labels, labels, args.mrre_k)
@@ -486,8 +478,7 @@ def cmd_report(args, cfg) -> dict:
         write_deconvolution_csv(out("deconvolution.csv"), ds.spot_ids, dec.cluster_ids, dec.weights, dec.impurity)
         plot_scatter(ds.coords, labels, out("domains.svg"))
         _save_model(args.out, ds.spot_ids, emb, state.params)
-        done = {**local, **jobs.results()}
-    vis, vis_history = done["visualization"]
+        vis, vis_history = vis_fit.result()
     payload = {
         "metrics": metrics,
         "notes": {
@@ -503,7 +494,6 @@ def cmd_report(args, cfg) -> dict:
     if paga_edges is not None:
         payload["paga_edges"] = paga_edges
     payload["markers"] = [{"cluster": c, "rank": r, "gene_id": g, "importance": v} for c, r, g, v in markers]
-    parts = {"inputs": done[inputs], "embeddings": done[embeddings]}
     if parts["inputs"] is not None:
         names = ["tra_input", "mor_input", "tra_emb", "mor_emb"]
         payload["modality_contribution"] = {

@@ -66,36 +66,28 @@ def standardize(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca(m: np.ndarray, n_components: int) -> np.ndarray:
-    """The scores of `m` on the top principal components of its population covariance.
+def pca(m: np.ndarray, max_components: int) -> np.ndarray:
+    """The scores of `m` on its leading principal components, up to `max_components` of them.
 
-    Uses an exact symmetric eigendecomposition. Each basis vector is signed so
-    its largest-magnitude entry is positive. Raises RankDeficient when the
-    requested components exceed the numerical rank.
+    Uses an exact symmetric eigendecomposition of the population covariance
+    and keeps the components whose eigenvalue is at least _EIG_TOL. Each basis
+    vector is signed so its largest-magnitude entry is positive. Raises
+    RankDeficient when no component is kept.
     """
     n, d = m.shape
-    if not 1 <= n_components <= min(n - 1, d):
-        raise OutOfRange(f"n_components must lie in [1, min(N-1, D)] = [1, {min(n - 1, d)}]")
+    if not 1 <= max_components <= min(n - 1, d):
+        raise OutOfRange(f"max_components must lie in [1, min(N-1, D)] = [1, {min(n - 1, d)}]")
     centered = m - m.mean(axis=0)
     cov = centered.T @ centered / n
     evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    evecs = evecs[:, order]
-    if evals[n_components - 1] < _EIG_TOL:
-        rank = int((evals >= _EIG_TOL).sum())
-        raise RankDeficient(f"requested {n_components} components but numerical rank is {rank}")
-    basis = evecs[:, :n_components]
-    flip = basis[np.argmax(np.abs(basis), axis=0), np.arange(n_components)] < 0
+    order = np.argsort(-evals, kind="stable")[:max_components]
+    k = int((evals[order] >= _EIG_TOL).sum())
+    if k == 0:
+        raise RankDeficient("the matrix has numerical rank 0: no principal component to keep")
+    basis = evecs[:, order[:k]]
+    flip = basis[np.argmax(np.abs(basis), axis=0), np.arange(k)] < 0
     basis[:, flip] *= -1.0
     return centered @ basis
-
-
-def numerical_rank(m: np.ndarray) -> int:
-    centered = m - m.mean(axis=0)
-    cov = centered.T @ centered / m.shape[0]
-    evals = np.linalg.eigvalsh(cov)
-    return int((evals >= _EIG_TOL).sum())
 
 
 @dataclass
@@ -123,7 +115,5 @@ def preprocess_dataset(ds: SpotDataset, cfg: RunConfig) -> PreprocessedData:
     if ds.mor is not None:
         if ds.mor.shape[0] != ds.tra.shape[0]:
             raise ShapeMismatch("morphology rows do not match expression rows")
-        upper = min(MOR_COMPONENTS, ds.mor.shape[0] - 1, ds.mor.shape[1])
-        k = min(upper, max(numerical_rank(ds.mor), 1))
-        mor = pca(ds.mor, k)
+        mor = pca(ds.mor, min(MOR_COMPONENTS, ds.mor.shape[0] - 1, ds.mor.shape[1]))
     return PreprocessedData(tra=std, gene_ids=gene_ids, mor=mor)

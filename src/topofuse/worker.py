@@ -1,8 +1,8 @@
-"""Work that runs beside the caller's own, in forked children or inline.
+"""Work that runs beside the caller's own, in a forked child or inline.
 
-`Jobs` runs named analyses, one child at a time; `feed` draws a sequence of
-array lists one ahead of the caller. `keep_freed_memory()` sets the heap
-policy the CLI runs under.
+`Fork` runs one call in a child; `feed` draws a sequence of array lists one
+ahead of the caller. Both start their child through `_start`, under the rule
+of `can_fork`. `keep_freed_memory()` sets the heap policy the CLI runs under.
 """
 
 from __future__ import annotations
@@ -47,66 +47,45 @@ def keep_freed_memory():
 
 
 def can_fork(threads) -> bool:
-    """Whether `threads` BLAS threads fit twice into this process's CPUs: the rule for any fork, `Jobs` or `feed`."""
+    """Whether `threads` BLAS threads fit twice into this process's CPUs: the rule for a `Fork` or a `feed`.
+
+    Two processes at a time is what either asks for: `report` starts its
+    `Fork` only after training, when the epoch feeder has ended.
+    """
     affinity = getattr(os, "sched_getaffinity", None)
     return bool(threads) and affinity is not None and len(affinity(0)) // threads >= 2
 
 
-class Jobs:
-    """Named jobs, each run in a forked child while the caller goes on, or inline by `results()`.
+class Fork:
+    """`fn(*args)` run in a forked child while the caller goes on; `result()` returns it or raises its error.
 
-    `submit(name, fn, *args)` waits for the earlier child, if any, then forks
-    one that runs `fn(*args)` on this process's memory as it is at that moment;
-    the job runs inline when forking is off or a fork or pipe fails. Stdout and
-    stderr are flushed before the fork, so text buffered here is written once.
-    The child first trims its heap (glibc's malloc_trim), so this process
-    reuses the freed memory `keep_freed_memory` keeps without copying it.
-    `results()` returns every result by name, in submission order.
+    The child runs on this process's memory as it is when the `Fork` is made.
+    The call runs inline in `result()` instead when `fork` is off or the pipe
+    or fork fails. A child's error is raised as `_reply` raises it, naming the
+    call by `name`. Leaving the `with` block before `result()` kills and reaps
+    the child.
     """
 
-    def __init__(self, fork=True):
-        self.fork = fork
-        self._jobs = {}  # name -> a function returning its result
-        self._child = None  # (name, pid, the read end of its pipe) of the child not yet reaped
+    def __init__(self, name, fn, *args, fork=True):
+        self.name, self._call = name, lambda: fn(*args)
+        self._child = None  # (pid, the read end of its reply pipe) until its result is read
+        if fork:
+            with contextlib.suppress(OSError):  # no process, memory or descriptor left
+                self._child = _start(fn, args)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         if self._child:
-            _, pid, fd = self._child
-            _kill(pid, fd)
+            _kill(*self._child)
             self._child = None
 
-    def submit(self, name, fn, *args):
-        if self._child:  # one child at a time
-            earlier, value = self._child[0], self._wait()
-            self._jobs[earlier] = lambda: value
-        self._jobs[name] = lambda: fn(*args)
-        if self.fork:
-            with contextlib.suppress(OSError):  # no process or memory left
-                self._start(name, fn, args)
-
-    def _start(self, name, fn, args):
-        r, w = os.pipe()
-        try:
-            pid = _fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:
-            _run_child(fn, args, w)
-        os.close(w)
-        self._child, self._jobs[name] = (name, pid, r), self._wait
-
-    def results(self) -> dict:
-        return {name: job() for name, job in self._jobs.items()}
-
-    def _wait(self):
-        name, pid, fd = self._child
-        self._child = None
-        return _reply(name, pid, fd)
+    def result(self):
+        if self._child is None:
+            return self._call()
+        child, self._child = self._child, None
+        return _reply(self.name, *child)
 
 
 def feed(draw, count, fork=True):
@@ -118,17 +97,18 @@ def feed(draw, count, fork=True):
     the others one ahead of the caller: each into the slot the caller is not
     reading, then one byte with the slot's index on a pipe. A result stays
     valid until the next is asked for, when its slot goes back to the child;
-    a child's failure is raised here as `Jobs` raises it. Inline (`fork` off,
+    a child's failure is raised here as `Fork` raises it. Inline (`fork` off,
     or a mapping, pipe or fork that fails) each is drawn here when asked for.
     Close the generator (`contextlib.closing`) on every exit: that kills and
     reaps the child. A child whose caller died reads the end of its pipe and
     exits.
     """
-    arrays = draw()
-    child = None
+    arrays, child = draw(), None
     if fork and count > 1:
         with contextlib.suppress(OSError):  # no process, memory or descriptor left
-            child = _start_feeder(draw, arrays, count)
+            slots = _slots(arrays)
+            arrays = slots[0]  # the draw is freed before the fork: the child's trim leaves its pages to this process
+            child = _start(_feeder, (draw, slots, count), inbound=True)
     try:
         if child is None:
             yield arrays
@@ -137,7 +117,7 @@ def feed(draw, count, fork=True):
                 yield draw()
             return
         del arrays
-        pid, ready, free, slots = child
+        pid, ready, free = child
         for k in range(count):
             token = bytes([k % 2])
             got = os.read(ready, 1) if k else token
@@ -151,46 +131,25 @@ def feed(draw, count, fork=True):
                     os.write(free, token)
     finally:
         if child is not None:
-            _kill(*child[:3])
+            _kill(*child)
 
 
-def _start_feeder(draw, first, count):
-    """Lay out the slots after `first`, copy it into slot 0 and fork `feed`'s child.
-
-    Returns the child's pid, the read end of its slot tokens, the write end of
-    freed slots and the slots.
-    """
+def _slots(first):
+    """Two slots of anonymous shared memory, each laid out like the arrays `first`, with `first` copied into slot 0."""
     import numpy as np  # not at import: the CLI pins the BLAS threads before numpy loads
 
     offsets, size = [], 0
     for a in first:
         offsets.append(size)
         size += -(-a.nbytes // 64) * 64  # each array starts 64-byte aligned, as numpy allocates
-    shared = mmap.mmap(-1, 2 * max(size, 1))  # anonymous and shared with the child
+    shared = mmap.mmap(-1, 2 * max(size, 1))  # shared with a child forked later
     slots = [
         [np.ndarray(a.shape, a.dtype, buffer=shared, offset=s * size + off) for a, off in zip(first, offsets)]
         for s in (0, 1)
     ]
     for a, v in zip(first, slots[0]):
         v[...] = a
-    fds = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = _fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        raise
-    ready_r, ready_w, free_r, free_w = fds
-    if pid == 0:
-        os.close(ready_r)
-        os.close(free_w)
-        first.clear()  # slot 0 holds it: dropped here, the trim leaves its pages to the caller alone
-        _run_child(_feeder, (draw, slots, count, ready_w, free_r), ready_w)
-    os.close(ready_w)
-    os.close(free_r)
-    return pid, ready_r, free_w, slots
+    return slots
 
 
 def _feeder(draw, slots, count, ready, free):
@@ -206,6 +165,34 @@ def _feeder(draw, slots, count, ready, free):
             v[...] = a
         del arrays
         os.write(ready, bytes([k % 2]))
+
+
+def _start(fn, args, inbound=False):
+    """Fork a child that runs `fn(*args)` under `_run_child`, which replies on a new pipe.
+
+    Returns the child's pid and the pipe's read end. With `inbound`, a second
+    pipe runs from this process to the child: `fn` also gets the reply pipe's
+    write end and this pipe's read end, and the pipe's write end is returned
+    third. A pipe or fork that fails raises OSError with every descriptor made
+    here closed. The child trims its heap first, so this process reuses the
+    freed memory `keep_freed_memory` keeps without copying it.
+    """
+    fds = []
+    try:
+        for _ in range(1 + inbound):
+            fds += os.pipe()
+        pid = _fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    r, w, *back = fds
+    mine, theirs = [r, *back[1:]], [w, *back[:1]]  # this process's ends and the child's
+    for fd in theirs if pid else mine:
+        os.close(fd)  # a child whose caller died then reads the end of the inbound pipe
+    if pid == 0:
+        _run_child(fn, (*args, *theirs) if inbound else args, w)
+    return (pid, *mine)
 
 
 def _fork():

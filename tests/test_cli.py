@@ -710,12 +710,9 @@ def test_report_imports_no_scipy(pipeline, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 WATCHDOG_S = 60  # the `forked` fixture's, in conftest.py
-# what report submits to its forked children, in order, keyed by the file dropped from the dataset
-_WORKER_ANALYSES = {
-    None: ("input-space modality contribution", "visualization"),
-    "labels.csv": ("visualization",),
-}
-# what report writes before it waits for its last child
+# --threads 1 on two CPUs: report forks the epoch feeder, then one child for the visualization
+_REPORT_CHILDREN = 2
+# what report writes before it waits for its visualization child
 _EARLY_OUTPUTS = ("labels.csv", "markers.csv", "deconvolution.csv", "domains.svg", "embedding.csv", "ckpt.npz")
 
 
@@ -730,27 +727,25 @@ def _cpus(monkeypatch, n):
 
 
 def _listed_at_wait(monkeypatch, out):
-    """The names in `out` each time report starts waiting for its worker's results."""
-    listed, results = [], worker.Jobs.results
+    """The names in `out` each time report starts waiting for its child's result."""
+    listed, result = [], worker.Fork.result
 
-    def list_then_wait(jobs):
+    def list_then_wait(job):
         listed.append(sorted(os.listdir(out)))
-        return results(jobs)
+        return result(job)
 
-    monkeypatch.setattr(worker.Jobs, "results", list_then_wait)
+    monkeypatch.setattr(worker.Fork, "result", list_then_wait)
     return listed
 
 
-def _block_first_job(monkeypatch):
-    """report's first submitted analysis sleeps past the watchdog instead of running."""
-    submit = worker.Jobs.submit
+def _visualization_fails(monkeypatch):
+    """report's visualization raises OutOfRange on one spot instead of running."""
+    monkeypatch.setattr(downstream, "_fit_vis", lambda z, cfg: topology.auto_epsilon([[0.0, 0.0]]))
 
-    def first_job_blocks(jobs, name, fn, *args):
-        if not jobs._jobs:
-            fn, args = time.sleep, (2 * WATCHDOG_S,)
-        submit(jobs, name, fn, *args)
 
-    monkeypatch.setattr(worker.Jobs, "submit", first_job_blocks)
+def _block_visualization(monkeypatch):
+    """report's visualization sleeps past the watchdog instead of running."""
+    monkeypatch.setattr(downstream, "_fit_vis", lambda z, cfg: time.sleep(2 * WATCHDOG_S))
 
 
 def _assert_reaped(pids):
@@ -771,8 +766,8 @@ class TestAnalysisWorker:
             _cpus(monkeypatch, cpus)
             outs[cpus] = tmp_path / f"cpus{cpus}"
             assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[cpus])]) == 0
-            # --threads 1: one CPU runs inline, two fork each analysis of _WORKER_ANALYSES and the epoch feeder
-            assert len(workers) == (cpus - 1) * (len(_WORKER_ANALYSES.get(drop, _WORKER_ANALYSES[None])) + 1)
+            # --threads 1: one CPU runs inline, two fork the epoch feeder and the visualization's child
+            assert len(workers) == (cpus - 1) * _REPORT_CHILDREN
         _assert_reaped(workers)
         names = sorted(os.listdir(outs[1]))
         assert names == sorted(os.listdir(outs[2]))
@@ -815,7 +810,7 @@ class TestAnalysisWorker:
         monkeypatch.setattr(cli, "_load_data", load_then_remove)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(outs[2])]) == 0
-        assert not data.exists() and len(workers) == 3  # two analyses and the epoch feeder
+        assert not data.exists() and len(workers) == _REPORT_CHILDREN
         _assert_reaped(workers)
         names = sorted(os.listdir(outs[1]))
         assert names == sorted(os.listdir(outs[2]))
@@ -824,14 +819,7 @@ class TestAnalysisWorker:
                 assert _read(outs[1] / name) == _read(outs[2] / name), name
 
     def test_worker_error_exits_1_with_its_message(self, pipeline, tmp_path, monkeypatch, capsys, workers):
-        submit = worker.Jobs.submit
-
-        def first_job_fails(jobs, name, fn, *args):
-            if not jobs._jobs:  # the child raises OutOfRange on one spot
-                fn, args = topology.auto_epsilon, ([[0.0, 0.0]],)
-            submit(jobs, name, fn, *args)
-
-        monkeypatch.setattr(worker.Jobs, "submit", first_job_fails)
+        _visualization_fails(monkeypatch)
         _cpus(monkeypatch, 2)
         capsys.readouterr()
         assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
@@ -839,19 +827,11 @@ class TestAnalysisWorker:
             topology.auto_epsilon([[0.0, 0.0]])
         assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
         assert [name for name in (*_EARLY_OUTPUTS, "report.json") if os.path.exists(tmp_path / "out" / name)] == []
-        # the epoch feeder ran after the failed child; the visualization's submit waits for that one and raises
-        assert len(workers) == 2
+        assert len(workers) == _REPORT_CHILDREN
         _assert_reaped(workers)
 
     def test_failed_visualization_removes_the_early_outputs(self, pipeline, tmp_path, monkeypatch, capsys, workers):
-        submit = worker.Jobs.submit
-
-        def visualization_fails(jobs, name, fn, *args):
-            if name == "visualization":  # the child raises OutOfRange on one spot
-                fn, args = topology.auto_epsilon, ([[0.0, 0.0]],)
-            submit(jobs, name, fn, *args)
-
-        monkeypatch.setattr(worker.Jobs, "submit", visualization_fails)
+        _visualization_fails(monkeypatch)
         out = tmp_path / "out"
         listed = _listed_at_wait(monkeypatch, out)
         _cpus(monkeypatch, 2)
@@ -863,53 +843,54 @@ class TestAnalysisWorker:
         _assert_reaped(workers)
 
     @pytest.mark.parametrize("drop", [None, "labels.csv"])
-    def test_worker_runs_the_visualization_and_one_contribution(self, pipeline, tmp_path, monkeypatch, workers, drop):
+    def test_report_forks_the_feeder_and_the_visualization(self, pipeline, tmp_path, monkeypatch, workers, drop):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
         if drop:
             os.remove(data / drop)
-        names, submit = [], worker.Jobs.submit
+        names, init = [], worker.Fork.__init__
 
-        def record(jobs, name, fn, *args):
+        def record(job, name, fn, *args, **kwargs):
             names.append(name)
-            submit(jobs, name, fn, *args)
+            init(job, name, fn, *args, **kwargs)
 
-        monkeypatch.setattr(worker.Jobs, "submit", record)
+        monkeypatch.setattr(worker.Fork, "__init__", record)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
-        assert names == list(_WORKER_ANALYSES[drop]) and len(workers) == len(names) + 1  # and the epoch feeder
+        # the same two children with or without the dataset's labels: the contributions run here
+        assert names == ["visualization"] and len(workers) == _REPORT_CHILDREN
         _assert_reaped(workers)
 
-    def test_training_failure_stops_the_worker(self, pipeline, tmp_path, monkeypatch, capsys, workers):
-        def diverge(*args, **kwargs):
-            raise NonFiniteLoss("training diverged")
+    def test_a_failure_after_training_stops_the_worker(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        def no_clusters(*args):
+            raise NonFiniteLoss("clustering diverged")
 
-        monkeypatch.setattr(objective, "train", diverge)
-        _block_first_job(monkeypatch)
+        monkeypatch.setattr(cli, "_cluster", no_clusters)
+        _block_visualization(monkeypatch)
         _cpus(monkeypatch, 2)
         capsys.readouterr()
         start = time.perf_counter()
         assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
-        # the input-space contribution was still running: its child was killed, not waited for
+        # the visualization was still running: its child was killed, not waited for
         assert time.perf_counter() - start < WATCHDOG_S / 4
-        assert "topofuse: error: training diverged" in capsys.readouterr().err
-        assert len(workers) == 1
+        assert "topofuse: error: clustering diverged" in capsys.readouterr().err
+        assert len(workers) == _REPORT_CHILDREN
         _assert_reaped(workers)
 
     def test_killed_worker_names_the_analysis(self, pipeline, tmp_path, monkeypatch, capsys, workers):
-        train = objective.train
+        cluster = cli._cluster
 
-        def kill_worker_then_train(*args, **kwargs):
-            os.kill(workers[0], signal.SIGKILL)  # it blocks, so it cannot return first
-            return train(*args, **kwargs)
+        def kill_worker_then_cluster(*args):
+            os.kill(workers[-1], signal.SIGKILL)  # it blocks, so it cannot return first
+            return cluster(*args)
 
-        monkeypatch.setattr(objective, "train", kill_worker_then_train)
-        _block_first_job(monkeypatch)
+        monkeypatch.setattr(cli, "_cluster", kill_worker_then_cluster)
+        _block_visualization(monkeypatch)
         _cpus(monkeypatch, 2)
         capsys.readouterr()
         assert cli.run(_REPORT + ["--data", pipeline["data"], "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        first = _WORKER_ANALYSES[None][0]
-        assert f"the worker process was killed by signal {int(signal.SIGKILL)} before returning the {first}" in err
+        assert f"the worker process was killed by signal {int(signal.SIGKILL)} before returning the visualization" in err
         assert not os.path.exists(tmp_path / "out" / "report.json")
+        assert len(workers) == _REPORT_CHILDREN
         _assert_reaped(workers)

@@ -115,11 +115,13 @@ class TestPca:
         assert np.allclose(scores @ _basis(m, scores).T, centered, atol=1e-10)
 
     def test_rank_deficient_raises(self, rng):
+        # components past the numerical rank are dropped; a matrix of rank 0 has none to keep
         thin = rng.normal(size=(12, 2))
         m = np.column_stack([thin, thin @ rng.normal(size=(2, 2))])
-        assert preprocess.numerical_rank(m) == 2
+        assert np.array_equal(preprocess.pca(m, 3), preprocess.pca(m, 2))
+        assert preprocess.pca(m, 3).shape == (12, 2)
         with pytest.raises(RankDeficient):
-            preprocess.pca(m, 3)
+            preprocess.pca(np.ones((12, 4)), 3)
 
     def test_component_bounds(self, rng):
         m = rng.normal(size=(5, 3))

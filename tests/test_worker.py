@@ -49,50 +49,52 @@ class TestAnalysisJobs:
         monkeypatch.setattr(os, "fork", no_process)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fds = len(os.listdir("/proc/self/fd"))
-        with worker.Jobs(worker.can_fork(1)) as jobs:
-            jobs.submit("pid", os.getpid)
-            jobs.submit("sorted", sorted, [3, 1, 2])
-            assert len(os.listdir("/proc/self/fd")) == fds  # the pipes of the failed forks are closed
-            assert jobs.results() == {"pid": os.getpid(), "sorted": [1, 2, 3]}
+        with worker.Fork("pid", os.getpid, fork=worker.can_fork(1)) as pid:
+            assert len(os.listdir("/proc/self/fd")) == fds  # the pipe of the failed fork is closed
+            assert pid.result() == os.getpid()
+        with worker.Fork("sorted", sorted, [3, 1, 2], fork=worker.can_fork(1)) as ordered:
+            assert ordered.result() == [1, 2, 3]
         assert tried == [True, True]
 
 
 class TestWorker:
     def test_same_package_and_thread_pin(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        with worker.Jobs() as jobs:
-            jobs.submit("pin", os.getenv, "OPENBLAS_NUM_THREADS")
-            jobs.submit("spec", importlib.util.find_spec, "topofuse")
-            jobs.submit("pid", os.getpid)
-            done = jobs.results()
+        done = {}
+        for name, fn, *args in (
+            ("pin", os.getenv, "OPENBLAS_NUM_THREADS"),
+            ("spec", importlib.util.find_spec, "topofuse"),
+            ("pid", os.getpid),
+        ):
+            with worker.Fork(name, fn, *args) as job:
+                done[name] = job.result()
         assert done["pin"] == "3"
         assert os.path.realpath(done["spec"].origin) == os.path.realpath(topofuse.__file__)
         assert done["pid"] != os.getpid()
 
     @pytest.mark.parametrize("fork", [False, True], ids=["Inline", "Worker"])
-    def test_results_by_name_in_submission_order(self, fork):
-        with worker.Jobs(fork) as jobs:
-            jobs.submit("b", sorted, [3, 1, 2])
-            jobs.submit("a", max, 4, 9)
-            assert list(jobs.results().items()) == [("b", [1, 2, 3]), ("a", 9)]
+    def test_the_result_forked_or_inline(self, forked, fork):
+        with worker.Fork("sorted", sorted, [3, 1, 2], fork=fork) as job:
+            assert job.result() == [1, 2, 3]
+        assert len(forked) == fork
+        _assert_reaped(forked)
 
-    def test_package_error_comes_back_as_itself(self):
-        with worker.Jobs() as jobs:
-            jobs.submit("radius", auto_epsilon, [[0.0, 0.0]])
+    def test_package_error_comes_back_as_itself(self, forked):
+        with worker.Fork("radius", auto_epsilon, [[0.0, 0.0]]) as job:
             with pytest.raises(OutOfRange, match="need at least 2 spots"):
-                jobs.results()
+                job.result()
+        _assert_reaped(forked)
 
     def test_other_failures_carry_the_worker_traceback(self):
-        with worker.Jobs() as jobs:
-            jobs.submit("number", int, "x")
+        with worker.Fork("number", int, "x") as job:
             with pytest.raises(RuntimeError, match="(?s)the number failed in the worker process.*ValueError"):
-                jobs.results()
+                job.result()
 
-    def test_a_worker_that_dies_is_named_with_its_job(self):
-        with worker.Jobs() as jobs:
-            jobs.submit("exit", os._exit, 3)
+    def test_a_worker_that_dies_is_named_with_its_job(self, forked):
+        with worker.Fork("exit", os._exit, 3) as job:
             with pytest.raises(WorkerLost, match="exited with status 3 before returning the exit$"):
-                jobs.results()
+                job.result()
+        _assert_reaped(forked)
 
     def test_submit_does_not_wait_for_the_worker(self):
         # the CLI's heap policy puts these 1 MB blocks on the heap: the fork copies the page
@@ -101,60 +103,42 @@ class TestWorker:
         heap = [np.ones(2**17) for _ in range(128)]
         del heap[::2]
         big = np.arange(2**18, dtype=np.float64)  # 2 MB, far more than a pipe holds
-        with worker.Jobs() as jobs:
-            start = time.perf_counter()
-            jobs.submit("sum", _sum_after, 0.3, big)
+        start = time.perf_counter()
+        with worker.Fork("sum", _sum_after, 0.3, big) as job:
             took = time.perf_counter() - start
-            big[:] = 0.0  # the child sees the array as it was at submit
-            done = jobs.results()
+            big[:] = 0.0  # the child sees the array as it was at the fork
+            assert job.result() == float(np.arange(2**18).sum())
         assert took < 0.05
-        assert done == {"sum": float(np.arange(2**18).sum())}
-
-    def test_one_child_at_a_time(self, forked):
-        big = np.arange(2**18, dtype=np.float64)
-        with worker.Jobs() as jobs:
-            jobs.submit("sum", _sum_after, 0.2, big)
-            start = time.perf_counter()
-            jobs.submit("pid", os.getpid)  # waits for the first child, then forks its own
-            waited = time.perf_counter() - start
-            big[:] = 0.0
-            done = jobs.results()
-        assert waited > 0.1 and len(forked) == 2
-        assert done == {"sum": float(np.arange(2**18).sum()), "pid": forked[1]}
 
     def test_an_unpicklable_package_error_carries_the_worker_traceback(self):
-        with worker.Jobs() as jobs:
-            jobs.submit("check", _raise_unpicklable)
+        with worker.Fork("check", _raise_unpicklable) as job:
             with pytest.raises(RuntimeError, match="(?s)the check failed in the worker process.*Unpicklable: no pickle"):
-                jobs.results()
+                job.result()
 
     def test_leaving_early_kills_and_reaps_the_child(self, forked):
         start = time.perf_counter()
         with pytest.raises(KeyError):
-            with worker.Jobs() as jobs:
-                jobs.submit("sleep", time.sleep, 60)
+            with worker.Fork("sleep", time.sleep, 60):
                 raise KeyError("the caller failed")
         assert time.perf_counter() - start < 5
         assert len(forked) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forked[0], os.WNOHANG)
+        _assert_reaped(forked)
 
     def test_text_buffered_before_submit_is_written_once(self):
         # stdout is a buffered pipe, so the print stays in the process's buffer until a flush
         code = (
             "import sys\n"
             "from topofuse import worker\n"
-            "print('before submit')\n"
-            "with worker.Jobs() as jobs:\n"
-            "    jobs.submit('flush', sys.stdout.flush)\n"
-            "    jobs.results()\n"
+            "print('before the fork')\n"
+            "with worker.Fork('flush', sys.stdout.flush) as job:\n"
+            "    job.result()\n"
         )
         pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(worker.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)}
         env.pop("PYTHONUNBUFFERED", None)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "before submit\n"
+        assert proc.stdout == "before the fork\n"
 
 
 def _counting_draw(fail_at=None, action=None):
