@@ -65,8 +65,8 @@ def _build_parser() -> _Parser:
         sp.add_argument(
             "--threads",
             type=positive_int,
-            default=None,
-            help="BLAS threads per process, a positive integer (1 = deterministic); when the CPUs"
+            default=1,
+            help="BLAS threads per process, a positive integer (default 1, deterministic); when the CPUs"
             " allow two processes, train and report fork one epoch feeder and report, after"
             " training, one child for the visualization, with the same bytes either way",
         )
@@ -529,9 +529,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None:  # before numpy loads
-            for var in _THREAD_VARS:
-                os.environ[var] = str(args.threads)
+        for var in _THREAD_VARS:  # before numpy loads
+            os.environ[var] = str(args.threads)
         args._argv = list(argv)
         cfg = _resolve_config(args) if "config" in args else None  # synth takes no config
         _check_out(args.out)

@@ -39,8 +39,8 @@ from .topology import N_NEG, NeighborGraph, knn_graph
 
 GMM_RESTARTS = 10
 GMM_MAX_ITER = 500
-GMM_REL_TOL = 1e-12  # em_fit stops on a gain below this times |log-likelihood|
-GMM_RIDGE = 1e-6
+GMM_REL_TOL = 1e-12  # em_fit stops on a gain below this times |objective|
+GMM_PRIOR = 5e-7  # beta of each variance's prior density exp(-beta / var)
 VIS_EPOCHS = 300
 VIS_LR = 0.01
 VIS_NU_LOW = 1.0
@@ -53,24 +53,14 @@ REFINE_K = 6
 class ClusterModel:
     k: int
     means: np.ndarray
-    covariances: np.ndarray  # k x d diagonal variances, ridge included
+    covariances: np.ndarray  # k x d diagonal variances, each the MAP value under GMM_PRIOR
     weights: np.ndarray
     labels: np.ndarray
-    loglik_history: list
+    loglik_history: list  # em_fit's penalized log-likelihood per iterate
 
     def __post_init__(self):
         if np.any(np.diff(self.loglik_history) < 0):
             raise DegenerateComponent("log-likelihood decreased during EM")
-
-
-@dataclass
-class EMResult:
-    means: np.ndarray
-    covariances: np.ndarray
-    weights: np.ndarray
-    resp: np.ndarray
-    history: list
-    ok: bool
 
 
 def _kmeanspp(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,45 +78,43 @@ def _kmeanspp(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return z[centers].copy()
 
 
-def em_fit(z: np.ndarray, k: int, means0: np.ndarray) -> EMResult:
-    """Diagonal-covariance EM from the given means; ridge keeps variances alive.
+def em_fit(z: np.ndarray, k: int, means0: np.ndarray) -> ClusterModel | None:
+    """Diagonal-covariance MAP EM from the given means; None if a component collapses.
 
-    The ridge makes the M step inexact, so a step can lower the
-    log-likelihood. The fit stops at the first step that raises it by less
-    than GMM_REL_TOL x |log-likelihood|, a drop included, and returns the best
-    iterate: its parameters, responsibilities and the non-decreasing history
-    that led to it.
+    Each variance has the prior density exp(-GMM_PRIOR / var), so the M step's
+    exact update is (S + 2 GMM_PRIOR) / n_k, S the weighted squared deviation,
+    and EM cannot lower the penalized log-likelihood
+    sum(log p(z)) - GMM_PRIOR * sum(1 / var). The fit stops at the first
+    iterate that raises it by less than GMM_REL_TOL x its magnitude and
+    returns that iterate. `loglik_history` holds the objective of each
+    iterate scored before the stop, so it is non-decreasing by construction.
     """
+    n = len(z)
     zz = z * z
     means = means0.copy()
-    covs = np.tile(z.var(axis=0) + GMM_RIDGE, (k, 1))
+    covs = np.tile(z.var(axis=0) + 2.0 * GMM_PRIOR / n, (k, 1))
     weights = np.full(k, 1.0 / k)
     history = []
-    best = None
     for _ in range(GMM_MAX_ITER):
+        if history:  # M step from the iterate just scored
+            nk = resp.sum(axis=0)
+            if np.any(nk < 1e-10):
+                return None
+            weights = nk / n
+            means = (resp.T @ z) / nk[:, None]
+            covs = (resp.T @ zz) / nk[:, None] - means * means + 2.0 * GMM_PRIOR / nk[:, None]
         # E step in log space: the Mahalanobis term as an expanded square
         inv = 1.0 / covs
         const = np.log(2.0 * np.pi * covs).sum(axis=1) + (means * means * inv).sum(axis=1)
         log_prob = -0.5 * (zz @ inv.T - 2.0 * (z @ (means * inv).T) + const) + np.log(weights)
         m = log_prob.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(log_prob - m).sum(axis=1))
-        ll = float(lse.sum())
-        gain = ll - history[-1] if history else np.inf
-        if gain >= 0.0:
-            history.append(ll)
-            best = EMResult(means, covs, weights, np.exp(log_prob - lse[:, None]), history, ok=True)
-        if gain < GMM_REL_TOL * abs(ll):
+        resp = np.exp(log_prob - lse[:, None])
+        objective = float(lse.sum()) - GMM_PRIOR * float(inv.sum())
+        if history and objective - history[-1] < GMM_REL_TOL * abs(objective):
             break
-        # M step from the iterate just scored
-        resp = best.resp
-        nk = resp.sum(axis=0)
-        if np.any(nk < 1e-10):
-            best.ok = False
-            break
-        weights = nk / len(z)
-        means = (resp.T @ z) / nk[:, None]
-        covs = (resp.T @ zz) / nk[:, None] - means * means + GMM_RIDGE
-    return best
+        history.append(objective)
+    return ClusterModel(k, means, covs, weights, resp.argmax(axis=1), history)
 
 
 def gmm_cluster(z: np.ndarray, k: int, restarts: int = GMM_RESTARTS, rng: np.random.Generator | None = None) -> ClusterModel:
@@ -137,27 +125,16 @@ def gmm_cluster(z: np.ndarray, k: int, restarts: int = GMM_RESTARTS, rng: np.ran
     if k < 1:
         raise OutOfRange("k must be positive")
     rng = np.random.default_rng(0) if rng is None else rng
-    best: EMResult | None = None
+    best, top = None, 0.0
     for _ in range(max(1, restarts)):
-        means0 = _kmeanspp(z, k, rng)
-        res = em_fit(z, k, means0)
-        if not res.ok:
-            continue
+        model = em_fit(z, k, _kmeanspp(z, k, rng))
         # Restarts that reach one optimum, each in its own component order, differ
         # by rounding only: a later one must win by more than em_fit's stop tolerance.
-        if best is None or res.history[-1] - best.history[-1] > GMM_REL_TOL * abs(best.history[-1]):
-            best = res
+        if model is not None and (best is None or model.loglik_history[-1] - top > GMM_REL_TOL * abs(top)):
+            best, top = model, model.loglik_history[-1]
     if best is None:
         raise DegenerateComponent("every restart collapsed a component")
-    labels = best.resp.argmax(axis=1)
-    return ClusterModel(
-        k=k,
-        means=best.means,
-        covariances=best.covariances,
-        weights=best.weights,
-        labels=labels,
-        loglik_history=best.history,
-    )
+    return best
 
 
 def refine_labels(labels: np.ndarray, coords: np.ndarray, k: int = REFINE_K) -> np.ndarray:

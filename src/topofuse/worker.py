@@ -46,14 +46,14 @@ def keep_freed_memory():
     mallopt(M_TRIM_THRESHOLD, -1)
 
 
-def can_fork(threads) -> bool:
+def can_fork(threads: int) -> bool:
     """Whether `threads` BLAS threads fit twice into this process's CPUs: the rule for a `Fork` or a `feed`.
 
     Two processes at a time is what either asks for: `report` starts its
     `Fork` only after training, when the epoch feeder has ended.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    return bool(threads) and affinity is not None and len(affinity(0)) // threads >= 2
+    return affinity is not None and len(affinity(0)) // threads >= 2
 
 
 class Fork:

@@ -216,11 +216,11 @@ def gene_shift_oracle(params, data, spatial) -> np.ndarray:
 
 
 def em_oracle(z: np.ndarray, k: int, means0: np.ndarray, iters: int) -> tuple[list, list]:
-    """Log-likelihood and responsibilities of each of `iters` diagonal EM iterates, never stopping early."""
-    from topofuse.downstream import GMM_RIDGE
+    """Penalized log-likelihood and responsibilities of each of `iters` diagonal MAP EM iterates, never stopping early."""
+    from topofuse.downstream import GMM_PRIOR
 
     n, d = z.shape
-    means, covs, weights = means0.copy(), np.tile(z.var(axis=0) + GMM_RIDGE, (k, 1)), np.full(k, 1.0 / k)
+    means, covs, weights = means0.copy(), np.tile(z.var(axis=0) + 2.0 * GMM_PRIOR / n, (k, 1)), np.full(k, 1.0 / k)
     lls, resps = [], []
     for _ in range(iters):
         log_prob = np.empty((n, k))
@@ -233,11 +233,12 @@ def em_oracle(z: np.ndarray, k: int, means0: np.ndarray, iters: int) -> tuple[li
         m = log_prob.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(log_prob - m).sum(axis=1))
         resp = np.exp(log_prob - lse[:, None])
-        lls.append(float(lse.sum()))
+        lls.append(float(lse.sum()) - GMM_PRIOR * float((1.0 / covs).sum()))
         resps.append(resp)
         nk = resp.sum(axis=0)
         weights, means = nk / n, (resp.T @ z) / nk[:, None]
-        covs = np.array([(resp[:, c] @ (z - means[c]) ** 2) / nk[c] + GMM_RIDGE for c in range(k)])
+        # each variance's exact MAP update under the prior density exp(-GMM_PRIOR / var)
+        covs = np.array([(resp[:, c] @ (z - means[c]) ** 2 + 2.0 * GMM_PRIOR) / nk[c] for c in range(k)])
     return lls, resps
 
 

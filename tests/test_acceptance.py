@@ -234,8 +234,8 @@ def test_criterion_4_em_soundness():
         centers = rng.uniform(-6, 6, size=(3, 2))
         z = np.vstack([c + rng.normal(size=(20, 2)) for c in centers])
         means0 = z[rng.choice(len(z), 3, replace=False)]
-        res = downstream.em_fit(z, 3, means0)
-        diffs = np.diff(res.history)
+        model = downstream.em_fit(z, 3, means0)
+        diffs = np.diff(model.loglik_history)
         if diffs.size:
             worst_drop = max(worst_drop, float(max(0.0, -diffs.min())))
     rng = np.random.default_rng(0)

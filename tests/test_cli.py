@@ -793,6 +793,22 @@ class TestAnalysisWorker:
             if name != "manifest.json":
                 assert _read(outs[1] / name) == _read(outs[2] / name), name
 
+    def test_threads_default_to_one(self, pipeline, tmp_path, monkeypatch, workers):
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, "unset")  # restored after the test
+        _cpus(monkeypatch, 2)
+        argv = ["report", "--top-n", "3", "--data", pipeline["data"]] + _SMALL
+        default, pinned = tmp_path / "default", tmp_path / "pinned"
+        assert cli.run(argv + ["--out", str(default)]) == 0
+        # as with --threads 1 on two CPUs: the epoch feeder, then the visualization's child
+        assert len(workers) == _REPORT_CHILDREN
+        assert {var: os.environ[var] for var in cli._THREAD_VARS} == dict.fromkeys(cli._THREAD_VARS, "1")
+        assert cli.run(argv + ["--threads", "1", "--out", str(pinned)]) == 0
+        _assert_reaped(workers)
+        for name in ("embedding.csv", "report.json"):
+            assert _read(default / name) == _read(pinned / name), name
+        assert _manifest(default)["threads"] == 1
+
     def test_data_removed_after_reading_changes_nothing(self, pipeline, tmp_path, monkeypatch, workers):
         # only this process reads --data: the children get their inputs from its memory
         data = tmp_path / "data"

@@ -35,18 +35,17 @@ class TestEmFit:
     def test_loglik_monotone_and_ok(self, rng):
         z, _ = _blobs(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], per=15)
         means0 = z[rng.choice(len(z), size=3, replace=False)]
-        res = downstream.em_fit(z, 3, means0)
-        assert res.ok
-        hist = res.history
+        model = downstream.em_fit(z, 3, means0)
+        assert model is not None
+        hist = model.loglik_history
         assert all(b >= a - 1e-9 for a, b in zip(hist, hist[1:]))
-        assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert res.resp.shape == (len(z), 3)
+        assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert model.labels.shape == (len(z),)
 
     def test_collapsed_component_flagged(self, rng):
         z, _ = _blobs(rng, [(0.0, 0.0)], per=20)
         means0 = np.array([[0.0, 0.0], [1e8, 1e8]])
-        res = downstream.em_fit(z, 2, means0)
-        assert not res.ok
+        assert downstream.em_fit(z, 2, means0) is None
 
     @staticmethod
     def _model(history):
@@ -63,32 +62,31 @@ class TestEmFit:
         with pytest.raises(DegenerateComponent):
             self._model([0.0, -1.0])
 
-    @pytest.mark.parametrize("last_scale, seed, ends_on", [(0.004, 25, "drop"), (0.01, 0, "gain")])
-    def test_first_small_step_ends_the_fit_on_the_best_iterate(self, last_scale, seed, ends_on):
-        # A near-constant last dimension makes the ridge matter, so plain EM
-        # can stall with a drop: 5.9e-6 on |LL| = 4.2e4 for seed 25, as a
-        # report on the 8x125 section at 150 epochs once met (4.5e-6 there).
+    @pytest.mark.parametrize("last_scale, seed", [(0.004, 25), (0.01, 0), (0.0025, 20)])
+    def test_fit_follows_the_map_oracle_to_its_first_small_gain(self, last_scale, seed):
+        # A near-constant last dimension makes the variance prior matter. Under
+        # a variance ridge instead of the prior, plain EM dropped here: seed 25
+        # by 5.9e-6 on |LL| = 4.2e4, as a report on the 8x125 section at 150
+        # epochs once met, and seed 20 by 1.5e-3 after iterate 22, though it
+        # later climbed until iterate 113; that fit stopped at 22.
         rng = np.random.default_rng(seed)
         scale = np.ones(30)
         scale[-1] = last_scale
         centers = rng.uniform(-3, 3, size=(8, 30))
         z = np.vstack([c + rng.normal(size=(125, 30)) * scale for c in centers])
         means0 = z[rng.choice(len(z), 8, replace=False)]
-        lls, resps = em_oracle(z, 8, means0, iters=70)
+        lls, resps = em_oracle(z, 8, means0, iters=150)
         gains = np.diff(lls)
+        # MAP EM cannot go down: over all 150 iterates no step drops by more than rounding
+        assert gains.min() >= -downstream.GMM_REL_TOL * np.abs(lls).max()
         stop = np.flatnonzero(gains < downstream.GMM_REL_TOL * np.abs(lls[1:]))[0]
-        dropped = gains[stop] < 0.0
-        assert dropped == (ends_on == "drop")
-        if dropped:
-            assert 1e-6 < -gains[stop] < 1e-5 and 4e4 < -lls[stop] < 4.5e4
-        best = stop if dropped else stop + 1
-        res = downstream.em_fit(z, 8, means0)
-        assert res.ok
+        assert gains[: stop + 1].min() >= 0.0
+        model = downstream.em_fit(z, 8, means0)
         # the oracle's per-component arithmetic rounds apart from em_fit's matrix products
-        assert len(res.history) == best + 1
-        np.testing.assert_allclose(res.history, lls[: best + 1], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(res.resp, resps[best], rtol=0.0, atol=1e-9)
-        self._model(res.history)
+        assert len(model.loglik_history) == stop + 1
+        np.testing.assert_allclose(model.loglik_history, lls[: stop + 1], rtol=1e-12, atol=0.0)
+        # the iterate returned is the one the fit stopped on
+        np.testing.assert_array_equal(model.labels, resps[stop + 1].argmax(axis=1))
 
 
 class TestGmmCluster:
@@ -100,7 +98,8 @@ class TestGmmCluster:
         assert len(set(second.tolist())) == 1
         assert first[0] != second[0]
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(model.covariances >= downstream.GMM_RIDGE)
+        # a MAP variance is (S + 2 beta) / n_k with S >= 0 and n_k <= n
+        assert np.all(model.covariances >= 2 * downstream.GMM_PRIOR / len(z))
 
     def test_deterministic_given_rng(self, rng):
         z, _ = _blobs(rng, [(0.0, 0.0), (5.0, 5.0)], per=15)
@@ -116,9 +115,7 @@ class TestGmmCluster:
 
         def fit(z, k, means0):
             ll, c = next(fits)
-            resp = np.zeros((len(z), k))
-            resp[:, c] = 1.0
-            return downstream.EMResult(np.zeros((k, 2)), np.ones((k, 2)), np.full(k, 0.5), resp, [ll], ok=True)
+            return downstream.ClusterModel(k, np.zeros((k, 2)), np.ones((k, 2)), np.full(k, 0.5), np.full(len(z), c), [ll])
 
         monkeypatch.setattr(downstream, "em_fit", fit)
         model = downstream.gmm_cluster(np.zeros((3, 2)), 2, restarts=2)

@@ -33,7 +33,7 @@ def _raise_unpicklable():
 class TestAnalysisJobs:
     @pytest.mark.parametrize(
         "threads, cpus, starts_worker",
-        [(None, 8, False), (1, 1, False), (1, 2, True), (2, 3, False), (2, 4, True), (0, 4, False)],
+        [(1, 1, False), (1, 2, True), (2, 3, False), (2, 4, True)],
     )
     def test_a_worker_only_when_two_processes_fit(self, monkeypatch, threads, cpus, starts_worker):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
