@@ -12,10 +12,13 @@
 #     contributions fit the dataset's labels, or without them the clusters');
 #   - train (epochs=40) -> cluster (refine=true) -> visualize -> deconvolve
 #     -> markers -> trajectory -> evaluate on 4x200.
-# Then runs the working tree's 8x125 report and 4x200 train once more under
-# `taskset -c 0`: on one CPU `report` draws the visualization inline instead of
-# in its forked child, and both draw each training epoch inline instead of in the
-# forked epoch feeder, so both paths are checked against REF. Compares the output trees
+# Then runs the working tree's 8x125 report and the 4x200 train, visualize and
+# markers once more under `taskset -c 0` (visualize and markers on the first
+# pass's cluster labels): on one CPU `report` draws the visualization inline
+# instead of in its forked child, `train` and `report` draw each training epoch
+# and `visualize` each of its epochs inline instead of in a forked epoch feeder,
+# and `markers` computes every knockout itself instead of half in a forked
+# child, so both paths are checked against REF. Compares the output trees
 # with `diff -rq`, manifests included, except the checkpoints (`ckpt.*`): each
 # tree reads its own with its own `load_checkpoint`, and the tensors, theta
 # and fusion_mode must be exactly equal, so a change of checkpoint format
@@ -23,9 +26,9 @@
 # through a link named `ckpt.any`, so its manifest records the same argv
 # whatever the format's file name.
 # Prints the sha256 of every embedding.csv and report.json of the working
-# tree and the line count of src/topofuse/*.py on each side, runs all six
-# comparisons (ref against the working tree, and against the one-CPU report
-# and train, each for the outputs and the checkpoints), names each
+# tree and the line count of src/topofuse/*.py on each side, runs every
+# comparison (ref against the working tree, and against each one-CPU run, for
+# the outputs, and for report and train also the checkpoints), names each
 # differing file once, then the JSON pointer of each differing key of every
 # differing .json file (at most 10 per file) with the largest relative
 # difference of its differing numbers, and for each differing .csv file of the
@@ -94,17 +97,22 @@ fi
 
 # one CPU: the inline paths, same argv and relative paths as in run_all
 mkdir -p "$work/out-inline"
-cp -r "$work/out-new/d125" "$work/out-new/d200" "$work/out-inline/"
+cp -r "$work/out-new/d125" "$work/out-new/d200" "$work/out-new/cluster" "$work/out-inline/"
 inline() {
-    if ! (cd "$work/out-inline" && PYTHONPATH="$repo/src" taskset -c 0 "$python" -m topofuse "$1" --threads 1 \
-        --data "$2" --out "$3" --set "epochs=$4" >run.log 2>&1); then
-        echo "--- inline: the one-CPU $1 failed; its log ends:" >&2
+    local cmd=$1
+    shift
+    if ! (cd "$work/out-inline" && PYTHONPATH="$repo/src" taskset -c 0 "$python" -m topofuse "$cmd" --threads 1 \
+        "$@" >run.log 2>&1); then
+        echo "--- inline: the one-CPU $cmd failed; its log ends:" >&2
         tail -n 20 "$work/out-inline/run.log" >&2
         exit 1
     fi
 }
-inline report d125 report125-e20 20
-inline train d200 train 40
+inline report --data d125 --out report125-e20 --set epochs=20
+inline train --data d200 --out train --set epochs=40
+(cd "$work/out-inline" && ln -s "$(ls train/ckpt.*)" ckpt.any)
+inline visualize --emb train/embedding.csv --labels cluster/labels.csv --out visualize
+inline markers --data d200 --labels cluster/labels.csv --ckpt ckpt.any --out markers
 
 # dump_ckpts SRC_DIR OUT_DIR DUMP_DIR: each checkpoint under OUT_DIR, read by
 # SRC_DIR's load_checkpoint, written to DUMP_DIR as its tensors plus theta and
@@ -222,16 +230,18 @@ if ! diff -rq -x 'ckpt.*' "$work/out-ref" "$work/out-new"; then
     same=1
     show_diffs "$work/out-ref" "$work/out-new"
 fi
-for run in report125-e20 train; do
+for run in report125-e20 train visualize markers; do
     if ! diff -rq -x 'ckpt.*' "$work/out-ref/$run" "$work/out-inline/$run"; then
         same=1
         show_diffs "$work/out-ref/$run" "$work/out-inline/$run"
     fi
+done
+for run in report125-e20 train; do
     diff -rq "$work/ckpt-ref/$run" "$work/ckpt-inline/$run" || same=1
 done
 diff -rq "$work/ckpt-ref" "$work/ckpt-new" || same=1
 if [ "$same" -eq 0 ]; then
-    echo "same bytes as $1 (checkpoints: same tensors, theta and fusion_mode), one-CPU report and train included"
+    echo "same bytes as $1 (checkpoints: same tensors, theta and fusion_mode), one-CPU report, train, visualize and markers included"
 else
     echo "outputs differ from $1" >&2
     exit 1

@@ -67,8 +67,9 @@ def _build_parser() -> _Parser:
             type=positive_int,
             default=1,
             help="BLAS threads per process, a positive integer (default 1, deterministic); when the CPUs"
-            " allow two processes, train and report fork one epoch feeder and report, after"
-            " training, one child for the visualization, with the same bytes either way",
+            " allow two processes, train and visualize fork one epoch feeder, markers one child for half"
+            " its knockouts, and report the training feeder and, after training, one child for the"
+            " visualization, which draws inline, with the same bytes either way",
         )
         if data:
             sp.add_argument("--data", required=True, help="directory with tra.csv and coords.csv")
@@ -293,11 +294,11 @@ def _cluster(ds, z, cfg, restarts):
     return k, labels
 
 
-def _marker_rows(pre, params, spatial, labels, top_n):
+def _marker_rows(pre, params, spatial, labels, top_n, fork=False):
     """Marker table as (cluster, rank, gene_id, importance) rows, clusters ascending."""
     from .downstream import marker_tables
 
-    tables = marker_tables(pre, params, spatial, labels, top_n=top_n)
+    tables = marker_tables(pre, params, spatial, labels, top_n=top_n, fork=fork)
     return [
         (c, rank, gene, imp) for c in sorted(tables) for rank, (gene, imp) in enumerate(tables[c], start=1)
     ]
@@ -375,7 +376,7 @@ def cmd_visualize(args, cfg) -> dict:
     labels = np.zeros(len(ids), dtype=np.int64)
     if args.labels:
         _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
-    vis, _ = _fit_vis(z, cfg)
+    vis, _ = _fit_vis(z, cfg, fork=can_fork(args.threads))
     write_matrix_csv(os.path.join(args.out, "vis.csv"), ids, ["v0", "v1"], vis)
     plot_scatter(vis, labels, os.path.join(args.out, "vis.svg"))
     print(f"embedded {len(ids)} spots in 2-D")
@@ -409,7 +410,7 @@ def cmd_markers(args, cfg) -> dict:
             f"{args.ckpt} was trained on a spatial graph of radius {params.epsilon_used!r}, but this"
             f" configuration gives radius {eps!r}; set the epsilon_radius it was trained with, or retrain"
         )
-    rows = _marker_rows(pre, params, spatial, labels, args.top_n)
+    rows = _marker_rows(pre, params, spatial, labels, args.top_n, fork=can_fork(args.threads))
     write_markers_csv(os.path.join(args.out, "markers.csv"), rows)
     print(f"ranked markers for {len(set(labels.tolist()))} clusters")
     return {"top_n": args.top_n}

@@ -8,6 +8,7 @@ cluster-graph connectivity and decoder-based denoising.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .network import (
 from .objective import Adam, pair_prior, topo_loss
 from .preprocess import PreprocessedData
 from .topology import N_NEG, NeighborGraph, knn_graph
+from .worker import Fork, feed
 
 GMM_RESTARTS = 10
 GMM_MAX_ITER = 500
@@ -174,30 +176,38 @@ def _vis_pairs(graph: NeighborGraph, rng: np.random.Generator) -> np.ndarray:
     return partners
 
 
-def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
+def _fit_vis(z: np.ndarray, cfg: RunConfig, fork: bool = False) -> tuple[np.ndarray, list]:
     """Map embeddings to 2-D with a small MLP trained on the topology loss.
 
-    Returns the coordinates and the per-epoch loss history.
+    Returns the coordinates and the per-epoch loss history. Each epoch's
+    partner table and targets read only the generator and the fixed `z`, so
+    with `fork` a forked child draws them one epoch ahead (`worker.feed`),
+    with the same bytes; `visualize` forks it, `report`'s visualization child
+    draws inline.
     """
     z = np.asarray(z, dtype=np.float64)
     d = z.shape[1]
     rng = np.random.default_rng([cfg.seed, 7])
     layers = [_glorot(rng, d, d), _glorot(rng, d, 2)]
     graph = knn_graph(z, cfg.k_tr)
+
+    def draw():
+        partners = _vis_pairs(graph, rng)
+        return [partners, pair_prior(partners, z, 0.0, cfg.nu)]  # alpha = 0: the kNN positive gets no boost
+
     adam = Adam(layers, VIS_LR)
     history = []
-    for _ in range(VIS_EPOCHS):
-        partners = _vis_pairs(graph, rng)
-        vi, cache = _stack_forward(z, layers, None)
-        # alpha = 0: the kNN positive's prior gets no boost
-        loss, dvi = topo_loss(partners, pair_prior(partners, z, 0.0, cfg.nu), vi, VIS_NU_LOW)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss("visualization loss became non-finite")
-        for layer in layers:
-            layer.zero_grad()
-        _stack_backward(dvi, layers, cache, input_grad=False)
-        adam.step()
-        history.append(loss)
+    with contextlib.closing(feed(draw, VIS_EPOCHS, fork)) as draws:
+        for partners, t in draws:
+            vi, cache = _stack_forward(z, layers, None)
+            loss, dvi = topo_loss(partners, t, vi, VIS_NU_LOW)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss("visualization loss became non-finite")
+            for layer in layers:
+                layer.zero_grad()
+            _stack_backward(dvi, layers, cache, input_grad=False)
+            adam.step()
+            history.append(loss)
     vi, _ = _stack_forward(z, layers, None)
     return vi, history
 
@@ -261,7 +271,7 @@ def deconvolve(z: np.ndarray, labels: np.ndarray, l1: float) -> DeconvolutionRes
     )
 
 
-def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph) -> np.ndarray:
+def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph, fork: bool = False) -> np.ndarray:
     """Per-spot embedding displacement when each gene column is zeroed.
 
     Zeroing gene g zeroes only column g of the first propagation agg = a_hat @ tra,
@@ -270,7 +280,10 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     the result differs from a full pass by rounding only. A gene whose column
     is zero keeps the base pass's bytes and a shift of exactly 0. The
     morphology branch is the base pass's, and the decoder, whose output is
-    unused, does not run for the knockouts.
+    unused, does not run for the knockouts. Each column is computed on its
+    own, so with `fork` a forked child (`worker.Fork`) computes the second
+    half of the genes while this process computes the first, with the same
+    bytes; `markers` forks it, `report` computes every knockout inline.
     """
     check_genes(params, data.gene_ids)
     a_hat = normalized_adjacency(spatial)
@@ -278,14 +291,21 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     agg, pre0 = caches["tra"]["aggs"][0], caches["tra"]["pre"][0]
     w0, rest = params.gnn_tra[0].w, params.gnn_tra[1:]
     n, g = data.tra.shape
-    shifts = np.empty((n, g))
-    for gene in range(g):
-        y = pre0 - np.outer(agg[:, gene], w0[gene])
-        if rest:
-            y = gcn_forward(a_hat @ np.maximum(y, 0.0, out=y), a_hat, rest)[0]
-        z, _ = fuse_forward(y, base.y_mor, params)
-        shifts[:, gene] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
-    return shifts
+
+    def knockouts(genes):
+        shifts = np.empty((n, len(genes)))
+        for col, gene in enumerate(genes):
+            y = pre0 - np.outer(agg[:, gene], w0[gene])
+            if rest:
+                y = gcn_forward(a_hat @ np.maximum(y, 0.0, out=y), a_hat, rest)[0]
+            z, _ = fuse_forward(y, base.y_mor, params)
+            shifts[:, col] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
+        return shifts
+
+    if not fork:
+        return knockouts(range(g))
+    with Fork("knockouts", knockouts, range(g // 2, g)) as second:
+        return np.hstack([knockouts(range(g // 2)), second.result()])
 
 
 def marker_tables(
@@ -294,11 +314,12 @@ def marker_tables(
     spatial: NeighborGraph,
     labels: np.ndarray,
     top_n: int = 10,
+    fork: bool = False,
 ) -> dict:
     labels = np.asarray(labels)
     if len(labels) != data.n_spots:
         raise LengthMismatch("labels do not match the dataset")
-    shifts = gene_shift_matrix(params, data, spatial)
+    shifts = gene_shift_matrix(params, data, spatial, fork=fork)
     top_n = min(top_n, shifts.shape[1])
     tables = {}
     for c in sorted(set(int(v) for v in labels)):

@@ -63,14 +63,13 @@ def pair_prior(partners: np.ndarray, y: np.ndarray, alpha: float, nu: float) -> 
     0, the positive, gets the e^alpha boost.
     """
     n, c = partners.shape
-    i, j = np.repeat(np.arange(n), c), partners.ravel()
-    h = np.arange(len(i)) % c == 0
-    t = np.empty(len(i))
-    # pair blocks bound the pair x feature temporaries
-    for start in range(0, len(i), PAIR_BLOCK):
-        blk = slice(start, start + PAIR_BLOCK)
-        t[blk] = topo_prior(y[i[blk]], y[j[blk]], h[blk], alpha, nu)
-    return t.reshape(n, c)
+    h, step = np.arange(c) == 0, max(PAIR_BLOCK // c, 1)
+    t = np.empty((n, c))
+    # blocks of about PAIR_BLOCK pairs bound the pair x feature temporaries; each anchor row broadcasts
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)  # y may hold more rows than there are anchors
+        t[lo:hi] = topo_prior(y[lo:hi, None], y[partners[lo:hi]], h, alpha, nu)
+    return t
 
 
 def topo_loss(partners: np.ndarray, t: np.ndarray, z: np.ndarray, nu: float) -> tuple[float, np.ndarray]:

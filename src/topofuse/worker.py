@@ -49,8 +49,11 @@ def keep_freed_memory():
 def can_fork(threads: int) -> bool:
     """Whether `threads` BLAS threads fit twice into this process's CPUs: the rule for a `Fork` or a `feed`.
 
-    Two processes at a time is what either asks for: `report` starts its
-    `Fork` only after training, when the epoch feeder has ended.
+    Two processes at a time is what either asks for: `train` and `visualize`
+    fork one epoch feeder, `markers` one `Fork` for half its knockouts, and
+    `report` starts its `Fork`, the visualization, only after training, when
+    the epoch feeder has ended; that child draws its epochs inline, and
+    `report` computes its knockouts itself.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     return affinity is not None and len(affinity(0)) // threads >= 2

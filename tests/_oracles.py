@@ -199,6 +199,21 @@ def sample_pairs_oracle(n: int, neighbors, features: np.ndarray, n_neg: int, p_u
     return np.asarray(anchors), np.asarray(partners), np.asarray(h), np.asarray(payload)
 
 
+def pair_prior_oracle(partners: np.ndarray, y: np.ndarray, alpha: float, nu: float) -> np.ndarray:
+    """`pair_prior` one pair at a time: `topo_prior` of anchor row i and row partners[i, k], h = 1 in column 0.
+
+    Each pair is passed as two one-row arrays: numpy's power on a scalar may
+    round otherwise than on an array (a SIMD loop), and `pair_prior` works on arrays.
+    """
+    from topofuse.objective import topo_prior
+
+    t = np.empty(partners.shape)
+    for i, row in enumerate(partners):
+        for k, j in enumerate(row):
+            t[i, k] = topo_prior(y[i : i + 1], y[j : j + 1], int(k == 0), alpha, nu)[0]
+    return t
+
+
 def gene_shift_oracle(params, data, spatial) -> np.ndarray:
     """Knockout displacements from one full forward pass per zeroed gene."""
     from topofuse import network

@@ -754,6 +754,18 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+# what visualize and markers write
+_STANDALONE_OUTPUTS = {"visualize": ("vis.csv", "vis.svg"), "markers": ("markers.csv",)}
+
+
+def _standalone(pipeline, command, out):
+    """argv of `pipeline`'s visualize or markers run at --threads 1, writing to `out`."""
+    common = ["--threads", "1", "--labels", pipeline["labels"], "--out", str(out)]
+    if command == "visualize":
+        return ["visualize", "--emb", pipeline["emb"], *common]
+    return ["markers", "--data", pipeline["data"], "--ckpt", pipeline["ckpt"], "--set", "tau=1", "--top-n", "3", *common]
+
+
 class TestAnalysisWorker:
     @pytest.mark.parametrize("drop", [None, "labels.csv", "mor.csv"])
     def test_both_paths_write_the_same_bytes(self, pipeline, tmp_path, monkeypatch, workers, drop):
@@ -792,6 +804,62 @@ class TestAnalysisWorker:
         for name in names:
             if name != "manifest.json":
                 assert _read(outs[1] / name) == _read(outs[2] / name), name
+
+    @pytest.mark.parametrize("command", ["visualize", "markers"])
+    def test_visualize_and_markers_fork_one_child_when_two_processes_fit(
+        self, pipeline, tmp_path, monkeypatch, workers, command
+    ):
+        outs = {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert cli.run(_standalone(pipeline, command, outs[cpus])) == 0
+            # visualize's epoch feeder, or the child that computes half of markers' knockouts
+            assert len(workers) == cpus - 1
+        _assert_reaped(workers)
+        for name in _STANDALONE_OUTPUTS[command]:
+            assert _read(outs[1] / name) == _read(outs[2] / name), name
+
+    def test_failed_visualization_draw_exits_1_with_its_message(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        draws, vis_pairs = [], downstream._vis_pairs
+
+        def fail_from_the_second(graph, rng):
+            draws.append(graph)
+            if len(draws) > 1:  # the feeder's: the first draw is made before the fork
+                topology.auto_epsilon([[0.0, 0.0]])
+            return vis_pairs(graph, rng)
+
+        monkeypatch.setattr(downstream, "_vis_pairs", fail_from_the_second)
+        _cpus(monkeypatch, 2)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli.run(_standalone(pipeline, "visualize", out)) == 1
+        with pytest.raises(TopofuseError) as expected:
+            topology.auto_epsilon([[0.0, 0.0]])
+        assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
+        assert len(draws) == 1 and not os.path.exists(out / "vis.csv")
+        assert len(workers) == 1
+        _assert_reaped(workers)
+
+    def test_failed_knockout_exits_1_with_its_message(self, pipeline, tmp_path, monkeypatch, capsys, workers):
+        parent, fuse = os.getpid(), downstream.fuse_forward
+
+        def fail_in_the_child(*args):
+            if os.getpid() != parent:
+                topology.auto_epsilon([[0.0, 0.0]])
+            return fuse(*args)
+
+        monkeypatch.setattr(downstream, "fuse_forward", fail_in_the_child)
+        _cpus(monkeypatch, 2)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli.run(_standalone(pipeline, "markers", out)) == 1
+        with pytest.raises(TopofuseError) as expected:
+            topology.auto_epsilon([[0.0, 0.0]])
+        assert f"topofuse: error: {expected.value}\n" in capsys.readouterr().err
+        assert not os.path.exists(out / "markers.csv")
+        assert len(workers) == 1
+        _assert_reaped(workers)
 
     def test_threads_default_to_one(self, pipeline, tmp_path, monkeypatch, workers):
         for var in cli._THREAD_VARS:
@@ -864,17 +932,19 @@ class TestAnalysisWorker:
         shutil.copytree(pipeline["data"], data)
         if drop:
             os.remove(data / drop)
-        names, init = [], worker.Fork.__init__
+        names, arities, init = [], [], worker.Fork.__init__
 
         def record(job, name, fn, *args, **kwargs):
             names.append(name)
+            arities.append(len(args))
             init(job, name, fn, *args, **kwargs)
 
         monkeypatch.setattr(worker.Fork, "__init__", record)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
-        # the same two children with or without the dataset's labels: the contributions run here
-        assert names == ["visualization"] and len(workers) == _REPORT_CHILDREN
+        # the same two children with or without the dataset's labels: the contributions and
+        # every knockout run here, and the child calls _fit_vis(z, cfg), which draws inline
+        assert names == ["visualization"] and arities == [2] and len(workers) == _REPORT_CHILDREN
         _assert_reaped(workers)
 
     def test_a_failure_after_training_stops_the_worker(self, pipeline, tmp_path, monkeypatch, capsys, workers):

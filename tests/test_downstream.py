@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -260,12 +262,26 @@ class TestMarkers:
         shifts = downstream.gene_shift_matrix(params, pre, graph)
         np.testing.assert_allclose(shifts, gene_shift_oracle(params, pre, graph), rtol=1e-12, atol=0)
         tables = downstream.marker_tables(pre, params, graph, labels, top_n=5)
-        monkeypatch.setattr(downstream, "gene_shift_matrix", gene_shift_oracle)
+        monkeypatch.setattr(downstream, "gene_shift_matrix", lambda *args, fork: gene_shift_oracle(*args))
         expected = downstream.marker_tables(pre, params, graph, labels, top_n=5)
         assert sorted(tables) == sorted(expected)
         for c, rows in tables.items():
             assert [gene for gene, _ in rows] == [gene for gene, _ in expected[c]]
             np.testing.assert_allclose([imp for _, imp in rows], [imp for _, imp in expected[c]], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("with_mor", [False, True])
+    def test_forked_knockouts_give_the_same_bytes(self, rng, forked, with_mor):
+        pre, graph, params, labels = _marker_setup(rng, with_mor=with_mor)
+        inline = downstream.gene_shift_matrix(params, pre, graph)
+        # a child computes the second half of the genes, this process the first
+        split = downstream.gene_shift_matrix(params, pre, graph, fork=True)
+        assert split.tobytes() == inline.tobytes()
+        tables = downstream.marker_tables(pre, params, graph, labels, top_n=5, fork=True)
+        assert tables == downstream.marker_tables(pre, params, graph, labels, top_n=5)
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_decoder_runs_at_most_once(self, rng, monkeypatch):
         pre, graph, params, _ = _marker_setup(rng, with_mor=True)
@@ -360,6 +376,16 @@ class TestVisualization:
         assert a.shape == (24, 2)
         assert np.all(np.isfinite(a))
         assert np.array_equal(a, b)
+
+    def test_forked_feeder_gives_the_same_bytes(self, rng, forked):
+        z, _ = _blobs(rng, [(0.0, 0.0, 0.0), (6.0, 0.0, 0.0)], per=12)
+        cfg = dataio.config_from_dict({"seed": 9})
+        inline, inline_history = downstream._fit_vis(z, cfg)
+        fed, fed_history = downstream._fit_vis(z, cfg, fork=True)
+        assert fed.tobytes() == inline.tobytes() and fed_history == inline_history
+        assert len(forked) == 1  # the epoch feeder, killed and reaped on return
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pairs_replay_the_per_anchor_draws(self, seed):

@@ -8,7 +8,7 @@ import pytest
 from topofuse import dataio, network, objective, preprocess, topology
 from topofuse.errors import NonFiniteLoss, OutOfRange, ShapeMismatch
 
-from _oracles import binary_entropy, topo_dz_oracle
+from _oracles import binary_entropy, pair_prior_oracle, topo_dz_oracle
 
 
 class TestKappa:
@@ -57,6 +57,23 @@ class TestPairPrior:
             for k in range(3):
                 want = objective.topo_prior(y[i], y[partners[i, k]], int(k == 0), 0.7, 0.4)
                 assert t[i, k] == want
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    @pytest.mark.parametrize("layout", ["train", "vis"])
+    def test_equals_the_per_pair_oracle_bit_for_bit(self, rng, layout, alpha):
+        c = 1 + topology.N_NEG
+        n = 3 * (objective.PAIR_BLOCK // c) + 7  # the last anchor block is a partial one
+        assert n % (objective.PAIR_BLOCK // c) != 0
+        if layout == "train":  # base rows then view rows; column 0 is anchor i's view row n + i
+            y = rng.normal(size=(2 * n, 5))
+            partners = rng.integers(0, 2 * n, size=(n, c))
+            partners[:, 0] = n + np.arange(n)
+        else:  # the visualization's: one row per anchor, any row as a partner
+            y = rng.normal(size=(n, 5))
+            partners = rng.integers(0, n, size=(n, c))
+        t = objective.pair_prior(partners, y, alpha, 0.8)
+        assert t.shape == partners.shape
+        assert t.tobytes() == pair_prior_oracle(partners, y, alpha, 0.8).tobytes()
 
 
 class TestTopoLoss:
