@@ -11,7 +11,11 @@
 #     at epochs=20, with and without its labels.csv (the modality
 #     contributions fit the dataset's labels, or without them the clusters');
 #   - train (epochs=40) -> cluster (refine=true) -> visualize -> deconvolve
-#     -> markers -> trajectory -> evaluate on 4x200.
+#     -> markers -> trajectory -> evaluate on 4x200;
+#   - report (epochs=20) on a copy of 4x50 whose spot ids need CSV quoting
+#     (each id gets `, "q"` appended, rewritten through Python's csv module),
+#     and evaluate on that report's embedding.csv and labels.csv: the quoted
+#     ids go through the cell-by-cell reader and the quoting writer.
 # Then runs the working tree's 8x125 report and the 4x200 train, visualize and
 # markers once more under `taskset -c 0` (visualize and markers on the first
 # pass's cluster labels): on one CPU `report` draws the visualization inline
@@ -48,6 +52,26 @@ trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/ref" "$work/out-ref" "$work/out-new"
 git -C "$repo" archive "$1" src | tar -x -C "$work/ref"
 
+# quote_ids SRC_DIR DST_DIR: the dataset's CSVs with `, "q"` appended to each
+# spot id, written by the csv module, which quotes every such id
+quote_ids() {
+    "$python" - "$1" "$2" <<'PY'
+import csv
+import pathlib
+import sys
+
+src, dst = (pathlib.Path(p) for p in sys.argv[1:])
+dst.mkdir()
+for path in sorted(src.glob("*.csv")):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] += ', "q"'
+    with open(dst / path.name, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+PY
+}
+
 # run_all SRC_DIR OUT_DIR: every command of the set, from OUT_DIR
 run_all() {
     local src=$1
@@ -75,6 +99,10 @@ run_all() {
     tf markers --data d200 --labels "$labels" --ckpt "$ckpt" --out markers
     tf trajectory --emb "$emb" --labels "$labels" --out trajectory
     tf evaluate --data d200 --emb "$emb" --labels "$labels" --out evaluate
+    quote_ids d50 d50-quoted
+    tf report --data d50-quoted --out report50-quoted-e20 --set epochs=20
+    tf evaluate --data d50-quoted --emb report50-quoted-e20/embedding.csv \
+        --labels report50-quoted-e20/labels.csv --out evaluate50-quoted
     rm run.log
 }
 

@@ -12,8 +12,10 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -192,49 +194,85 @@ def load_config(path: str) -> dict:
 
 
 def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[str], np.ndarray]:
-    """Read a CSV into (column names, row ids, float matrix)."""
+    """Read a CSV into (column names, row ids, float matrix).
+
+    numpy's C `loadtxt` parses a well-formed file, converting as `float()` does;
+    the `csv` module reads any other cell by cell, naming the first bad one.
+    """
     if not os.path.isfile(path):
         raise MissingFile(f"{what} file not found: {path}")
-    ids: list[str] = []
-    values = array("d")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InvalidDataset(f"{what} file {path} is empty")
-            if len(header) < 2:
-                raise InvalidDataset(f"{what} file {path} needs an id column plus data columns")
-            cols = header[1:]
-            for r, row in enumerate(reader):
-                if len(row) != len(header):
-                    raise RowCountMismatch(
-                        f"{what} row {r + 2} of {path} has {len(row)} fields, header has {len(header)}"
-                    )
-                ids.append(row[0])
-                for c, cell in enumerate(row[1:]):
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise NonNumericCell(
-                            f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not numeric: {cell!r}"
-                        ) from None
-                    if not math.isfinite(v):
-                        raise NonNumericCell(
-                            f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not finite: {cell!r}"
-                        )
-                    values.append(v)
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            cols, ids, data = _read_plain(fh) or _read_cells(path, what)
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise InvalidDataset(f"{what} file {path} is not UTF-8 text: {e}") from e
-    data = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(cols))
     seen = set()
     for sid in ids:
         if sid in seen:
             raise DuplicateSpotId(f"duplicate spot id {sid!r} in {path}")
         seen.add(sid)
     return cols, ids, data
+
+
+def _read_plain(fh) -> tuple[list[str], list[str], np.ndarray] | None:
+    """(column names, row ids, matrix) of a well-formed CSV of finite values; else None.
+
+    Lines end at "\\n" only, as csv keeps "\\x85" or "\\u2028" in a field.
+    """
+    ids: list[str] = []
+    def text(line: str) -> str:  # the line after its first comma; the text before goes to ids
+        line = line.removesuffix("\n").removesuffix("\r")
+        if ('"' in line or "\r" in line or line.count(",") != commas
+                or len(line) > csv.field_size_limit() and max(map(len, line.split(","))) > csv.field_size_limit()):
+            raise ValueError("not a CSV line that csv splits at its commas alone")
+        sid, _, rest = line.partition(",")
+        ids.append(sid)
+        return rest
+
+    try:
+        commas = (header := fh.readline()).count(",")
+        cols = text(header).split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on no rows
+            data = np.loadtxt(map(text, fh), delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    # loadtxt skips an empty value text: a one-column row "id,", or every row of a header without a comma
+    return (cols, ids[1:], data) if len(data) == len(ids) - 1 and np.isfinite(data).all() else None
+
+
+def _read_cells(path: str, what: str) -> tuple[list[str], list[str], np.ndarray]:
+    ids: list[str] = []
+    values = array("d")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InvalidDataset(f"{what} file {path} is empty")
+        if len(header) < 2:
+            raise InvalidDataset(f"{what} file {path} needs an id column plus data columns")
+        cols = header[1:]
+        for r, row in enumerate(reader):
+            if len(row) != len(header):
+                raise RowCountMismatch(
+                    f"{what} row {r + 2} of {path} has {len(row)} fields, header has {len(header)}"
+                )
+            ids.append(row[0])
+            for c, cell in enumerate(row[1:]):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise NonNumericCell(
+                        f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not numeric: {cell!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise NonNumericCell(
+                        f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not finite: {cell!r}"
+                    )
+                values.append(v)
+    return cols, ids, np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(cols))
 
 
 def _align(ids: list[str], other_ids: list[str], other: np.ndarray, what: str, ref: str) -> np.ndarray:
@@ -329,13 +367,15 @@ def delete_on_error():
 
 
 def write_matrix_csv(path: str, row_ids: list[str], col_names: list[str], m: np.ndarray):
+    """Write `m` under a spot_id header: csv quotes each id, one `%` call formats a row's values."""
     if m.shape != (len(row_ids), len(col_names)):
         raise RowCountMismatch(f"matrix shape {m.shape} does not match ids for {path}")
+    heads: list[str] = []  # csv writes a row in one call: an id as quoted, "," if values follow, "\r\n"
+    csv.writer(SimpleNamespace(write=heads.append)).writerows([sid, *[""][: m.shape[1]]] for sid in row_ids)
+    fmt = ",".join([FLOAT_FMT] * m.shape[1]) + "\r\n"
     with open_for_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["spot_id"] + list(col_names))
-        for sid, row in zip(row_ids, m):
-            w.writerow([sid] + [FLOAT_FMT % v for v in row])
+        csv.writer(fh).writerow(["spot_id"] + list(col_names))
+        fh.writelines(head[:-2] + fmt % tuple(row.tolist()) for head, row in zip(heads, m))
 
 
 def read_spot_csv(

@@ -403,3 +403,71 @@ def per_sample_svm_oracle(x: np.ndarray, y, rng: np.random.Generator, epochs: in
             wa *= 1.0 - eta * lam
             wa[hit] += (eta * targets[i][hit])[:, None] * xa[i]
     return wa[:, :f], wa[:, f], classes
+
+
+def read_matrix_csv_oracle(path: str, what: str = "matrix"):
+    """`dataio.read_matrix_csv` as the csv module's cell-by-cell loop alone, for every file."""
+    import csv
+    import os
+    from array import array
+
+    from topofuse.errors import DuplicateSpotId, InvalidDataset, IoFailure, MissingFile, NonNumericCell, RowCountMismatch
+
+    if not os.path.isfile(path):
+        raise MissingFile(f"{what} file not found: {path}")
+    ids: list[str] = []
+    values = array("d")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InvalidDataset(f"{what} file {path} is empty")
+            if len(header) < 2:
+                raise InvalidDataset(f"{what} file {path} needs an id column plus data columns")
+            cols = header[1:]
+            for r, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise RowCountMismatch(
+                        f"{what} row {r + 2} of {path} has {len(row)} fields, header has {len(header)}"
+                    )
+                ids.append(row[0])
+                for c, cell in enumerate(row[1:]):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not numeric: {cell!r}"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise NonNumericCell(
+                            f"{what} cell at row {row[0]!r}, column {cols[c]!r} is not finite: {cell!r}"
+                        )
+                    values.append(v)
+    except OSError as e:
+        raise IoFailure(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InvalidDataset(f"{what} file {path} is not UTF-8 text: {e}") from e
+    data = np.frombuffer(values, dtype=np.float64).reshape(len(ids), len(cols))
+    seen = set()
+    for sid in ids:
+        if sid in seen:
+            raise DuplicateSpotId(f"duplicate spot id {sid!r} in {path}")
+        seen.add(sid)
+    return cols, ids, data
+
+
+def write_matrix_csv_oracle(path: str, row_ids, col_names, m: np.ndarray):
+    """`dataio.write_matrix_csv` one cell at a time: the csv module quotes and writes every formatted value."""
+    import csv
+
+    from topofuse.dataio import FLOAT_FMT, open_for_write
+    from topofuse.errors import RowCountMismatch
+
+    if m.shape != (len(row_ids), len(col_names)):
+        raise RowCountMismatch(f"matrix shape {m.shape} does not match ids for {path}")
+    with open_for_write(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["spot_id"] + list(col_names))
+        for sid, row in zip(row_ids, m):
+            w.writerow([sid] + [FLOAT_FMT % v for v in row])

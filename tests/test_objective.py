@@ -55,7 +55,8 @@ class TestPairPrior:
         assert t.shape == partners.shape
         for i in range(4):
             for k in range(3):
-                want = objective.topo_prior(y[i], y[partners[i, k]], int(k == 0), 0.7, 0.4)
+                p = partners[i, k]  # one-row arrays: numpy's power on arrays, as pair_prior's
+                want = objective.topo_prior(y[i : i + 1], y[p : p + 1], int(k == 0), 0.7, 0.4)[0]
                 assert t[i, k] == want
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0])
