@@ -17,7 +17,7 @@ import os
 import sys
 
 from .errors import TopofuseError
-from .worker import Fork, can_fork, keep_freed_memory
+from . import worker
 
 VERSION = "0.1.0"
 _THREAD_VARS = (
@@ -67,9 +67,8 @@ def _build_parser() -> _Parser:
             type=positive_int,
             default=1,
             help="BLAS threads per process, a positive integer (default 1, deterministic); when the CPUs"
-            " allow two processes, train and visualize fork one epoch feeder, markers one child for half"
-            " its knockouts, and report the training feeder and, after training, one child for the"
-            " visualization, which draws inline, with the same bytes either way",
+            " hold two processes, one child at a time runs the first stage that asks for it, with the"
+            " same bytes either way",
         )
         if data:
             sp.add_argument("--data", required=True, help="directory with tra.csv and coords.csv")
@@ -256,14 +255,11 @@ def cmd_preprocess(args, cfg) -> dict:
     return {}
 
 
-def _train_once(pre, spatial, eps, cfg, threads):
-    """Train on `_model_inputs`' output; the parameters record the radius `eps`.
-
-    The epoch feeder forks under the same rule as report's visualization, `can_fork(threads)`.
-    """
+def _train_once(pre, spatial, eps, cfg):
+    """Train on `_model_inputs`' output; the parameters record the radius `eps`."""
     from .objective import train
 
-    state, emb = train(pre, spatial, cfg, fork=can_fork(threads))
+    state, emb = train(pre, spatial, cfg)
     state.params.epsilon_used = eps
     return state, emb
 
@@ -294,11 +290,11 @@ def _cluster(ds, z, cfg, restarts):
     return k, labels
 
 
-def _marker_rows(pre, params, spatial, labels, top_n, fork=False):
+def _marker_rows(pre, params, spatial, labels, top_n):
     """Marker table as (cluster, rank, gene_id, importance) rows, clusters ascending."""
     from .downstream import marker_tables
 
-    tables = marker_tables(pre, params, spatial, labels, top_n=top_n, fork=fork)
+    tables = marker_tables(pre, params, spatial, labels, top_n=top_n)
     return [
         (c, rank, gene, imp) for c in sorted(tables) for rank, (gene, imp) in enumerate(tables[c], start=1)
     ]
@@ -345,7 +341,7 @@ def cmd_train(args, cfg) -> dict:
 
     ds = _load_data(args.data)
     pre, spatial, eps = _model_inputs(ds, cfg)
-    state, emb = _train_once(pre, spatial, eps, cfg, args.threads)
+    state, emb = _train_once(pre, spatial, eps, cfg)
     _save_model(args.out, ds.spot_ids, emb, state.params)
     for name, y in (("y_tra.csv", emb.y_tra), ("y_mor.csv", emb.y_mor)):
         if y is not None:
@@ -376,7 +372,7 @@ def cmd_visualize(args, cfg) -> dict:
     labels = np.zeros(len(ids), dtype=np.int64)
     if args.labels:
         _, labels = read_spot_csv(args.labels, "labels", ids, args.emb)
-    vis, _ = _fit_vis(z, cfg, fork=can_fork(args.threads))
+    vis, _ = _fit_vis(z, cfg)
     write_matrix_csv(os.path.join(args.out, "vis.csv"), ids, ["v0", "v1"], vis)
     plot_scatter(vis, labels, os.path.join(args.out, "vis.svg"))
     print(f"embedded {len(ids)} spots in 2-D")
@@ -410,7 +406,7 @@ def cmd_markers(args, cfg) -> dict:
             f"{args.ckpt} was trained on a spatial graph of radius {params.epsilon_used!r}, but this"
             f" configuration gives radius {eps!r}; set the epsilon_radius it was trained with, or retrain"
         )
-    rows = _marker_rows(pre, params, spatial, labels, args.top_n, fork=can_fork(args.threads))
+    rows = _marker_rows(pre, params, spatial, labels, args.top_n)
     write_markers_csv(os.path.join(args.out, "markers.csv"), rows)
     print(f"ranked markers for {len(set(labels.tolist()))} clusters")
     return {"top_n": args.top_n}
@@ -460,9 +456,9 @@ def cmd_report(args, cfg) -> dict:
 
     ds = _load_data(args.data)
     pre, spatial, eps = _model_inputs(ds, cfg)
-    state, emb = _train_once(pre, spatial, eps, cfg, args.threads)
-    # a forked child, when the CPUs allow it, draws the visualization beside this process's work
-    with Fork("visualization", _fit_vis, emb.z, cfg, fork=can_fork(args.threads)) as vis_fit:
+    state, emb = _train_once(pre, spatial, eps, cfg)
+    # the visualization goes first to a child, once training's feeder has ended; the rest runs here
+    with worker.Fork("visualization", _fit_vis, emb.z, cfg) as vis_fit:
         k, labels = _cluster(ds, emb.z, cfg, args.restarts)
         fit_on = labels if ds.labels is None else ds.labels  # the labels the contributions' SVMs fit
         parts = {
@@ -526,12 +522,13 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    keep_freed_memory()
+    worker.keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         for var in _THREAD_VARS:  # before numpy loads
             os.environ[var] = str(args.threads)
+        worker.allow(args.threads)
         args._argv = list(argv)
         cfg = _resolve_config(args) if "config" in args else None  # synth takes no config
         _check_out(args.out)

@@ -208,6 +208,8 @@ def read_matrix_csv(path: str, what: str = "matrix") -> tuple[list[str], list[st
         raise IoFailure(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise InvalidDataset(f"{what} file {path} is not UTF-8 text: {e}") from e
+    except csv.Error as e:  # a field over csv.field_size_limit()
+        raise InvalidDataset(f"{what} file {path} is not readable as CSV: {e}") from e
     seen = set()
     for sid in ids:
         if sid in seen:

@@ -176,14 +176,13 @@ def _vis_pairs(graph: NeighborGraph, rng: np.random.Generator) -> np.ndarray:
     return partners
 
 
-def _fit_vis(z: np.ndarray, cfg: RunConfig, fork: bool = False) -> tuple[np.ndarray, list]:
+def _fit_vis(z: np.ndarray, cfg: RunConfig) -> tuple[np.ndarray, list]:
     """Map embeddings to 2-D with a small MLP trained on the topology loss.
 
     Returns the coordinates and the per-epoch loss history. Each epoch's
     partner table and targets read only the generator and the fixed `z`, so
-    with `fork` a forked child draws them one epoch ahead (`worker.feed`),
-    with the same bytes; `visualize` forks it, `report`'s visualization child
-    draws inline.
+    `worker.feed` may draw them one epoch ahead in a child, with the same
+    bytes.
     """
     z = np.asarray(z, dtype=np.float64)
     d = z.shape[1]
@@ -197,7 +196,7 @@ def _fit_vis(z: np.ndarray, cfg: RunConfig, fork: bool = False) -> tuple[np.ndar
 
     adam = Adam(layers, VIS_LR)
     history = []
-    with contextlib.closing(feed(draw, VIS_EPOCHS, fork)) as draws:
+    with contextlib.closing(feed(draw, VIS_EPOCHS)) as draws:
         for partners, t in draws:
             vi, cache = _stack_forward(z, layers, None)
             loss, dvi = topo_loss(partners, t, vi, VIS_NU_LOW)
@@ -271,7 +270,7 @@ def deconvolve(z: np.ndarray, labels: np.ndarray, l1: float) -> DeconvolutionRes
     )
 
 
-def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph, fork: bool = False) -> np.ndarray:
+def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: NeighborGraph) -> np.ndarray:
     """Per-spot embedding displacement when each gene column is zeroed.
 
     Zeroing gene g zeroes only column g of the first propagation agg = a_hat @ tra,
@@ -281,9 +280,8 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     is zero keeps the base pass's bytes and a shift of exactly 0. The
     morphology branch is the base pass's, and the decoder, whose output is
     unused, does not run for the knockouts. Each column is computed on its
-    own, so with `fork` a forked child (`worker.Fork`) computes the second
-    half of the genes while this process computes the first, with the same
-    bytes; `markers` forks it, `report` computes every knockout inline.
+    own, so `worker.Fork` may compute the second half of the genes in a child
+    while this process computes the first, with the same bytes.
     """
     check_genes(params, data.gene_ids)
     a_hat = normalized_adjacency(spatial)
@@ -292,34 +290,30 @@ def gene_shift_matrix(params: ModelParams, data: PreprocessedData, spatial: Neig
     w0, rest = params.gnn_tra[0].w, params.gnn_tra[1:]
     n, g = data.tra.shape
 
+    shifts = np.empty((n, g))
+
     def knockouts(genes):
-        shifts = np.empty((n, len(genes)))
-        for col, gene in enumerate(genes):
+        for gene in genes:
             y = pre0 - np.outer(agg[:, gene], w0[gene])
             if rest:
                 y = gcn_forward(a_hat @ np.maximum(y, 0.0, out=y), a_hat, rest)[0]
             z, _ = fuse_forward(y, base.y_mor, params)
-            shifts[:, col] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
-        return shifts
+            shifts[:, gene] = np.sqrt(((z - base.z) ** 2).sum(axis=1))
+        return shifts[:, genes.start : genes.stop]
 
-    if not fork:
-        return knockouts(range(g))
     with Fork("knockouts", knockouts, range(g // 2, g)) as second:
-        return np.hstack([knockouts(range(g // 2)), second.result()])
+        knockouts(range(g // 2))
+        shifts[:, g // 2 :] = second.result()  # a child's columns; inline, a view of these, so no copy
+    return shifts
 
 
 def marker_tables(
-    data: PreprocessedData,
-    params: ModelParams,
-    spatial: NeighborGraph,
-    labels: np.ndarray,
-    top_n: int = 10,
-    fork: bool = False,
+    data: PreprocessedData, params: ModelParams, spatial: NeighborGraph, labels: np.ndarray, top_n: int = 10
 ) -> dict:
     labels = np.asarray(labels)
     if len(labels) != data.n_spots:
         raise LengthMismatch("labels do not match the dataset")
-    shifts = gene_shift_matrix(params, data, spatial, fork=fork)
+    shifts = gene_shift_matrix(params, data, spatial)
     top_n = min(top_n, shifts.shape[1])
     tables = {}
     for c in sorted(set(int(v) for v in labels)):

@@ -173,9 +173,7 @@ class TrainState:
     history: list = field(default_factory=list)
 
 
-def train(
-    data: PreprocessedData, spatial: NeighborGraph, cfg: RunConfig, fork: bool = False
-) -> tuple[TrainState, EmbeddingSet]:
+def train(data: PreprocessedData, spatial: NeighborGraph, cfg: RunConfig) -> tuple[TrainState, EmbeddingSet]:
     """Fit the fused autoencoder on one dataset.
 
     Per epoch and modality: sample an augmented view plus uniform negatives,
@@ -184,9 +182,9 @@ def train(
     kNN graphs are built once from the inputs, and the loss's prior comes from
     a frozen copy of the encoders taken right after initialization.
 
-    Each epoch's `_draw` reads only the generator and frozen state, so with
-    `fork` a forked child makes it one epoch ahead (`worker.feed`); the
-    parameters, history and embeddings are the same bytes either way.
+    Each epoch's `_draw` reads only the generator and frozen state, so
+    `worker.feed` may make it one epoch ahead in a child; the parameters,
+    history and embeddings are the same bytes either way.
     """
     n = data.n_spots
     if spatial.n != n:
@@ -206,7 +204,7 @@ def train(
 
     adam = Adam([layer for _, layer in params.named_layers()], cfg.lr)
     history = []
-    with contextlib.closing(feed(draw, cfg.epochs, fork)) as draws:
+    with contextlib.closing(feed(draw, cfg.epochs)) as draws:
         for epoch in range(1, cfg.epochs + 1):
             losses, l_rec = _step(data, params, encoders, next(draws), a_hat, cfg)
             total = sum(losses.values()) + cfg.lambda_ * l_rec

@@ -1,8 +1,9 @@
 """Work that runs beside the caller's own, in a forked child or inline.
 
 `Fork` runs one call in a child; `feed` draws a sequence of array lists one
-ahead of the caller. Both start their child through `_start`, under the rule
-of `can_fork`. `keep_freed_memory()` sets the heap policy the CLI runs under.
+ahead of the caller. At most one child runs at a time, for the first that
+asks, once `allow` spares a CPU for it. `keep_freed_memory()` sets the heap
+policy the CLI runs under.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import ShapeMismatch, TopofuseError, WorkerLost
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt(3) parameters
 MMAP_THRESHOLD = 32 * 1024 * 1024  # the ceiling of glibc's own adaptive threshold
+_spare = False  # whether a child may start: set by `allow`, taken by `_start`, given back when it is reaped
 
 
 def _libc(name, *argtypes):
@@ -46,35 +48,25 @@ def keep_freed_memory():
     mallopt(M_TRIM_THRESHOLD, -1)
 
 
-def can_fork(threads: int) -> bool:
-    """Whether `threads` BLAS threads fit twice into this process's CPUs: the rule for a `Fork` or a `feed`.
-
-    Two processes at a time is what either asks for: `train` and `visualize`
-    fork one epoch feeder, `markers` one `Fork` for half its knockouts, and
-    `report` starts its `Fork`, the visualization, only after training, when
-    the epoch feeder has ended; that child draws its epochs inline, and
-    `report` computes its knockouts itself.
-    """
+def allow(threads: int):
+    """Spare one CPU for a child when `threads` BLAS threads fit twice into this process's CPUs."""
+    global _spare
     affinity = getattr(os, "sched_getaffinity", None)
-    return affinity is not None and len(affinity(0)) // threads >= 2
+    _spare = affinity is not None and len(affinity(0)) // threads >= 2
 
 
 class Fork:
     """`fn(*args)` run in a forked child while the caller goes on; `result()` returns it or raises its error.
 
     The child runs on this process's memory as it is when the `Fork` is made.
-    The call runs inline in `result()` instead when `fork` is off or the pipe
-    or fork fails. A child's error is raised as `_reply` raises it, naming the
-    call by `name`. Leaving the `with` block before `result()` kills and reaps
-    the child.
+    The call runs inline in `result()` instead when `_start` forks no child. A
+    child's error is raised as `_reply` raises it, naming the call by `name`.
+    Leaving the `with` block before `result()` kills and reaps the child.
     """
 
-    def __init__(self, name, fn, *args, fork=True):
+    def __init__(self, name, fn, *args):
         self.name, self._call = name, lambda: fn(*args)
-        self._child = None  # (pid, the read end of its reply pipe) until its result is read
-        if fork:
-            with contextlib.suppress(OSError):  # no process, memory or descriptor left
-                self._child = _start(fn, args)
+        self._child = _start(fn, args)  # (pid, the read end of its reply pipe) until its result is read
 
     def __enter__(self):
         return self
@@ -91,7 +83,7 @@ class Fork:
         return _reply(self.name, *child)
 
 
-def feed(draw, count, fork=True):
+def feed(draw, count):
     """Yield `count` results of `draw()`, each a new list of arrays shaped like the first.
 
     The first is drawn here. Forked, its arrays lay out two slots of shared
@@ -100,18 +92,16 @@ def feed(draw, count, fork=True):
     the others one ahead of the caller: each into the slot the caller is not
     reading, then one byte with the slot's index on a pipe. A result stays
     valid until the next is asked for, when its slot goes back to the child;
-    a child's failure is raised here as `Fork` raises it. Inline (`fork` off,
+    a child's failure is raised here as `Fork` raises it. Inline (no spare CPU,
     or a mapping, pipe or fork that fails) each is drawn here when asked for.
     Close the generator (`contextlib.closing`) on every exit: that kills and
     reaps the child. A child whose caller died reads the end of its pipe and
     exits.
     """
     arrays, child = draw(), None
-    if fork and count > 1:
-        with contextlib.suppress(OSError):  # no process, memory or descriptor left
-            slots = _slots(arrays)
-            arrays = slots[0]  # the draw is freed before the fork: the child's trim leaves its pages to this process
-            child = _start(_feeder, (draw, slots, count), inbound=True)
+    if count > 1 and _spare and (slots := _slots(arrays)):
+        arrays = slots[0]  # the draw is freed before the fork: the child's trim leaves its pages to this process
+        child = _start(_feeder, (draw, slots, count), inbound=True)
     try:
         if child is None:
             yield arrays
@@ -138,14 +128,17 @@ def feed(draw, count, fork=True):
 
 
 def _slots(first):
-    """Two slots of anonymous shared memory, each laid out like the arrays `first`, with `first` copied into slot 0."""
+    """Two slots of shared memory, each laid out like the arrays `first`, with `first` copied into slot 0; or None."""
     import numpy as np  # not at import: the CLI pins the BLAS threads before numpy loads
 
     offsets, size = [], 0
     for a in first:
         offsets.append(size)
         size += -(-a.nbytes // 64) * 64  # each array starts 64-byte aligned, as numpy allocates
-    shared = mmap.mmap(-1, 2 * max(size, 1))  # shared with a child forked later
+    try:
+        shared = mmap.mmap(-1, 2 * max(size, 1))  # shared with a child forked later
+    except OSError:  # no memory left to map
+        return None
     slots = [
         [np.ndarray(a.shape, a.dtype, buffer=shared, offset=s * size + off) for a, off in zip(first, offsets)]
         for s in (0, 1)
@@ -171,24 +164,29 @@ def _feeder(draw, slots, count, ready, free):
 
 
 def _start(fn, args, inbound=False):
-    """Fork a child that runs `fn(*args)` under `_run_child`, which replies on a new pipe.
+    """Fork a child on the spare CPU that runs `fn(*args)` under `_run_child`, which replies on a new pipe.
 
-    Returns the child's pid and the pipe's read end. With `inbound`, a second
+    Returns the child's pid and the pipe's read end, or None, forking nothing,
+    when the CPU is taken or a pipe or fork fails. With `inbound`, a second
     pipe runs from this process to the child: `fn` also gets the reply pipe's
     write end and this pipe's read end, and the pipe's write end is returned
-    third. A pipe or fork that fails raises OSError with every descriptor made
-    here closed. The child trims its heap first, so this process reuses the
+    third. The child holds the CPU until `_reply` or `_kill` reaps it, and
+    forks nothing itself. It trims its heap first, so this process reuses the
     freed memory `keep_freed_memory` keeps without copying it.
     """
-    fds = []
+    global _spare
+    if not _spare:
+        return None
+    fds, _spare = [], False
     try:
         for _ in range(1 + inbound):
             fds += os.pipe()
         pid = _fork()
-    except OSError:
+    except OSError:  # no process, memory or descriptor left
         for fd in fds:
             os.close(fd)
-        raise
+        _spare = True
+        return None
     r, w, *back = fds
     mine, theirs = [r, *back[1:]], [w, *back[:1]]  # this process's ends and the child's
     for fd in theirs if pid else mine:
@@ -206,10 +204,12 @@ def _fork():
 
 
 def _kill(pid, *fds):
-    """Kill and reap child `pid`, then close its pipe ends `fds`."""
+    """Kill and reap child `pid`, giving its CPU back, then close its pipe ends `fds`."""
+    global _spare
     with contextlib.suppress(ProcessLookupError):
         os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
+    _spare = True
     for fd in fds:
         os.close(fd)
 
@@ -217,11 +217,14 @@ def _kill(pid, *fds):
 def _reply(name, pid, fd, head=b""):
     """Return the result in child `pid`'s `_run_child` reply on `fd`, or raise the error it sent.
 
-    `head` holds the reply's bytes already read; `fd` is closed and the child reaped.
+    `head` holds the reply's bytes already read; `fd` is closed and the child
+    reaped, giving its CPU back.
     """
+    global _spare
     with open(fd, "rb") as pipe:
         data = head + pipe.read()
     status = os.waitpid(pid, 0)[1]
+    _spare = True
     try:
         kind, value = pickle.loads(data)
     except (EOFError, pickle.UnpicklingError):

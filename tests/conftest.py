@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from topofuse import worker
+
 settings.register_profile(
     "suite",
     max_examples=50,
@@ -21,6 +23,24 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_spare_cpu(monkeypatch):
+    """Each test starts as library use does, with no spare CPU, whatever a `cli.run` before it allowed."""
+    monkeypatch.setattr(worker, "_spare", False)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """This process on two CPUs, so `worker.allow(1)` spares one for a child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def spare_cpu(two_cpus):
+    """`worker.allow(1)` on two CPUs: the first `Fork` or `feed` that asks gets a child."""
+    worker.allow(1)
 
 
 WATCHDOG_S = 60

@@ -305,6 +305,13 @@ class TestEvaluateWithoutTruth:
         err = capsys.readouterr().err
         assert extra in err and repr(sid) in err
 
+    def test_an_id_over_the_csv_field_limit_exits_1(self, pipeline, tmp_path, capsys):
+        long = tmp_path / "long_labels.csv"
+        long.write_text("spot_id,label\n" + "a" * (csv.field_size_limit() + 1) + ",0\n")
+        assert self._run(pipeline, tmp_path, str(long)) == 1
+        err = capsys.readouterr().err
+        assert f"topofuse: error: labels file {long} " in err and f"field limit ({csv.field_size_limit()})" in err
+
 
 class TestReportMatchesSubcommands:
     def test_subcommands_reproduce_report_artifacts(self, pipeline, tmp_path):
@@ -727,11 +734,12 @@ def _cpus(monkeypatch, n):
 
 
 def _listed_at_wait(monkeypatch, out):
-    """The names in `out` each time report starts waiting for its child's result."""
+    """The names in `out` each time report starts waiting for a child's result."""
     listed, result = [], worker.Fork.result
 
     def list_then_wait(job):
-        listed.append(sorted(os.listdir(out)))
+        if job._child:  # a Fork that runs inline is not waited for
+            listed.append(sorted(os.listdir(out)))
         return result(job)
 
     monkeypatch.setattr(worker.Fork, "result", list_then_wait)
@@ -934,16 +942,18 @@ class TestAnalysisWorker:
             os.remove(data / drop)
         names, arities, init = [], [], worker.Fork.__init__
 
-        def record(job, name, fn, *args, **kwargs):
-            names.append(name)
-            arities.append(len(args))
-            init(job, name, fn, *args, **kwargs)
+        def record(job, name, fn, *args):
+            init(job, name, fn, *args)
+            if job._child:
+                names.append(name)
+                arities.append(len(args))
 
         monkeypatch.setattr(worker.Fork, "__init__", record)
         _cpus(monkeypatch, 2)
         assert cli.run(_REPORT + ["--data", str(data), "--out", str(tmp_path / "out")]) == 0
         # the same two children with or without the dataset's labels: the contributions and
-        # every knockout run here, and the child calls _fit_vis(z, cfg), which draws inline
+        # every knockout run here, as the child holds the spare CPU, and the child calls
+        # _fit_vis(z, cfg), which draws inline
         assert names == ["visualization"] and arities == [2] and len(workers) == _REPORT_CHILDREN
         _assert_reaped(workers)
 

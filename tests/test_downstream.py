@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topofuse import dataio, downstream, network, preprocess, topology
+from topofuse import dataio, downstream, network, preprocess, topology, worker
 from topofuse.errors import (
     DegenerateComponent,
     LengthMismatch,
@@ -262,7 +262,7 @@ class TestMarkers:
         shifts = downstream.gene_shift_matrix(params, pre, graph)
         np.testing.assert_allclose(shifts, gene_shift_oracle(params, pre, graph), rtol=1e-12, atol=0)
         tables = downstream.marker_tables(pre, params, graph, labels, top_n=5)
-        monkeypatch.setattr(downstream, "gene_shift_matrix", lambda *args, fork: gene_shift_oracle(*args))
+        monkeypatch.setattr(downstream, "gene_shift_matrix", gene_shift_oracle)
         expected = downstream.marker_tables(pre, params, graph, labels, top_n=5)
         assert sorted(tables) == sorted(expected)
         for c, rows in tables.items():
@@ -270,14 +270,16 @@ class TestMarkers:
             np.testing.assert_allclose([imp for _, imp in rows], [imp for _, imp in expected[c]], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("with_mor", [False, True])
-    def test_forked_knockouts_give_the_same_bytes(self, rng, forked, with_mor):
+    def test_forked_knockouts_give_the_same_bytes(self, rng, forked, two_cpus, with_mor):
         pre, graph, params, labels = _marker_setup(rng, with_mor=with_mor)
         inline = downstream.gene_shift_matrix(params, pre, graph)
+        inline_tables = downstream.marker_tables(pre, params, graph, labels, top_n=5)
+        assert not forked
+        worker.allow(1)
         # a child computes the second half of the genes, this process the first
-        split = downstream.gene_shift_matrix(params, pre, graph, fork=True)
+        split = downstream.gene_shift_matrix(params, pre, graph)
         assert split.tobytes() == inline.tobytes()
-        tables = downstream.marker_tables(pre, params, graph, labels, top_n=5, fork=True)
-        assert tables == downstream.marker_tables(pre, params, graph, labels, top_n=5)
+        assert downstream.marker_tables(pre, params, graph, labels, top_n=5) == inline_tables
         assert len(forked) == 2
         for pid in forked:
             with pytest.raises(ChildProcessError):
@@ -377,11 +379,12 @@ class TestVisualization:
         assert np.all(np.isfinite(a))
         assert np.array_equal(a, b)
 
-    def test_forked_feeder_gives_the_same_bytes(self, rng, forked):
+    def test_forked_feeder_gives_the_same_bytes(self, rng, forked, two_cpus):
         z, _ = _blobs(rng, [(0.0, 0.0, 0.0), (6.0, 0.0, 0.0)], per=12)
         cfg = dataio.config_from_dict({"seed": 9})
         inline, inline_history = downstream._fit_vis(z, cfg)
-        fed, fed_history = downstream._fit_vis(z, cfg, fork=True)
+        worker.allow(1)
+        fed, fed_history = downstream._fit_vis(z, cfg)
         assert fed.tobytes() == inline.tobytes() and fed_history == inline_history
         assert len(forked) == 1  # the epoch feeder, killed and reaped on return
         with pytest.raises(ChildProcessError):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from topofuse import dataio, network, objective, preprocess, topology
+from topofuse import dataio, network, objective, preprocess, topology, worker
 from topofuse.errors import NonFiniteLoss, OutOfRange, ShapeMismatch
 
 from _oracles import binary_entropy, pair_prior_oracle, topo_dz_oracle
@@ -389,12 +389,14 @@ def _assert_reaped(pids):
 
 class TestForkedFeeder:
     @pytest.mark.parametrize("mor, epochs", [(True, 6), (False, 6), (True, 1)], ids=["mor", "no-mor", "one-epoch"])
-    def test_forked_and_inline_training_give_the_same_bytes(self, rng, forked, mor, epochs):
+    def test_forked_and_inline_training_give_the_same_bytes(self, rng, forked, two_cpus, mor, epochs):
         pre, graph = _toy_training(rng)
         if not mor:
             pre.mor = None
         cfg = dataio.config_from_dict({"epochs": epochs, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
-        (inline, es_inline), (remote, es_remote) = (objective.train(pre, graph, cfg, fork=fork) for fork in (False, True))
+        inline, es_inline = objective.train(pre, graph, cfg)
+        worker.allow(1)
+        remote, es_remote = objective.train(pre, graph, cfg)
         assert len(forked) == (epochs > 1)  # one epoch is drawn here, with no child
         _assert_reaped(forked)
         assert repr(inline.history) == repr(remote.history)
@@ -404,7 +406,7 @@ class TestForkedFeeder:
             a, b = getattr(es_inline, field), getattr(es_remote, field)
             assert (a is None and b is None) or np.array_equal(a, b), field
 
-    def test_an_error_in_the_feeders_draw_reaches_the_trainer(self, rng, monkeypatch, forked):
+    def test_an_error_in_the_feeders_draw_reaches_the_trainer(self, rng, monkeypatch, forked, spare_cpu):
         real, calls = objective.sample_pairs, []
 
         def third_epoch_fails(n, *args):
@@ -417,16 +419,16 @@ class TestForkedFeeder:
         pre, graph = _toy_training(rng)
         cfg = dataio.config_from_dict({"epochs": 6, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         with pytest.raises(OutOfRange, match="no pairs for epoch 3"):
-            objective.train(pre, graph, cfg, fork=True)
+            objective.train(pre, graph, cfg)
         assert len(calls) == 2 and len(forked) == 1  # the trainer drew epoch 1 only
         _assert_reaped(forked)
 
-    def test_a_divergent_run_kills_and_reaps_the_feeder(self, rng, forked):
+    def test_a_divergent_run_kills_and_reaps_the_feeder(self, rng, forked, spare_cpu):
         pre, graph = _toy_training(rng)
         cfg = dataio.config_from_dict({"lr": 1e150, "epochs": 40, "seed": 5, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NonFiniteLoss, match="at epoch [2-9]"):
-                objective.train(pre, graph, cfg, fork=True)
+                objective.train(pre, graph, cfg)
         assert len(forked) == 1
         _assert_reaped(forked)

@@ -35,11 +35,15 @@ class TestAnalysisJobs:
         "threads, cpus, starts_worker",
         [(1, 1, False), (1, 2, True), (2, 3, False), (2, 4, True)],
     )
-    def test_a_worker_only_when_two_processes_fit(self, monkeypatch, threads, cpus, starts_worker):
+    def test_allow_spares_a_cpu_only_when_two_processes_fit(self, monkeypatch, forked, threads, cpus, starts_worker):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert worker.can_fork(threads) == starts_worker
+        worker.allow(threads)
+        with worker.Fork("pid", os.getpid) as job:
+            assert (job.result() != os.getpid()) == starts_worker
+        assert len(forked) == starts_worker
+        _assert_reaped(forked)
 
-    def test_inline_when_no_process_can_start(self, monkeypatch):
+    def test_inline_when_no_process_can_start(self, monkeypatch, spare_cpu):
         tried = []
 
         def no_process():
@@ -47,16 +51,16 @@ class TestAnalysisJobs:
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_process)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fds = len(os.listdir("/proc/self/fd"))
-        with worker.Fork("pid", os.getpid, fork=worker.can_fork(1)) as pid:
+        with worker.Fork("pid", os.getpid) as pid:
             assert len(os.listdir("/proc/self/fd")) == fds  # the pipe of the failed fork is closed
             assert pid.result() == os.getpid()
-        with worker.Fork("sorted", sorted, [3, 1, 2], fork=worker.can_fork(1)) as ordered:
+        with worker.Fork("sorted", sorted, [3, 1, 2]) as ordered:  # the failed fork gave the CPU back
             assert ordered.result() == [1, 2, 3]
         assert tried == [True, True]
 
 
+@pytest.mark.usefixtures("spare_cpu")
 class TestWorker:
     def test_same_package_and_thread_pin(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -74,7 +78,8 @@ class TestWorker:
 
     @pytest.mark.parametrize("fork", [False, True], ids=["Inline", "Worker"])
     def test_the_result_forked_or_inline(self, forked, fork):
-        with worker.Fork("sorted", sorted, [3, 1, 2], fork=fork) as job:
+        worker.allow(1 if fork else 2)  # two threads a process do not fit twice into two CPUs
+        with worker.Fork("sorted", sorted, [3, 1, 2]) as job:
             assert job.result() == [1, 2, 3]
         assert len(forked) == fork
         _assert_reaped(forked)
@@ -127,8 +132,10 @@ class TestWorker:
     def test_text_buffered_before_submit_is_written_once(self):
         # stdout is a buffered pipe, so the print stays in the process's buffer until a flush
         code = (
-            "import sys\n"
+            "import os, sys\n"
             "from topofuse import worker\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "worker.allow(1)\n"
             "print('before the fork')\n"
             "with worker.Fork('flush', sys.stdout.flush) as job:\n"
             "    job.result()\n"
@@ -179,35 +186,38 @@ def _fail():
     raise OutOfRange("the third draw failed")
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestFeed:
     @pytest.mark.parametrize("count", [1, 2, 3, 7])
     def test_forked_and_inline_results_are_the_same(self, forked, count):
-        runs = [_take(worker.feed(_counting_draw()[0], count, fork), count) for fork in (False, True)]
+        inline = _take(worker.feed(_counting_draw()[0], count), count)
+        worker.allow(1)
+        runs = [inline, _take(worker.feed(_counting_draw()[0], count), count)]
         assert len(forked) == (count > 1)
         _assert_reaped(forked)
         for inline, remote in zip(*runs):
             assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(inline, remote))
 
-    def test_the_first_is_drawn_here_and_the_rest_in_the_child(self, forked):
+    def test_the_first_is_drawn_here_and_the_rest_in_the_child(self, spare_cpu, forked):
         draw, calls = _counting_draw()
         assert len(_take(worker.feed(draw, 6), 6)) == 6
         assert calls == [1] and len(forked) == 1
         _assert_reaped(forked)
 
-    def test_a_draw_error_comes_back_as_itself(self, forked):
+    def test_a_draw_error_comes_back_as_itself(self, spare_cpu, forked):
         draw, calls = _counting_draw(3, _fail)
         with pytest.raises(OutOfRange, match="the third draw failed"):
             _take(worker.feed(draw, 5), 5)
         assert calls == [1] and len(forked) == 1
         _assert_reaped(forked)
 
-    def test_a_feeder_that_dies_is_named_with_its_draw(self, forked):
+    def test_a_feeder_that_dies_is_named_with_its_draw(self, spare_cpu, forked):
         draw, _ = _counting_draw(3, lambda: os._exit(3))
         with pytest.raises(WorkerLost, match="exited with status 3 before returning the feed's draw 3$"):
             _take(worker.feed(draw, 5), 5)
         _assert_reaped(forked)
 
-    def test_a_draw_of_another_layout_raises(self, forked):
+    def test_a_draw_of_another_layout_raises(self, spare_cpu, forked):
         calls = []
 
         def other_shape():
@@ -218,7 +228,7 @@ class TestFeed:
             _take(worker.feed(other_shape, 3), 3)
         _assert_reaped(forked)
 
-    def test_closing_early_kills_and_reaps_the_child(self, forked):
+    def test_closing_early_kills_and_reaps_the_child(self, spare_cpu, forked):
         draw, _ = _counting_draw(4, lambda: time.sleep(60))
         start = time.perf_counter()
         assert len(_take(worker.feed(draw, 10), 2)) == 2
@@ -226,7 +236,7 @@ class TestFeed:
         assert len(forked) == 1
         _assert_reaped(forked)
 
-    def test_inline_when_no_process_can_start(self, monkeypatch):
+    def test_inline_when_no_process_can_start(self, spare_cpu, monkeypatch):
         def no_process():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
@@ -250,6 +260,8 @@ class TestFeed:
             "        print(pid, flush=True)\n"
             "    return pid\n"
             "os.fork = recorded\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "worker.allow(1)\n"
             "rng = np.random.default_rng(0)\n"
             "draws = worker.feed(lambda: [rng.normal(size=4)], 10)\n"
             "next(draws)\n"
@@ -265,3 +277,94 @@ class TestFeed:
         while not _gone(feeder) and time.perf_counter() < deadline:
             time.sleep(0.05)
         assert _gone(feeder)
+
+
+def _inline_in_the_child():
+    """This process's pid, and those a `Fork` and a 3-draw `feed` made here ran in."""
+    with worker.Fork("pid", os.getpid) as job:
+        pids = [job.result()]
+    with contextlib.closing(worker.feed(lambda: [np.array([os.getpid()])], 3)) as draws:
+        pids += [int(a[0]) for a, in draws]
+    return os.getpid(), pids
+
+
+def _read_the_result(forked, monkeypatch):
+    with worker.Fork("pid", os.getpid) as job:
+        assert job.result() != os.getpid()
+
+
+def _leave_early(forked, monkeypatch):
+    with pytest.raises(KeyError):
+        with worker.Fork("sleep", time.sleep, 60):
+            raise KeyError("the caller failed")
+
+
+def _child_error(forked, monkeypatch):
+    with worker.Fork("radius", auto_epsilon, [[0.0, 0.0]]) as job:
+        with pytest.raises(OutOfRange):
+            job.result()
+
+
+def _child_killed(forked, monkeypatch):
+    with worker.Fork("sleep", time.sleep, 60) as job:
+        os.kill(forked[-1], signal.SIGKILL)
+        with pytest.raises(WorkerLost):
+            job.result()
+
+
+def _fork_fails(forked, monkeypatch):
+    fork = os.fork
+
+    def fail_once():
+        monkeypatch.setattr(os, "fork", fork)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fail_once)
+    with worker.Fork("pid", os.getpid) as job:
+        assert job.result() == os.getpid()
+
+
+def _feed_closed_early(forked, monkeypatch):
+    assert len(_take(worker.feed(_counting_draw()[0], 5), 2)) == 2
+
+
+@pytest.mark.usefixtures("spare_cpu")
+class TestOneChildAtATime:
+    def test_a_child_forks_nothing(self, forked):
+        with worker.Fork("nested", _inline_in_the_child) as job:
+            child, pids = job.result()
+        assert child != os.getpid() and pids == [child] * 4
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
+    def test_nothing_forks_while_a_feed_is_live(self, forked):
+        draw, calls = _counting_draw()
+        inner, inner_calls = _counting_draw()
+        with contextlib.closing(worker.feed(draw, 5)) as draws:
+            next(draws)
+            with worker.Fork("pid", os.getpid) as job:
+                assert job.result() == os.getpid()
+            assert len(_take(worker.feed(inner, 3), 3)) == 3
+        assert calls == [1] and inner_calls == [1, 2, 3]
+        assert len(forked) == 1
+        _assert_reaped(forked)
+
+    @pytest.mark.parametrize(
+        "end, children",
+        [
+            (_read_the_result, 1),
+            (_leave_early, 1),
+            (_child_error, 1),
+            (_child_killed, 1),
+            (_fork_fails, 0),
+            (_feed_closed_early, 1),
+        ],
+        ids=["result", "left-early", "child-error", "child-killed", "fork-fails", "feed-closed-early"],
+    )
+    def test_the_spare_cpu_comes_back(self, forked, monkeypatch, end, children):
+        end(forked, monkeypatch)
+        assert len(forked) == children
+        with worker.Fork("pid", os.getpid) as job:
+            assert job.result() != os.getpid()
+        assert len(forked) == children + 1
+        _assert_reaped(forked)
