@@ -16,6 +16,7 @@ from .errors import IoFailure, MissingFile, OutOfRange, ShapeMismatch, StaleCach
 from .topology import NeighborGraph
 
 CKPT_FORMAT = "topofuse-ckpt-v3"
+MATMUL_BLOCK = 1024  # rows per block of the temporaries in a_hat @ h
 
 
 class Dense:
@@ -103,31 +104,42 @@ class NormalizedAdjacency:
     the entries, never with n times the largest row.
     """
 
-    __slots__ = ("n", "_rank", "_slot_ptr", "_slot_cols", "_slot_weights")
+    __slots__ = ("n", "_order", "_slot_ptr", "_slot_cols", "_slot_weights")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
         self.n = n
         counts = np.diff(indptr)
-        order = np.argsort(-counts, kind="stable")
-        self._rank = np.argsort(order)  # row i's position in that order
+        self._order = np.argsort(-counts, kind="stable")
         per_slot = (n - np.cumsum(np.bincount(counts)))[:-1]  # rows with more than s entries
-        self._slot_ptr = np.concatenate([[0], np.cumsum(per_slot)])
+        ptr = np.concatenate([[0], np.cumsum(per_slot)])
+        self._slot_ptr = ptr.tolist()
         # entries slot by slot, each slot's rows in order
         slot = np.repeat(np.arange(len(per_slot)), per_slot)
-        entry = indptr[order[np.arange(len(slot)) - self._slot_ptr[slot]]] + slot
+        entry = indptr[self._order[np.arange(len(slot)) - ptr[slot]]] + slot
         self._slot_cols, self._slot_weights = indices[entry], weights[entry][:, None]
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
         if h.shape[0] != self.n:
             raise ShapeMismatch(f"adjacency has {self.n} rows, features {h.shape[0]}")
+        h = np.asarray(h, dtype=np.float64)
         ptr, cols, w = self._slot_ptr, self._slot_cols, self._slot_weights
-        # every row holds its self loop, so slot 0 covers all rows
-        out = h[cols[: ptr[1]]] * w[: ptr[1]]
-        for lo, hi in zip(ptr[1:-1], ptr[2:]):
-            term = h[cols[lo:hi]]
-            term *= w[lo:hi]
-            out[: hi - lo] += term
-        return out[self._rank]
+        out = np.empty(h.shape)
+        # Blocks of MATMUL_BLOCK rows of the order bound the temporaries: slot
+        # s covers the block's rows up to the slot's size. Every row sums its
+        # terms in slot order, as a whole-matrix pass would.
+        for lo in range(0, self.n, MATMUL_BLOCK):
+            hi = min(lo + MATMUL_BLOCK, self.n)
+            acc = h[cols[lo:hi]]  # every row holds its self loop, so slot 0 covers all rows
+            acc *= w[lo:hi]
+            for start, end in zip(ptr[1:-1], ptr[2:]):
+                stop = min(hi, end - start)
+                if stop <= lo:
+                    break
+                term = h[cols[start + lo : start + stop]]
+                term *= w[start + lo : start + stop]
+                acc[: stop - lo] += term
+            out[self._order[lo:hi]] = acc
+        return out
 
 
 def normalized_adjacency(graph: NeighborGraph) -> NormalizedAdjacency:
@@ -146,7 +158,9 @@ def normalized_adjacency(graph: NeighborGraph) -> NormalizedAdjacency:
 def _stack_forward(x: np.ndarray, layers, a_hat: NormalizedAdjacency | None):
     """Shared forward for GCN stacks (a_hat given) and plain MLPs (a_hat None).
 
-    A GCN stack's input `x` is its first layer's aggregate a_hat @ input.
+    A GCN stack's input `x` is its first layer's aggregate a_hat @ input. The
+    cache keeps each layer's aggregate and the pre-activations of the layers
+    before the last, which `_stack_backward` reads.
     """
     h = x
     aggs, pre = [], []
@@ -155,11 +169,14 @@ def _stack_forward(x: np.ndarray, layers, a_hat: NormalizedAdjacency | None):
             raise ShapeMismatch(
                 f"layer {li} expects {layer.w.shape[0]} inputs, got {h.shape[1]}"
             )
-        agg = h if a_hat is None or li == 0 else a_hat @ h
-        aggs.append(agg)
-        a = agg @ layer.w + layer.b
-        pre.append(a)
-        h = np.maximum(a, 0.0) if li < len(layers) - 1 else a
+        if a_hat is not None and li > 0:
+            h = a_hat @ h
+        aggs.append(h)
+        h = h @ layer.w
+        h += layer.b
+        if li < len(layers) - 1:
+            pre.append(h)
+            h = np.maximum(h, 0.0)
     cache = {"aggs": aggs, "pre": pre, "a_hat": a_hat, "n_layers": len(layers)}
     return h, cache
 
@@ -186,7 +203,8 @@ def _stack_backward(dout: np.ndarray, layers, cache, input_grad: bool = True) ->
         dagg = g @ layer.w.T
         dx = dagg if a_hat is None else a_hat @ dagg  # a_hat is symmetric
         if li > 0:
-            g = dx * (cache["pre"][li - 1] > 0.0)
+            dx *= cache["pre"][li - 1] > 0.0
+            g = dx
     return dx
 
 
@@ -206,7 +224,8 @@ def fuse_forward(y_tra: np.ndarray, y_mor: np.ndarray | None, params: ModelParam
     else:
         if y_tra.shape != y_mor.shape:
             raise ShapeMismatch("modality embeddings must share a shape to be summed")
-        y = params.theta * y_tra + (1.0 - params.theta) * y_mor
+        y = params.theta * y_tra
+        y += (1.0 - params.theta) * y_mor
         mode = "sum"
     z, mlp_cache = _stack_forward(y, params.fusion, None)
     cache = {"mode": mode, "theta": params.theta, "mlp": mlp_cache, "d_tra": y_tra.shape[1]}
@@ -221,7 +240,9 @@ def fuse_backward(dz: np.ndarray, params: ModelParams, cache):
     if mode == "concat":
         d = cache["d_tra"]
         return dy[:, :d], dy[:, d:]
-    return cache["theta"] * dy, (1.0 - cache["theta"]) * dy
+    dt = cache["theta"] * dy
+    dy *= 1.0 - cache["theta"]
+    return dt, dy
 
 
 def decode_forward(z: np.ndarray, params: ModelParams):
@@ -245,12 +266,18 @@ class EmbeddingSet:
 
 
 def forward_all(params: ModelParams, x_tra: np.ndarray, x_mor: np.ndarray | None, a_hat: NormalizedAdjacency):
-    """`forward_aggregates` of the inputs' first aggregates a_hat @ x."""
-    return forward_aggregates(params, a_hat @ x_tra, None if x_mor is None else a_hat @ x_mor, a_hat)
+    """One full pass: `encode_aggregates` of the inputs' first aggregates a_hat @ x, then the decoder."""
+    es, caches = encode_aggregates(params, a_hat @ x_tra, None if x_mor is None else a_hat @ x_mor, a_hat)
+    es.x_hat, caches["dec"] = decode_forward(es.z, params)
+    return es, caches
 
 
-def forward_aggregates(params: ModelParams, agg_tra: np.ndarray, agg_mor: np.ndarray | None, a_hat: NormalizedAdjacency):
-    """One full pass whose encoders start from the first aggregates a_hat @ x of their inputs."""
+def encode_aggregates(params: ModelParams, agg_tra: np.ndarray, agg_mor: np.ndarray | None, a_hat: NormalizedAdjacency):
+    """The encoders and the fusion MLP, from the first aggregates a_hat @ x of their inputs.
+
+    The returned embeddings have no `x_hat` and the caches no "dec" entry:
+    `decode_forward` of `z` gives both.
+    """
     if params.has_mor != (agg_mor is not None):
         raise ShapeMismatch("model and inputs disagree about the morphology modality")
     y_tra, c_tra = gcn_forward(agg_tra, a_hat, params.gnn_tra)
@@ -258,9 +285,7 @@ def forward_aggregates(params: ModelParams, agg_tra: np.ndarray, agg_mor: np.nda
     if agg_mor is not None:
         y_mor, c_mor = gcn_forward(agg_mor, a_hat, params.gnn_mor)
     z, c_fuse = fuse_forward(y_tra, y_mor, params)
-    x_hat, c_dec = decode_forward(z, params)
-    caches = {"tra": c_tra, "mor": c_mor, "fuse": c_fuse, "dec": c_dec}
-    return EmbeddingSet(y_tra, y_mor, z, x_hat), caches
+    return EmbeddingSet(y_tra, y_mor, z, None), {"tra": c_tra, "mor": c_mor, "fuse": c_fuse}
 
 
 def backward_all(params: ModelParams, caches, dz: np.ndarray, dxhat: np.ndarray | None = None):

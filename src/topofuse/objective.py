@@ -23,8 +23,9 @@ from .network import (
     EmbeddingSet,
     ModelParams,
     backward_all,
+    decode_forward,
     dropout_mask,
-    forward_aggregates,
+    encode_aggregates,
     forward_all,
     fuse_forward,
     gcn_forward,
@@ -99,6 +100,29 @@ def topo_loss(partners: np.ndarray, t: np.ndarray, z: np.ndarray, nu: float) -> 
         d = diff[blk]
         d -= z[j[blk]]
         d2[blk] = (d * d).sum(axis=1)
+    loss, dd2 = _pair_terms(d2, t, nu)
+    dpair = diff
+    dpair *= (2.0 * dd2)[:, None]
+    # Anchor i's terms are its row's c consecutive pairs. Their sum in column
+    # order heads one weighted bincount per column, before the partner terms
+    # in pair order: every term adds in the order np.add.at over anchors and
+    # then partners would, and bincount's zero start gives the same signed
+    # zeros. A single bincount over all columns would hold m x d index and
+    # weight arrays at once. The heads sit in dz's first n rows: each column
+    # of them is copied into the weights before the bincount overwrites it.
+    dz = np.empty_like(z)
+    head = dz[:n]
+    head[...] = dpair[::c]
+    for k in range(1, c):
+        head += dpair[k::c]
+    idx = np.concatenate([np.arange(n), j])
+    for col in range(z.shape[1]):
+        dz[:, col] = np.bincount(idx, weights=np.concatenate([head[:, col], -dpair[:, col]]), minlength=z.shape[0])
+    return loss, dz
+
+
+def _pair_terms(d2: np.ndarray, t: np.ndarray, nu: float) -> tuple[float, np.ndarray]:
+    """`topo_loss`'s loss and its derivative by each pair's squared distance `d2`, given the pairs' targets `t`."""
     p = (nu + 1.0) / nu
     u = 1.0 + d2 / nu
     log_s_raw = -p * np.log1p(d2 / nu)
@@ -115,23 +139,7 @@ def topo_loss(partners: np.ndarray, t: np.ndarray, z: np.ndarray, nu: float) -> 
     # far-apart pairs with a live target still move. Only the repulsion
     # ratio is capped at the clamp ceiling.
     s_cap = np.minimum(s_raw, hi)
-    dd2 = (p / nu) * (t / u - (1.0 - t) * s_cap / ((1.0 - s_cap) * u))
-    dpair = diff
-    dpair *= (2.0 * dd2)[:, None]
-    # Anchor i's terms are its row's c consecutive pairs. Their sum in column
-    # order heads one weighted bincount per column, before the partner terms
-    # in pair order: every term adds in the order np.add.at over anchors and
-    # then partners would, and bincount's zero start gives the same signed
-    # zeros. A single bincount over all columns would hold m x d index and
-    # weight arrays at once.
-    head = dpair[::c].copy()
-    for k in range(1, c):
-        head += dpair[k::c]
-    idx = np.concatenate([np.arange(n), j])
-    dz = np.empty_like(z)
-    for col in range(z.shape[1]):
-        dz[:, col] = np.bincount(idx, weights=np.concatenate([head[:, col], -dpair[:, col]]), minlength=z.shape[0])
-    return loss, dz
+    return loss, (p / nu) * (t / u - (1.0 - t) * s_cap / ((1.0 - s_cap) * u))
 
 
 def recon_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -140,7 +148,10 @@ def recon_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
         raise ShapeMismatch(f"reconstruction shape {x_hat.shape} does not match input {x.shape}")
     n = x.shape[0]
     diff = x_hat - x
-    return float((diff * diff).sum() / n), 2.0 * diff / n
+    loss = float((diff * diff).sum() / n)
+    diff *= 2.0
+    diff /= n
+    return loss, diff
 
 
 class Adam:
@@ -242,8 +253,15 @@ def _draw(mods, graphs, priors, a_hat, cfg, rng) -> list[np.ndarray]:
     batches = [sample_pairs(len(x), graphs[name], x, N_NEG, p_u, rng) for name, x, _, p_u in mods]
     masks = [dropout_mask(x.shape, DROPOUT_P, rng) for _, x, *_ in mods]
     arrays = []
-    for (name, x, *_), (payload, partners), mask in zip(mods, batches, masks):
-        base, view = (a_hat @ (v if mask is None else v * mask) for v in (x, payload))
+    for name, x, *_ in mods:
+        (payload, partners), mask = batches.pop(0), masks.pop(0)
+        if mask is not None:  # both are this epoch's own: mask in place
+            payload *= mask
+            mask *= x
+        view = a_hat @ payload
+        del payload  # each goes once its aggregate exists
+        base = a_hat @ (x if mask is None else mask)
+        del mask
         # the prior sees the inputs the trained encoder sees, base rows then view rows
         y = np.concatenate([gcn_forward(agg, a_hat, priors[name])[0] for agg in (base, view)])
         arrays += [partners, pair_prior(partners, y, cfg.alpha, cfg.nu), base, view]
@@ -260,28 +278,36 @@ def _step(data, params, encoders, arrays, a_hat, cfg) -> tuple[dict, float]:
     n = data.n_spots
     drawn = {name: arrays[4 * k : 4 * k + 4] for k, name in enumerate(encoders)}
     params.zero_grads()
-    es, caches = forward_aggregates(params, drawn["tra"][2], drawn["mor"][2] if "mor" in drawn else None, a_hat)
-    l_rec, dxhat = recon_loss(data.tra, es.x_hat)
+    es, caches = encode_aggregates(params, drawn["tra"][2], drawn["mor"][2] if "mor" in drawn else None, a_hat)
 
     dz_base = np.zeros_like(es.z)
     losses = {}
-    ys = {"tra": es.y_tra, "mor": es.y_mor}
     for name, (partners, t, _, view) in drawn.items():
-        # A view re-runs only the encoder of the modality it perturbs; the
-        # other encoder's output and cache are the base pass's, and the
-        # decoder does not run because the view has no reconstruction term.
-        y_view, c_view = gcn_forward(view, a_hat, encoders[name])
-        ys_view = {**ys, name: y_view}
-        z_view, c_fuse = fuse_forward(ys_view["tra"], ys_view["mor"], params)
-        l_m, dz_full = topo_loss(partners, t, np.concatenate([es.z, z_view], axis=0), cfg.nu)
-        losses[name] = l_m
-        dz_base += dz_full[:n]
-        backward_all(params, {**caches, name: c_view, "fuse": c_fuse}, dz=dz_full[n:])
+        z, view_caches = _view_forward(params, es, caches, name, view, encoders[name], a_hat)
+        losses[name], dz = topo_loss(partners, t, z, cfg.nu)
+        dz_base += dz[:n]
+        backward_all(params, view_caches, dz=dz[n:])
+        del z, view_caches, dz  # before the next view's pass
 
-    backward_all(
-        params,
-        caches,
-        dz=dz_base,
-        dxhat=cfg.lambda_ * dxhat if cfg.lambda_ > 0 else None,
-    )
+    # The decoder runs after the views, so its n x genes output and gradient
+    # are not held through them.
+    x_hat, caches["dec"] = decode_forward(es.z, params)
+    l_rec, dxhat = recon_loss(data.tra, x_hat)
+    del x_hat
+    if cfg.lambda_ > 0:
+        dxhat *= cfg.lambda_
+    backward_all(params, caches, dz=dz_base, dxhat=dxhat if cfg.lambda_ > 0 else None)
     return losses, l_rec
+
+
+def _view_forward(params, es, caches, name, view, layers, a_hat):
+    """The base rows of z stacked over those of a view of modality `name`, and the caches of the view's pass.
+
+    A view re-runs only the encoder `layers` of the modality it perturbs; the
+    other encoder's output and cache are the base pass's, and the decoder
+    does not run because the view has no reconstruction term.
+    """
+    y_view, c_view = gcn_forward(view, a_hat, layers)
+    ys = {"tra": es.y_tra, "mor": es.y_mor, name: y_view}
+    z_view, c_fuse = fuse_forward(ys["tra"], ys["mor"], params)
+    return np.concatenate([es.z, z_view]), {**caches, name: c_view, "fuse": c_fuse}

@@ -185,6 +185,8 @@ def sample_pairs(
     partner = graph.indices[graph.indptr[:-1] + rng.integers(np.diff(graph.indptr))]
     r = rng.uniform(0.0, p_u, n)
     neg = rng.integers(n - 1, size=(n, n_neg))
-    payload = (1.0 - r)[:, None] * features + r[:, None] * features[partner]
+    payload = features[partner]
+    payload *= r[:, None]
+    payload += (1.0 - r)[:, None] * features  # the sum commutes: (1 - r) x_i + r x_j, bit for bit
     neg += neg >= np.arange(n)[:, None]  # skip the anchor itself
     return payload, np.column_stack([n + np.arange(n), neg])

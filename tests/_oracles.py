@@ -471,3 +471,55 @@ def write_matrix_csv_oracle(path: str, row_ids, col_names, m: np.ndarray):
         w.writerow(["spot_id"] + list(col_names))
         for sid, row in zip(row_ids, m):
             w.writerow([sid] + [FLOAT_FMT % v for v in row])
+
+
+def adjacency_product_oracle(neighbors, h: np.ndarray) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} @ h a row at a time, A symmetrized: each row adds its terms in ascending column order."""
+    rows = [{i} for i in range(len(neighbors))]
+    for i, nbrs in enumerate(neighbors):
+        for j in nbrs:
+            rows[i].add(j)
+            rows[j].add(i)
+    dinv = [1.0 / math.sqrt(len(r)) for r in rows]
+    out = np.empty(h.shape)
+    for i, r in enumerate(rows):
+        cols = sorted(r)
+        acc = h[cols[0]] * (dinv[i] * dinv[cols[0]])
+        for j in cols[1:]:
+            acc = acc + h[j] * (dinv[i] * dinv[j])
+        out[i] = acc
+    return out
+
+
+def step_oracle(data, params, arrays, a_hat, lambda_: float, nu: float) -> tuple[dict, float]:
+    """`objective._step` with the decoder first: the base pass decodes and takes the
+    reconstruction loss, 2 (x_hat - x) / n its gradient, before the views.
+
+    `arrays` are one `_draw`'s, four per modality. Returns the topology loss per
+    modality and the reconstruction loss, and leaves the gradients in `params`.
+    """
+    from topofuse import network, objective
+
+    n = data.n_spots
+    names = ["tra", "mor"][: len(arrays) // 4]
+    drawn = {name: arrays[4 * k : 4 * k + 4] for k, name in enumerate(names)}
+    params.zero_grads()
+    passes = {name: network.gcn_forward(drawn[name][2], a_hat, getattr(params, "gnn_" + name)) for name in names}
+    ys = {"tra": passes["tra"][0], "mor": passes["mor"][0] if "mor" in passes else None}
+    z, c_fuse = network.fuse_forward(ys["tra"], ys["mor"], params)
+    x_hat, c_dec = network.decode_forward(z, params)
+    diff = x_hat - data.tra
+    l_rec, dxhat = float((diff * diff).sum() / n), 2.0 * diff / n
+    caches = {"tra": passes["tra"][1], "mor": passes["mor"][1] if "mor" in passes else None, "fuse": c_fuse, "dec": c_dec}
+
+    dz_base = np.zeros_like(z)
+    losses = {}
+    for name, (partners, t, _, view) in drawn.items():
+        y_view, c_view = network.gcn_forward(view, a_hat, getattr(params, "gnn_" + name))
+        ys_view = {**ys, name: y_view}
+        z_view, c_fuse_view = network.fuse_forward(ys_view["tra"], ys_view["mor"], params)
+        losses[name], dz_full = objective.topo_loss(partners, t, np.concatenate([z, z_view]), nu)
+        dz_base += dz_full[:n]
+        network.backward_all(params, {**caches, name: c_view, "fuse": c_fuse_view}, dz=dz_full[n:])
+    network.backward_all(params, caches, dz=dz_base, dxhat=lambda_ * dxhat if lambda_ > 0 else None)
+    return losses, l_rec

@@ -9,6 +9,13 @@ entry per edge and self loop, so training, the knockouts, denoising and a
 propagation over a star graph stay under the same bar; storing the dense
 matrix, or padding every row to the largest degree, goes over.
 
+An epoch's working set is bounded at the benchmark's shapes (an 8 x 125
+section, 200 genes, 12 morphology dims, d_emb 72): a draw frees each
+modality's payload and mask once their aggregates exist and peaks below 3
+times the bytes it returns; a step runs the decoder after the views and
+frees each view's temporaries before the next, and peaks below 28 n x d_emb
+float64 arrays. At n = 8000 the two peak at 55 and 99 MiB.
+
 Under glibc the CLI keeps freed memory in its heap, so a training epoch
 faults in no new pages; this is read from the kernel's minor-fault count of
 `train` processes.
@@ -24,7 +31,7 @@ import warnings
 import numpy as np
 import pytest
 
-from topofuse import dataio, downstream, evaluate, network, objective, preprocess, topology, worker
+from topofuse import dataio, downstream, evaluate, network, objective, preprocess, synth, topology, worker
 
 N = 16 * topology.ROW_BLOCK + 5
 NXN_BYTES = N * N * 8
@@ -45,10 +52,10 @@ def points():
     return rng.normal(size=(N, 3)), rng.uniform(0.0, 60.0, size=(N, 2))
 
 
-def _spatial(coords):
+def _spatial(coords, eps=1.5):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return topology.build_spatial_graph(coords, 1.5)
+        return topology.build_spatial_graph(coords, eps)
 
 
 @pytest.mark.parametrize(
@@ -78,6 +85,56 @@ def test_one_training_epoch_stays_below_a_quarter_of_n_by_n(points):
     cfg = dataio.config_from_dict({"epochs": 1, "d_emb": 4})
     peak = _peak_bytes(objective.train, _pre(), _spatial(coords), cfg)
     assert peak < NXN_BYTES / 4, f"train peaked at {peak / NXN_BYTES:.2f} of one n x n array"
+
+
+# Bounds on one epoch's working set at the benchmark's shapes: an 8x125
+# section, 200 genes, 12 morphology dims, d_emb 72. A draw peaks at 2.76 times
+# the bytes it returns and a step at 23.0 n x d_emb float64 arrays. Holding
+# each modality's payload and mask through the whole draw, and the decoder's
+# output and gradient and each view's temporaries through the whole step,
+# they peaked at 3.24 and 33.6.
+DRAW_PEAK_PER_BYTE_RETURNED = 3.0
+STEP_PEAK_IN_N_BY_D = 28.0
+
+
+@pytest.fixture(scope="module")
+def epoch_peaks():
+    """Per `_draw` and `_step` call of a one-epoch `train`, its traced peak above its start, plus the draw's returned bytes."""
+    ds, _ = synth.generate(synth.SynthSpec(n_domains=8, spots_per_domain=125, genes=200, mor_dims=12, seed=42))
+    cfg = dataio.config_from_dict({"epochs": 1, "d_emb": 72})
+    pre = preprocess.preprocess_dataset(ds, cfg)
+    assert pre.tra.shape[1] == 200 and pre.mor.shape[1] == 12
+    peaks = {}
+
+    def measured(fn):
+        def call(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            peaks[fn.__name__] = tracemalloc.get_traced_memory()[1] - start
+            if fn.__name__ == "_draw":
+                peaks["returned"] = sum(a.nbytes for a in out)
+            return out
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_draw", "_step"):
+            mp.setattr(objective, name, measured(getattr(objective, name)))
+        _peak_bytes(objective.train, pre, _spatial(ds.coords, topology.auto_epsilon(ds.coords)), cfg)
+    return peaks, pre.n_spots * cfg.d_emb * 8
+
+
+def test_an_epochs_draw_peaks_near_the_bytes_it_returns(epoch_peaks):
+    peaks, _ = epoch_peaks
+    ratio = peaks["_draw"] / peaks["returned"]
+    assert ratio < DRAW_PEAK_PER_BYTE_RETURNED, f"_draw peaked at {ratio:.2f} times the {peaks['returned']} bytes it returns"
+
+
+def test_an_epochs_step_peaks_below_a_bound_in_n_by_d_arrays(epoch_peaks):
+    peaks, n_by_d = epoch_peaks
+    ratio = peaks["_step"] / n_by_d
+    assert ratio < STEP_PEAK_IN_N_BY_D, f"_step peaked at {ratio:.1f} n x d_emb float64 arrays"
 
 
 @pytest.mark.parametrize("name", ["gene_shift_matrix", "denoise"])

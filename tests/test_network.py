@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from topofuse import dataio, network, topology
 from topofuse.errors import IoFailure, MissingFile, OutOfRange, ShapeMismatch, StaleCache
 
-from _oracles import csr_graph, normalized_adjacency_oracle
+from _oracles import adjacency_product_oracle, csr_graph, neighbor_lists, normalized_adjacency_oracle
 
 
 def _cfg(**kv):
@@ -51,6 +52,17 @@ class TestNormalizedAdjacency:
         # nodes 3 and 5 are isolated; 0 -> 4, 1 -> 2 and 6 -> 4 are one-way
         nbrs = [(1, 4), (0, 2), (), (), (0,), (), (4,)]
         assert np.array_equal(_dense(network.normalized_adjacency(csr_graph(nbrs))), normalized_adjacency_oracle(nbrs))
+
+    def test_product_over_several_row_blocks_adds_each_row_in_column_order(self, rng):
+        # two blocks and a partial one, degrees from 0 to 15, so slots
+        # end inside blocks as well as past them
+        n = 2 * network.MATMUL_BLOCK + 37
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            graph = topology.build_spatial_graph(rng.uniform(0.0, 40.0, size=(n, 2)), 1.2)
+        h = rng.normal(size=(n, 3))
+        got = network.normalized_adjacency(graph) @ h
+        assert got.tobytes() == adjacency_product_oracle(neighbor_lists(graph), h).tobytes()
 
     def test_gcn_forward_and_backward_match_the_dense_product(self, rng):
         # node 0 links to every even node (a hub), 3 and 7 have no neighbour,

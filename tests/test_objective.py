@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from topofuse import dataio, network, objective, preprocess, topology, worker
 from topofuse.errors import NonFiniteLoss, OutOfRange, ShapeMismatch
 
-from _oracles import binary_entropy, pair_prior_oracle, topo_dz_oracle
+from _oracles import binary_entropy, pair_prior_oracle, step_oracle, topo_dz_oracle
 
 
 class TestKappa:
@@ -307,7 +308,9 @@ class TestTrain:
             calls.append(z.shape)
             return real(z, params)
 
-        monkeypatch.setattr(network, "decode_forward", counting)
+        # `_step` calls the decoder itself, `forward_all` the final pass's
+        for module in (network, objective):
+            monkeypatch.setattr(module, "decode_forward", counting)
         pre, graph = _toy_training(rng)
         cfg = dataio.config_from_dict({"epochs": 3, "seed": 7, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         objective.train(pre, graph, cfg)
@@ -379,6 +382,32 @@ class TestTrain:
         small = topology.build_spatial_graph(line, 1.0)
         with pytest.raises(ShapeMismatch):
             objective.train(pre, small, dataio.config_from_dict({"epochs": 1}))
+
+
+class TestStepOrder:
+    @pytest.mark.parametrize("mor, lambda_", [(True, 0.01), (False, 0.01), (True, 0.0)], ids=["mor", "no-mor", "lambda-0"])
+    def test_step_equals_the_decoder_first_oracle_bit_for_bit(self, rng, monkeypatch, mor, lambda_):
+        pre, graph = _toy_training(rng)
+        if not mor:
+            pre.mor = None
+        real, steps = objective._step, []
+
+        def compared(data, params, encoders, arrays, a_hat, cfg):
+            twin = copy.deepcopy(params)
+            want = step_oracle(data, twin, arrays, a_hat, cfg.lambda_, cfg.nu)
+            got = real(data, params, encoders, arrays, a_hat, cfg)
+            assert repr(got) == repr(want)  # repr tells every float apart, -0.0 from 0.0 too
+            for (name, a), (_, b) in zip(params.named_layers(), twin.named_layers()):
+                assert a.gw.tobytes() == b.gw.tobytes() and a.gb.tobytes() == b.gb.tobytes(), name
+            steps.append(got)
+            return got
+
+        monkeypatch.setattr(objective, "_step", compared)
+        cfg = dataio.config_from_dict(
+            {"epochs": 3, "seed": 7, "d_emb": 4, "n_mlp": 2, "k_tr": 3, "k_mo": 3, "lambda_": lambda_}
+        )
+        objective.train(pre, graph, cfg)
+        assert len(steps) == 3
 
 
 def _assert_reaped(pids):
