@@ -24,11 +24,11 @@
 # and `markers` computes every knockout itself instead of half in a forked
 # child, so both paths are checked against REF. Compares the output trees
 # with `diff -rq`, manifests included, except the checkpoints (`ckpt.*`): each
-# tree reads its own with its own `load_checkpoint`, and the tensors, theta
-# and fusion_mode must be exactly equal, so a change of checkpoint format
-# still shows "same model, same outputs". markers reads the checkpoint
-# through a link named `ckpt.any`, so its manifest records the same argv
-# whatever the format's file name.
+# tree reads its own with its own `load_checkpoint`, and the tensors, theta,
+# fusion_mode and the spatial radius it records must be exactly equal, so a
+# change of checkpoint format still shows "same model, same outputs". markers
+# reads the checkpoint through a link named `ckpt.any`, so its manifest records
+# the same argv whatever the format's file name.
 # Prints the sha256 of every embedding.csv and report.json of the working
 # tree and the line count of src/topofuse/*.py on each side, runs every
 # comparison (ref against the working tree, and against each one-CPU run, for
@@ -143,8 +143,9 @@ inline visualize --emb train/embedding.csv --labels cluster/labels.csv --out vis
 inline markers --data d200 --labels cluster/labels.csv --ckpt ckpt.any --out markers
 
 # dump_ckpts SRC_DIR OUT_DIR DUMP_DIR: each checkpoint under OUT_DIR, read by
-# SRC_DIR's load_checkpoint, written to DUMP_DIR as its tensors plus theta and
-# fusion_mode, one .npz per run directory
+# SRC_DIR's load_checkpoint, written to DUMP_DIR as its tensors plus theta,
+# fusion_mode and the radius it records (`epsilon_used` in format v3, the
+# config's `epsilon_radius` from v4 on), one .npz per run directory
 dump_ckpts() {
     PYTHONPATH="$1" "$python" - "$2" "$3" <<'PY'
 import pathlib
@@ -159,11 +160,13 @@ for path in sorted(out.rglob("ckpt.*")):
     if path.is_symlink():
         continue
     params = load_checkpoint(str(path))
+    radius = params.config.epsilon_radius if hasattr(params, "config") else params.epsilon_used
     tensors = {f"{name}.{t}": getattr(layer, t) for name, layer in params.named_layers() for t in ("w", "b")}
     target = dump / path.parent.relative_to(out)
     target.mkdir(parents=True)
     with open(target / "model.npz", "wb") as fh:
-        np.savez(fh, theta=np.array(params.theta), fusion_mode=np.array(params.fusion_mode), **tensors)
+        model = {"theta": params.theta, "fusion_mode": params.fusion_mode, "radius": radius}
+        np.savez(fh, **{key: np.array(value) for key, value in model.items()}, **tensors)
 PY
 }
 dump_ckpts "$work/ref/src" "$work/out-ref" "$work/ckpt-ref"
@@ -269,7 +272,7 @@ for run in report125-e20 train; do
 done
 diff -rq "$work/ckpt-ref" "$work/ckpt-new" || same=1
 if [ "$same" -eq 0 ]; then
-    echo "same bytes as $1 (checkpoints: same tensors, theta and fusion_mode), one-CPU report, train, visualize and markers included"
+    echo "same bytes as $1 (checkpoints: same tensors, theta, fusion_mode and radius), one-CPU report, train, visualize and markers included"
 else
     echo "outputs differ from $1" >&2
     exit 1

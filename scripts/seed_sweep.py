@@ -70,7 +70,9 @@ def measure(data: str, run: str) -> dict:
     ds = dataio.load_dataset(*(os.path.join(data, f) for f in ("tra.csv", "coords.csv", "mor.csv", "labels.csv")))
     pre = preprocess.preprocess_dataset(ds, cfg)
     params = network.load_checkpoint(os.path.join(run, "ckpt.npz"))
-    graph = topology.build_spatial_graph(ds.coords, params.epsilon_used)
+    # format v4 records the radius in its config, v3 (a --src tree before the change) as epsilon_used
+    radius = params.config.epsilon_radius if hasattr(params, "config") else params.epsilon_used
+    graph = topology.build_spatial_graph(ds.coords, radius)
     x_hat = downstream.denoise(params, pre, graph)
     truth_cols, _, truth = dataio.read_matrix_csv(os.path.join(data, "truth_tra.csv"), "truth")
     truth = truth[:, [truth_cols.index(g) for g in pre.gene_ids]]

@@ -11,6 +11,7 @@ wrote, so a run directory holds a whole run or none of it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -61,7 +62,6 @@ def _build_parser() -> _Parser:
 
     def common(sp, data=False, config=True, emb=False, labels=False, ckpt=False):
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument(
             "--threads",
             type=positive_int,
@@ -75,6 +75,7 @@ def _build_parser() -> _Parser:
         if config:
             sp.add_argument("--config", default=None, help="JSON config file")
             sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
+            sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         if emb:
             sp.add_argument("--emb", required=True, help="embedding.csv from a train run")
         if labels:
@@ -84,6 +85,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("synth", help="generate a synthetic dataset with planted domains")
     common(sp, config=False)
+    sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--domains", type=int, default=4)
     sp.add_argument("--spots-per-domain", type=int, default=50)
     sp.add_argument("--genes", type=int, default=200)
@@ -108,15 +110,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--labels", default=None, help="labels.csv used for coloring")
 
     sp = sub.add_parser("deconvolve", help="L1 decomposition onto cluster means")
-    common(sp, emb=True, labels=True)
+    common(sp, emb=True, labels=True, config=False)
     sp.add_argument("--l1", type=finite_nonnegative, default=0.1)
 
     sp = sub.add_parser("markers", help="rank genes by knockout displacement")
-    common(sp, data=True, labels=True, ckpt=True)
+    common(sp, data=True, labels=True, ckpt=True, config=False)
     sp.add_argument("--top-n", type=positive_int, default=10)
 
     sp = sub.add_parser("trajectory", help="cluster-graph connectivity")
-    common(sp, emb=True, labels=True)
+    common(sp, emb=True, labels=True, config=False)
     sp.add_argument("--paga-k", type=positive_int, default=15)
 
     sp = sub.add_parser("evaluate", help="agreement metrics for an embedding")
@@ -178,19 +180,21 @@ def _write_manifest(args, cfg, extra):
     write_json(os.path.join(args.out, "manifest.json"), payload)
 
 
-def _check_out(out):
-    """Fail before any work when `out` is not, and cannot become, a directory.
+def _check_out(args):
+    """Fail before any work when `--out` is the `--data` directory or is not, and cannot become, a directory.
 
-    Looks at `out` or its nearest existing ancestor and creates nothing: the
+    Looks at `--out` or its nearest existing ancestor and creates nothing: the
     directory still appears only with the first file written into it.
     """
     from .errors import IoFailure
 
-    path = os.path.abspath(out)
+    if "data" in args and os.path.realpath(args.out) == os.path.realpath(args.data):
+        raise IoFailure(f"--out {args.out} is the --data directory {args.data}; a run directory holds one run")
+    path = os.path.abspath(args.out)
     while not os.path.exists(path) and os.path.dirname(path) != path:
         path = os.path.dirname(path)
     if not os.path.isdir(path):
-        raise IoFailure(f"cannot write to {out}: {path} is not a directory")
+        raise IoFailure(f"cannot write to {args.out}: {path} is not a directory")
 
 
 def _load_data(d):
@@ -229,7 +233,7 @@ def cmd_synth(args, cfg) -> dict:
         signal_tra=args.signal_tra,
         signal_mor=args.signal_mor,
         noise_std=args.noise_std,
-        seed=args.seed if args.seed is not None else 42,
+        seed=args.seed,
     )
     ds, truth = generate(spec)
     write_dataset(ds, args.out)
@@ -256,11 +260,11 @@ def cmd_preprocess(args, cfg) -> dict:
 
 
 def _train_once(pre, spatial, eps, cfg):
-    """Train on `_model_inputs`' output; the parameters record the radius `eps`."""
+    """Train on `_model_inputs`' output; the parameters record `cfg` with the radius `eps`."""
     from .objective import train
 
     state, emb = train(pre, spatial, cfg)
-    state.params.epsilon_used = eps
+    state.params.config = dataclasses.replace(cfg, epsilon_radius=eps)
     return state, emb
 
 
@@ -394,18 +398,12 @@ def cmd_deconvolve(args, cfg) -> dict:
 
 def cmd_markers(args, cfg) -> dict:
     from .dataio import read_spot_csv, write_markers_csv
-    from .errors import StaleCache
     from .network import load_checkpoint
 
     ds = _load_data(args.data)
     params = load_checkpoint(args.ckpt)
     _, labels = read_spot_csv(args.labels, "labels", ds.spot_ids, args.data)
-    pre, spatial, eps = _model_inputs(ds, cfg)
-    if params.epsilon_used != eps:
-        raise StaleCache(
-            f"{args.ckpt} was trained on a spatial graph of radius {params.epsilon_used!r}, but this"
-            f" configuration gives radius {eps!r}; set the epsilon_radius it was trained with, or retrain"
-        )
+    pre, spatial, _ = _model_inputs(ds, params.config)  # the preprocessing and graph the model was trained on
     rows = _marker_rows(pre, params, spatial, labels, args.top_n)
     write_markers_csv(os.path.join(args.out, "markers.csv"), rows)
     print(f"ranked markers for {len(set(labels.tolist()))} clusters")
@@ -530,8 +528,8 @@ def run(argv) -> int:
             os.environ[var] = str(args.threads)
         worker.allow(args.threads)
         args._argv = list(argv)
-        cfg = _resolve_config(args) if "config" in args else None  # synth takes no config
-        _check_out(args.out)
+        cfg = _resolve_config(args) if "config" in args else None  # synth, deconvolve, markers, trajectory take none
+        _check_out(args)
         from .dataio import delete_on_error
 
         with delete_on_error():

@@ -106,7 +106,7 @@ class RunConfig:
         return d
 
 
-# Value kind per config key: its default's type. epsilon_radius, a positive
+# Value kind per config key: its default's type. epsilon_radius, a finite positive
 # number or "auto", is checked on its own.
 _KINDS = {f.name: type(f.default) for f in dataclasses.fields(RunConfig) if f.name != "explicit"}
 _KINDS["epsilon_radius"] = object
@@ -154,11 +154,8 @@ def _validate_config_values(d: dict):
     if d["seed"] < 0:
         bad("seed", "must be nonnegative")
     eps = d["epsilon_radius"]
-    if isinstance(eps, str):
-        if eps != "auto":
-            bad("epsilon_radius", f'expected a positive number or "auto", got {eps!r}')
-    elif isinstance(eps, bool) or not isinstance(eps, (int, float)) or not eps > 0:
-        bad("epsilon_radius", f'expected a positive number or "auto", got {eps!r}')
+    if eps != "auto" and (isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf):
+        bad("epsilon_radius", f'expected a finite positive number or "auto", got {eps!r}')
     if d["fusion_mode"] not in ("sum", "concat"):
         bad("fusion_mode", f'expected "sum" or "concat", got {d["fusion_mode"]!r}')
 

@@ -6,16 +6,17 @@ gradient buffers so several views of one epoch can share a single step.
 
 from __future__ import annotations
 
+import json
 import os
 import zipfile
 
 import numpy as np
 
-from .dataio import RunConfig, open_for_write
-from .errors import IoFailure, MissingFile, OutOfRange, ShapeMismatch, StaleCache
+from .dataio import RunConfig, config_from_dict, open_for_write
+from .errors import IoFailure, MissingFile, OutOfRange, ShapeMismatch, StaleCache, TopofuseError
 from .topology import NeighborGraph
 
-CKPT_FORMAT = "topofuse-ckpt-v3"
+CKPT_FORMAT = "topofuse-ckpt-v4"
 MATMUL_BLOCK = 1024  # rows per block of the temporaries in a_hat @ h
 
 
@@ -44,11 +45,11 @@ class ModelParams:
     """All trainable tensors of the fused autoencoder.
 
     `gene_ids` names the expression columns the first layer and the decoder
-    were trained on and `epsilon_used` the radius of the spatial graph they
-    were trained on; both are None for parameters that never met a dataset.
+    were trained on and `config` the RunConfig, radius resolved, that trained
+    them; both are None for parameters that never met a dataset.
     """
 
-    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, theta, fusion_mode, gene_ids=None, epsilon_used=None):
+    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, theta, fusion_mode, gene_ids=None, config=None):
         self.gnn_tra = gnn_tra
         self.gnn_mor = gnn_mor
         self.fusion = fusion
@@ -56,7 +57,7 @@ class ModelParams:
         self.theta = float(theta)
         self.fusion_mode = fusion_mode
         self.gene_ids = gene_ids
-        self.epsilon_used = epsilon_used
+        self.config = config
 
     def named_layers(self):
         for i, layer in enumerate(self.gnn_tra):
@@ -326,32 +327,31 @@ def check_genes(params: ModelParams, gene_ids: list[str]):
 
 
 def save_checkpoint(params: ModelParams, path: str):
-    """Write checkpoint v3: an uncompressed .npz of float64 tensors named like
-    `gnn_tra.0.w`, plus `format`, `theta`, `fusion_mode`, `gene_ids` and
-    `epsilon_used`.
+    """Write checkpoint v4: an uncompressed .npz of float64 tensors named like
+    `gnn_tra.0.w`, plus `format`, `gene_ids` and `config`, the training
+    RunConfig as UTF-8 JSON bytes.
 
     np.savez stamps its zip members with a fixed date, so equal parameters
     give equal bytes.
     """
     if params.gene_ids is None or len(params.gene_ids) != params.decoder[-1].w.shape[1]:
         raise ShapeMismatch("a checkpoint must name one gene per decoder output")
-    if params.epsilon_used is None:
-        raise OutOfRange("a checkpoint must record the spatial radius its model was trained on")
+    cfg = params.config
+    if cfg is None or cfg.epsilon_radius == "auto" or (cfg.theta, cfg.fusion_mode) != (params.theta, params.fusion_mode):
+        raise OutOfRange("a checkpoint must record the config its model was trained on, with the radius it used")
     arrays = {}
     for name, layer in params.named_layers():
         arrays[name + ".w"] = layer.w
         arrays[name + ".b"] = layer.b
     arrays["format"] = np.array(CKPT_FORMAT)
-    arrays["theta"] = np.array(params.theta)
-    arrays["fusion_mode"] = np.array(params.fusion_mode)
     arrays["gene_ids"] = np.array(params.gene_ids, dtype=str)
-    arrays["epsilon_used"] = np.array(float(params.epsilon_used))
+    arrays["config"] = np.array(json.dumps(cfg.to_dict()).encode("utf-8"))
     with open_for_write(path, binary=True) as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read checkpoint v3 without unpickling anything; any other file raises, naming `path`."""
+    """Read checkpoint v4 without unpickling anything; any other file raises, naming `path`."""
     if not os.path.isfile(path):
         raise MissingFile(f"checkpoint not found: {path}")
     try:
@@ -390,13 +390,20 @@ def load_checkpoint(path: str) -> ModelParams:
             layers.append(Dense(w, b))
         return layers
 
+    text = field("config", 0, "S").item()
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        cfg = config_from_dict(json.loads(text.decode("utf-8")))
+        if cfg.epsilon_radius == "auto" or cfg.explicit != frozenset(cfg.to_dict()):
+            raise OutOfRange("it must give every key, and a number for epsilon_radius")
+    except (ValueError, TypeError, TopofuseError) as e:
+        raise StaleCache(f"checkpoint {path} has no valid 'config' ({e}); retrain to write it") from e
     return ModelParams(
         take("gnn_tra"),
         take("gnn_mor") or None,
         take("fusion"),
         take("decoder"),
-        field("theta", 0, "f").item(),
-        field("fusion_mode", 0, "U").item(),
+        cfg.theta,
+        cfg.fusion_mode,
         gene_ids=field("gene_ids", 1, "U").tolist(),
-        epsilon_used=field("epsilon_used", 0, "f").item(),
+        config=cfg,
     )

@@ -42,7 +42,7 @@ def pipeline(tmp_path_factory):
     labels = os.path.join(p["clus"], "labels.csv")
     rest = [
         ["markers", "--out", p["mark"], "--data", p["data"], "--labels", labels,
-         "--ckpt", ckpt, "--set", "tau=1", "--top-n", "3"],
+         "--ckpt", ckpt, "--top-n", "3"],
         ["trajectory", "--out", p["traj"], "--emb", emb, "--labels", labels, "--paga-k", "5"],
         ["evaluate", "--out", p["eval"], "--data", p["data"], "--emb", emb,
          "--labels", labels, "--set", "tau=1"],
@@ -222,8 +222,7 @@ _JOINS = {
         ("paga.json",),
     ),
     "markers": (
-        ["markers", "--data", "{data}", "--labels", "{labels}", "--ckpt", "{ckpt}",
-         "--set", "tau=1", "--top-n", "3"],
+        ["markers", "--data", "{data}", "--labels", "{labels}", "--ckpt", "{ckpt}", "--top-n", "3"],
         ("labels",),
         ("markers.csv",),
     ),
@@ -318,20 +317,20 @@ class TestReportMatchesSubcommands:
         rep = pipeline["rep"]
         emb, labels, ckpt = (os.path.join(rep, n) for n in ("embedding.csv", "labels.csv", "ckpt.npz"))
         data = pipeline["data"]
-        shared = ["--set", "epochs=5", "--set", "d_emb=6", "--set", "tau=1", "--threads", "1"]
+        config = ["--set", "epochs=5", "--set", "d_emb=6", "--set", "tau=1"]
         out = {name: str(tmp_path / name) for name in (
             "cluster", "visualize", "deconvolve", "markers", "trajectory", "evaluate"
         )}
         runs = [
-            ["cluster", "--data", data, "--emb", emb],
-            ["visualize", "--emb", emb, "--labels", labels],
+            ["cluster", "--data", data, "--emb", emb, *config],
+            ["visualize", "--emb", emb, "--labels", labels, *config],
             ["deconvolve", "--emb", emb, "--labels", labels],
-            ["markers", "--data", data, "--labels", labels, "--ckpt", ckpt, "--top-n", "3"],
+            ["markers", "--data", data, "--labels", labels, "--ckpt", ckpt, "--top-n", "3"],  # config from ckpt
             ["trajectory", "--emb", emb, "--labels", labels],
-            ["evaluate", "--data", data, "--emb", emb, "--labels", labels],
+            ["evaluate", "--data", data, "--emb", emb, "--labels", labels, *config],
         ]
         for argv in runs:
-            assert cli.run(argv + ["--out", out[argv[0]]] + shared) == 0
+            assert cli.run(argv + ["--out", out[argv[0]], "--threads", "1"]) == 0
         for command, name in [
             ("cluster", "labels.csv"),
             ("visualize", "vis.csv"),
@@ -357,7 +356,7 @@ _COMMANDS = {
     "cluster": ["cluster", "--data", "{data}", "--emb", "{emb}"],
     "visualize": ["visualize", "--emb", "{emb}", "--labels", "{labels}"],
     "deconvolve": ["deconvolve", "--emb", "{emb}", "--labels", "{labels}"],
-    "markers": ["markers", "--data", "{data}", "--labels", "{labels}", "--ckpt", "{ckpt}", "--set", "tau=1"],
+    "markers": ["markers", "--data", "{data}", "--labels", "{labels}", "--ckpt", "{ckpt}"],
     "trajectory": ["trajectory", "--emb", "{emb}", "--labels", "{labels}", "--paga-k", "5"],
     "evaluate": ["evaluate", "--data", "{data}", "--emb", "{emb}", "--set", "tau=1"],
     "report": ["report", "--data", "{data}", "--top-n", "3"] + _SMALL,
@@ -445,7 +444,7 @@ class TestForeignCheckpoint:
         capsys.readouterr()
         rc = cli.run([
             "markers", "--data", str(data), "--labels", pipeline["labels"], "--ckpt", pipeline["ckpt"],
-            "--set", "tau=1", "--top-n", "3", "--out", str(tmp_path / "mark"), "--threads", "1",
+            "--top-n", "3", "--out", str(tmp_path / "mark"), "--threads", "1",
         ])
         assert rc == 1
         err = capsys.readouterr().err
@@ -458,29 +457,40 @@ class TestForeignCheckpoint:
         capsys.readouterr()
         rc = cli.run([
             "markers", "--data", pipeline["data"], "--labels", pipeline["labels"], "--ckpt", str(ckpt),
-            "--set", "tau=1", "--out", str(tmp_path / "mark"), "--threads", "1",
+            "--out", str(tmp_path / "mark"), "--threads", "1",
         ])
         assert rc == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and "retrain" in err
 
-    def test_markers_refuses_another_radius(self, pipeline, tmp_path, capsys):
-        """A model trained on a radius-3 graph is not ranked on the auto-radius graph."""
+    def test_checkpoint_records_the_training_config(self, pipeline):
+        ds = cli._load_data(pipeline["data"])
+        for run in ("train", "rep"):
+            m = _manifest(pipeline[run])
+            config = network.load_checkpoint(os.path.join(pipeline[run], "ckpt.npz")).config.to_dict()
+            assert config == {**m["config"], "epsilon_radius": m["epsilon_used"]}
+            assert config["epsilon_radius"] == topology.auto_epsilon(ds.coords)
+
+    def test_markers_runs_on_the_radius_the_model_was_trained_on(self, pipeline, tmp_path):
+        """A model trained on a radius-3 graph is ranked on that graph, with no flag to repeat."""
         train = tmp_path / "train"
-        common = ["--data", pipeline["data"], "--set", "tau=1", "--threads", "1"]
-        assert cli.run(["train", "--out", str(train), *common, "--set", "epochs=2", "--set", "epsilon_radius=3.0"]) == 0
-        assert _manifest(str(train))["epsilon_used"] == 3.0
+        trained_on = ["--set", "tau=1", "--set", "d_emb=6", "--set", "epsilon_radius=3.0"]
+        argv = ["train", "--out", str(train), "--data", pipeline["data"], "--set", "epochs=2", *trained_on]
+        assert cli.run(argv + ["--threads", "1"]) == 0
         ckpt = str(train / "ckpt.npz")
-        assert network.load_checkpoint(ckpt).epsilon_used == 3.0
-        markers = ["markers", "--labels", pipeline["labels"], "--ckpt", ckpt, *common]
-        capsys.readouterr()
-        assert cli.run([*markers, "--out", str(tmp_path / "mark")]) == 1
-        err = capsys.readouterr().err
-        auto = topology.auto_epsilon(cli._load_data(pipeline["data"]).coords)
-        assert auto != 3.0
-        assert f"radius 3.0, but this configuration gives radius {auto!r}" in err and ckpt in err
-        assert not os.path.exists(tmp_path / "mark")
-        assert cli.run([*markers, "--out", str(tmp_path / "mark3"), "--set", "epsilon_radius=3.0"]) == 0
+        params = network.load_checkpoint(ckpt)
+        assert params.config.epsilon_radius == 3.0
+        ds = cli._load_data(pipeline["data"])
+        assert topology.auto_epsilon(ds.coords) != 3.0
+        out = tmp_path / "mark"
+        argv = ["markers", "--data", pipeline["data"], "--labels", pipeline["labels"], "--ckpt", ckpt]
+        assert cli.run(argv + ["--top-n", "3", "--out", str(out), "--threads", "1"]) == 0
+        pre = preprocess.preprocess_dataset(ds, dataio.config_from_dict({"tau": 1}))
+        labels = dataio.read_spot_csv(pipeline["labels"], "labels", ds.spot_ids, pipeline["data"])[1]
+        tables = downstream.marker_tables(pre, params, topology.build_spatial_graph(ds.coords, 3.0), labels, top_n=3)
+        with open(out / "markers.csv", newline="") as fh:
+            rows = [(int(c), int(rank), gene, float(imp)) for c, rank, gene, imp in list(csv.reader(fh))[1:]]
+        assert rows == [(c, rank, *row) for c in sorted(tables) for rank, row in enumerate(tables[c], start=1)]
 
     def test_denoise_refuses_other_genes(self, pipeline, tmp_path):
         data, old = _renamed_gene_data(pipeline, tmp_path)
@@ -507,6 +517,31 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert cli.run(["synth", "--out", str(tmp_path / "x"), "--bogus"]) == 1
         assert "--bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["deconvolve", "markers", "trajectory"])
+    @pytest.mark.parametrize("flag", [["--set", "tau=1"], ["--config", "{config}"], ["--seed", "3"]], ids=lambda f: f[0])
+    def test_commands_without_a_config_refuse_config_flags(self, pipeline, tmp_path, capsys, command, flag):
+        config = tmp_path / "config.json"
+        config.write_text('{"tau": 1}')
+        slots = {key: pipeline[key] for key in ("data", "emb", "labels", "ckpt")}
+        argv = [a.format(**slots) for a in _COMMANDS[command]] + [f.format(config=config) for f in flag]
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert cli.run(argv + ["--out", str(out), "--threads", "1"]) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["cluster", "report"])
+    def test_out_may_not_be_the_data_directory(self, pipeline, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        before = {name: _read(data / name) for name in os.listdir(data)}
+        argv = [a.format(data=data, emb=pipeline["emb"]) for a in _COMMANDS[command]]
+        capsys.readouterr()
+        assert cli.run(argv + ["--out", str(data) + os.sep, "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"is the --data directory {data}" in err
+        assert {name: _read(data / name) for name in os.listdir(data)} == before
 
     def test_report_with_a_radius_whose_square_overflows(self, pipeline, tmp_path):
         argv = ["report", "--data", pipeline["data"], "--out", str(tmp_path / "rep"), "--threads", "1"]
@@ -584,17 +619,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["report", "--data", "{data}", "--top-n", "-2"],
-            ["evaluate", "--data", "{data}", "--emb", "{emb}", "--mrre-k", "0"],
+            ["report", "--data", "{data}", *_SMALL, "--top-n", "-2"],
+            ["evaluate", "--data", "{data}", "--emb", "{emb}", *_SMALL, "--mrre-k", "0"],
             ["trajectory", "--emb", "{emb}", "--labels", "{labels}", "--paga-k", "0"],
-            ["cluster", "--data", "{data}", "--emb", "{emb}", "--restarts", "-1"],
+            ["cluster", "--data", "{data}", "--emb", "{emb}", *_SMALL, "--restarts", "-1"],
         ],
         ids=["top-n", "mrre-k", "paga-k", "restarts"],
     )
     def test_counts_must_be_positive(self, pipeline, tmp_path, capsys, argv):
         out = tmp_path / "x"
         flag, value = argv[-2:]
-        assert cli.run([a.format(**pipeline) for a in argv] + _SMALL + ["--out", str(out)]) == 1
+        assert cli.run([a.format(**pipeline) for a in argv] + ["--out", str(out)]) == 1
         assert f"argument {flag}: expects a positive integer, got {value}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
@@ -771,7 +806,7 @@ def _standalone(pipeline, command, out):
     common = ["--threads", "1", "--labels", pipeline["labels"], "--out", str(out)]
     if command == "visualize":
         return ["visualize", "--emb", pipeline["emb"], *common]
-    return ["markers", "--data", pipeline["data"], "--ckpt", pipeline["ckpt"], "--set", "tau=1", "--top-n", "3", *common]
+    return ["markers", "--data", pipeline["data"], "--ckpt", pipeline["ckpt"], "--top-n", "3", *common]
 
 
 class TestAnalysisWorker:

@@ -41,6 +41,8 @@ class TestRunConfig:
             {"seed": -1},
             {"epsilon_radius": "never"},
             {"epsilon_radius": -2.0},
+            {"epsilon_radius": float("inf")},
+            {"epsilon_radius": float("nan")},
             {"fusion_mode": "mean"},
             {"epochs": 2.5},
             {"refine": 1},

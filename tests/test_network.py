@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import re
 import warnings
@@ -15,6 +17,14 @@ def _cfg(**kv):
     base = dict(d_emb=4, n_mlp=1, tau=1)
     base.update(kv)
     return dataio.config_from_dict(base)
+
+
+def _config_bytes(arrays, **changes):
+    """The `config` member of a checkpoint's arrays with `changes` applied; a change to None drops the key."""
+    config = json.loads(arrays["config"].item())
+    config.update(changes)
+    config = {key: value for key, value in config.items() if value is not None}
+    return np.array(json.dumps(config).encode())
 
 
 def _graph_line(n):
@@ -287,21 +297,24 @@ class TestDropout:
         assert 0.07 < drop_rate < 0.13
 
 
-def _named(params):
-    params.gene_ids = [f"g{i}" for i in range(params.decoder[0].w.shape[1])]
-    params.epsilon_used = 1.25
+def _named(rng, n_genes, n_mor, cfg):
+    """Parameters as training leaves them: named genes and the config, with the radius its graph used."""
+    params = network.init_params(rng, n_genes, n_mor, cfg)
+    params.gene_ids = [f"g{i}" for i in range(n_genes)]
+    params.config = dataclasses.replace(cfg, epsilon_radius=1.25)
     return params
 
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path, rng):
-        params = _named(network.init_params(rng, 6, 3, _cfg(n_mlp=2, fusion_mode="concat")))
+        params = _named(rng, 6, 3, _cfg(n_mlp=2, fusion_mode="concat", theta=0.75, tau=3))
         path = tmp_path / "ckpt.npz"
         network.save_checkpoint(params, str(path))
         back = network.load_checkpoint(str(path))
-        assert back.theta == params.theta and back.fusion_mode == "concat"
+        assert back.theta == 0.75 and back.fusion_mode == "concat"
         assert back.gene_ids == params.gene_ids
-        assert back.epsilon_used == 1.25
+        assert back.config == params.config
+        assert back.config.epsilon_radius == 1.25 and back.config.tau == 3 and back.config.n_mlp == 2
         orig = dict(params.named_layers())
         loaded = dict(back.named_layers())
         assert orig.keys() == loaded.keys()
@@ -311,7 +324,7 @@ class TestCheckpoint:
             assert loaded[name].w.dtype == loaded[name].b.dtype == np.float64
 
     def test_loaded_params_reproduce_forward(self, tmp_path, rng):
-        params = _named(network.init_params(rng, 5, None, _cfg()))
+        params = _named(rng, 5, None, _cfg())
         x = rng.normal(size=(4, 5))
         a_hat = network.normalized_adjacency(_graph_line(4))
         es, _ = network.forward_all(params, x, None, a_hat)
@@ -323,7 +336,7 @@ class TestCheckpoint:
         assert np.array_equal(es.z, es2.z) and np.array_equal(es.x_hat, es2.x_hat)
 
     def test_two_saves_write_the_same_bytes(self, tmp_path, rng):
-        params = _named(network.init_params(rng, 6, 3, _cfg()))
+        params = _named(rng, 6, 3, _cfg())
         network.save_checkpoint(params, str(tmp_path / "a.npz"))
         network.save_checkpoint(params, str(tmp_path / "b.npz"))
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
@@ -336,15 +349,20 @@ class TestCheckpoint:
         with pytest.raises(ShapeMismatch):
             network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
 
-    def test_params_must_record_their_radius(self, tmp_path, rng):
-        params = _named(network.init_params(rng, 6, None, _cfg()))
-        params.epsilon_used = None
-        with pytest.raises(OutOfRange, match="radius"):
+    @pytest.mark.parametrize(
+        "config",
+        [None, _cfg(), _cfg(theta=0.5, epsilon_radius=1.25), _cfg(fusion_mode="concat", epsilon_radius=1.25)],
+        ids=["none", "auto-radius", "other-theta", "other-fusion"],
+    )
+    def test_params_must_record_their_config_and_radius(self, tmp_path, rng, config):
+        params = _named(rng, 6, None, _cfg())
+        params.config = config
+        with pytest.raises(OutOfRange, match="config"):
             network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
 
     def _saved(self, tmp_path, rng):
         path = tmp_path / "ckpt.npz"
-        network.save_checkpoint(_named(network.init_params(rng, 6, 3, _cfg())), str(path))
+        network.save_checkpoint(_named(rng, 6, 3, _cfg()), str(path))
         return path
 
     def _refused(self, path, error):
@@ -373,7 +391,7 @@ class TestCheckpoint:
         path = self._saved(tmp_path, rng)
         with np.load(path) as npz:
             arrays = dict(npz)
-        for fmt in ("topofuse-ckpt-v1", "topofuse-ckpt-v2", "other-format"):
+        for fmt in ("topofuse-ckpt-v1", "topofuse-ckpt-v2", "topofuse-ckpt-v3", "other-format"):
             arrays["format"] = np.array(fmt)
             with open(path, "wb") as fh:
                 np.savez(fh, **arrays)
@@ -392,10 +410,21 @@ class TestCheckpoint:
             lambda a: a.update({"fusion.0.w": a["fusion.0.w"].astype(str)}),
             lambda a: a.update({"fusion.0.b": a["fusion.0.b"][:-1]}),
             lambda a: a.pop("gene_ids"),
-            lambda a: a.update({"theta": np.array("0.9")}),
-            lambda a: a.pop("epsilon_used"),
+            lambda a: a.pop("config"),
+            lambda a: a.update({"config": np.array("{}")}),
+            lambda a: a.update({"config": np.array(b'{"theta": 0.9,')}),
+            lambda a: a.update({"config": np.array(b"\xff{}")}),
+            lambda a: a.update({"config": np.array(b"[1]")}),
+            lambda a: a.update({"config": _config_bytes(a, bogus=1)}),
+            lambda a: a.update({"config": _config_bytes(a, epsilon_radius="auto")}),
+            lambda a: a.update({"config": _config_bytes(a, tau=None)}),
+            lambda a: a.update({"config": _config_bytes(a, theta=2.0)}),
         ],
-        ids=["no-decoder", "no-bias", "text-tensor", "short-bias", "no-genes", "text-theta", "no-radius"],
+        ids=[
+            "no-decoder", "no-bias", "text-tensor", "short-bias", "no-genes", "no-config", "text-config",
+            "invalid-json", "not-utf8", "not-an-object", "unknown-key", "auto-radius", "missing-key",
+            "bad-value",
+        ],
     )
     def test_malformed_archive(self, tmp_path, rng, edit):
         path = self._saved(tmp_path, rng)
