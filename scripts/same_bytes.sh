@@ -26,7 +26,9 @@
 # with `diff -rq`, manifests included, except the checkpoints (`ckpt.*`): each
 # tree reads its own with its own `load_checkpoint`, and the tensors, theta,
 # fusion_mode and the spatial radius it records must be exactly equal, so a
-# change of checkpoint format still shows "same model, same outputs". markers
+# change of checkpoint format still shows "same model, same outputs" (from
+# format v4 on all three come from the model's config, before it from the
+# model's own attributes and `epsilon_used`). markers
 # reads the checkpoint through a link named `ckpt.any`, so its manifest records
 # the same argv whatever the format's file name.
 # Prints the sha256 of every embedding.csv and report.json of the working
@@ -144,8 +146,8 @@ inline markers --data d200 --labels cluster/labels.csv --ckpt ckpt.any --out mar
 
 # dump_ckpts SRC_DIR OUT_DIR DUMP_DIR: each checkpoint under OUT_DIR, read by
 # SRC_DIR's load_checkpoint, written to DUMP_DIR as its tensors plus theta,
-# fusion_mode and the radius it records (`epsilon_used` in format v3, the
-# config's `epsilon_radius` from v4 on), one .npz per run directory
+# fusion_mode and the radius it records (the config's from format v4 on; in
+# v3 the model's attributes and `epsilon_used`), one .npz per run directory
 dump_ckpts() {
     PYTHONPATH="$1" "$python" - "$2" "$3" <<'PY'
 import pathlib
@@ -160,12 +162,15 @@ for path in sorted(out.rglob("ckpt.*")):
     if path.is_symlink():
         continue
     params = load_checkpoint(str(path))
-    radius = params.config.epsilon_radius if hasattr(params, "config") else params.epsilon_used
+    cfg = getattr(params, "config", None)
+    theta, fusion_mode, radius = (
+        (cfg.theta, cfg.fusion_mode, cfg.epsilon_radius) if cfg else (params.theta, params.fusion_mode, params.epsilon_used)
+    )
     tensors = {f"{name}.{t}": getattr(layer, t) for name, layer in params.named_layers() for t in ("w", "b")}
     target = dump / path.parent.relative_to(out)
     target.mkdir(parents=True)
     with open(target / "model.npz", "wb") as fh:
-        model = {"theta": params.theta, "fusion_mode": params.fusion_mode, "radius": radius}
+        model = {"theta": theta, "fusion_mode": fusion_mode, "radius": radius}
         np.savez(fh, **{key: np.array(value) for key, value in model.items()}, **tensors)
 PY
 }

@@ -209,7 +209,7 @@ def _load_data(d):
 
 
 def _model_inputs(ds, cfg):
-    """Preprocessed data, spatial graph and the radius it used: what the network runs on."""
+    """Preprocessed data, spatial graph and `cfg` with the radius the graph used: what the network runs on."""
     from .preprocess import preprocess_dataset
     from .topology import auto_epsilon, build_spatial_graph
 
@@ -217,7 +217,7 @@ def _model_inputs(ds, cfg):
     eps = cfg.epsilon_radius
     if eps == "auto":
         eps = auto_epsilon(ds.coords)
-    return pre, build_spatial_graph(ds.coords, float(eps)), float(eps)
+    return pre, build_spatial_graph(ds.coords, float(eps)), dataclasses.replace(cfg, epsilon_radius=float(eps))
 
 
 def cmd_synth(args, cfg) -> dict:
@@ -257,15 +257,6 @@ def cmd_preprocess(args, cfg) -> dict:
         write_matrix_csv(os.path.join(args.out, "pre_mor.csv"), ds.spot_ids, cols, pre.mor)
     print(f"kept {len(pre.gene_ids)} genes for {pre.n_spots} spots")
     return {}
-
-
-def _train_once(pre, spatial, eps, cfg):
-    """Train on `_model_inputs`' output; the parameters record `cfg` with the radius `eps`."""
-    from .objective import train
-
-    state, emb = train(pre, spatial, cfg)
-    state.params.config = dataclasses.replace(cfg, epsilon_radius=eps)
-    return state, emb
 
 
 def _save_model(out, spot_ids, emb, params):
@@ -342,17 +333,18 @@ def _contribution(mats, labels, seed):
 
 def cmd_train(args, cfg) -> dict:
     from .dataio import write_losses_csv, write_matrix_csv
+    from .objective import train
 
     ds = _load_data(args.data)
-    pre, spatial, eps = _model_inputs(ds, cfg)
-    state, emb = _train_once(pre, spatial, eps, cfg)
+    pre, spatial, model_cfg = _model_inputs(ds, cfg)
+    state, emb = train(pre, spatial, model_cfg)
     _save_model(args.out, ds.spot_ids, emb, state.params)
     for name, y in (("y_tra.csv", emb.y_tra), ("y_mor.csv", emb.y_mor)):
         if y is not None:
             write_matrix_csv(os.path.join(args.out, name), ds.spot_ids, [f"y{i}" for i in range(y.shape[1])], y)
     write_losses_csv(os.path.join(args.out, "losses.csv"), state.history)
     print(f"trained {cfg.epochs} epochs; final loss {state.history[-1]['total']:.6g}")
-    return {"epsilon_used": eps, "isolated_nodes": len(spatial.isolated)}
+    return {"epsilon_used": model_cfg.epsilon_radius, "isolated_nodes": len(spatial.isolated)}
 
 
 def cmd_cluster(args, cfg) -> dict:
@@ -448,13 +440,14 @@ def cmd_report(args, cfg) -> dict:
         write_matrix_csv,
     )
     from .downstream import _fit_vis, deconvolve
+    from .objective import train
 
     def out(name):
         return os.path.join(args.out, name)
 
     ds = _load_data(args.data)
-    pre, spatial, eps = _model_inputs(ds, cfg)
-    state, emb = _train_once(pre, spatial, eps, cfg)
+    pre, spatial, model_cfg = _model_inputs(ds, cfg)
+    state, emb = train(pre, spatial, model_cfg)
     # the visualization goes first to a child, once training's feeder has ended; the rest runs here
     with worker.Fork("visualization", _fit_vis, emb.z, cfg) as vis_fit:
         k, labels = _cluster(ds, emb.z, cfg, args.restarts)
@@ -477,7 +470,7 @@ def cmd_report(args, cfg) -> dict:
     payload = {
         "metrics": metrics,
         "notes": {
-            "epsilon_used": eps,
+            "epsilon_used": model_cfg.epsilon_radius,
             "isolated_nodes": len(spatial.isolated),
             "n_clusters": k,
             "deconvolution_converged": dec.converged,
@@ -502,7 +495,7 @@ def cmd_report(args, cfg) -> dict:
     plot_scatter(vis, labels, out("vis.svg"))
     summary = {key: round(val, 4) for key, val in metrics.items()}
     print(f"report written to {args.out} {json.dumps(summary)}")
-    return {"n_clusters": k, "epsilon_used": eps}
+    return {"n_clusters": k, "epsilon_used": model_cfg.epsilon_radius}
 
 
 _HANDLERS = {

@@ -44,18 +44,16 @@ def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> Dense:
 class ModelParams:
     """All trainable tensors of the fused autoencoder.
 
-    `gene_ids` names the expression columns the first layer and the decoder
-    were trained on and `config` the RunConfig, radius resolved, that trained
-    them; both are None for parameters that never met a dataset.
+    `gene_ids` names the expression columns the first layer reads and the
+    decoder writes, and `config` is the RunConfig the model was built with;
+    the fusion reads its `theta` and `fusion_mode` from it.
     """
 
-    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, theta, fusion_mode, gene_ids=None, config=None):
+    def __init__(self, gnn_tra, gnn_mor, fusion, decoder, gene_ids, config):
         self.gnn_tra = gnn_tra
         self.gnn_mor = gnn_mor
         self.fusion = fusion
         self.decoder = decoder
-        self.theta = float(theta)
-        self.fusion_mode = fusion_mode
         self.gene_ids = gene_ids
         self.config = config
 
@@ -79,9 +77,9 @@ class ModelParams:
         return self.gnn_mor is not None
 
 
-def init_params(rng: np.random.Generator, n_genes: int, n_mor: int | None, cfg: RunConfig) -> ModelParams:
-    """Glorot-uniform weights, zero biases; draw order is fixed for replay."""
-    d = cfg.d_emb
+def init_params(rng: np.random.Generator, gene_ids: list[str], n_mor: int | None, cfg: RunConfig) -> ModelParams:
+    """Glorot-uniform weights, zero biases, for the genes `gene_ids`; draw order is fixed for replay."""
+    d, n_genes = cfg.d_emb, len(gene_ids)
     gnn_tra = [_glorot(rng, n_genes, d), _glorot(rng, d, d)]
     gnn_mor = None
     if n_mor is not None:
@@ -91,7 +89,7 @@ def init_params(rng: np.random.Generator, n_genes: int, n_mor: int | None, cfg: 
     for i in range(cfg.n_mlp):
         fusion.append(_glorot(rng, fuse_in if i == 0 else d, d))
     decoder = [_glorot(rng, d, n_genes)]
-    return ModelParams(gnn_tra, gnn_mor, fusion, decoder, cfg.theta, cfg.fusion_mode)
+    return ModelParams(gnn_tra, gnn_mor, fusion, decoder, list(gene_ids), cfg)
 
 
 class NormalizedAdjacency:
@@ -215,21 +213,22 @@ def gcn_forward(agg: np.ndarray, a_hat: NormalizedAdjacency, layers):
 
 
 def fuse_forward(y_tra: np.ndarray, y_mor: np.ndarray | None, params: ModelParams):
-    """Blend modality embeddings and push them through the fusion MLP."""
+    """Blend modality embeddings as `params.config` says and push them through the fusion MLP."""
+    theta = params.config.theta
     if y_mor is None:
         y = y_tra
         mode = "single"
-    elif params.fusion_mode == "concat":
+    elif params.config.fusion_mode == "concat":
         y = np.concatenate([y_tra, y_mor], axis=1)
         mode = "concat"
     else:
         if y_tra.shape != y_mor.shape:
             raise ShapeMismatch("modality embeddings must share a shape to be summed")
-        y = params.theta * y_tra
-        y += (1.0 - params.theta) * y_mor
+        y = theta * y_tra
+        y += (1.0 - theta) * y_mor
         mode = "sum"
     z, mlp_cache = _stack_forward(y, params.fusion, None)
-    cache = {"mode": mode, "theta": params.theta, "mlp": mlp_cache, "d_tra": y_tra.shape[1]}
+    cache = {"mode": mode, "mlp": mlp_cache, "d_tra": y_tra.shape[1]}
     return z, cache
 
 
@@ -241,8 +240,9 @@ def fuse_backward(dz: np.ndarray, params: ModelParams, cache):
     if mode == "concat":
         d = cache["d_tra"]
         return dy[:, :d], dy[:, d:]
-    dt = cache["theta"] * dy
-    dy *= 1.0 - cache["theta"]
+    theta = params.config.theta
+    dt = theta * dy
+    dy *= 1.0 - theta
     return dt, dy
 
 
@@ -299,21 +299,16 @@ def backward_all(params: ModelParams, caches, dz: np.ndarray, dxhat: np.ndarray 
         _stack_backward(dm, params.gnn_mor, caches["mor"])
 
 
-def dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray | None:
+def dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout multiplier: 0 with probability p, else 1/(1-p)."""
-    if p <= 0.0:
-        return None
     keep = rng.random(shape) >= p
     return keep / (1.0 - p)
 
 
 def check_genes(params: ModelParams, gene_ids: list[str]):
-    """Raise StaleCache unless `params` were trained on exactly `gene_ids`, in order.
-
-    Parameters that name no genes pass.
-    """
-    trained, given = params.gene_ids, list(gene_ids)
-    if trained is None or list(trained) == given:
+    """Raise StaleCache unless `params` were trained on exactly `gene_ids`, in order."""
+    trained, given = list(params.gene_ids), list(gene_ids)
+    if trained == given:
         return
     pos = next((i for i, (a, b) in enumerate(zip(trained, given)) if a != b), min(len(trained), len(given)))
 
@@ -334,10 +329,10 @@ def save_checkpoint(params: ModelParams, path: str):
     np.savez stamps its zip members with a fixed date, so equal parameters
     give equal bytes.
     """
-    if params.gene_ids is None or len(params.gene_ids) != params.decoder[-1].w.shape[1]:
+    if len(params.gene_ids) != params.decoder[-1].w.shape[1]:
         raise ShapeMismatch("a checkpoint must name one gene per decoder output")
     cfg = params.config
-    if cfg is None or cfg.epsilon_radius == "auto" or (cfg.theta, cfg.fusion_mode) != (params.theta, params.fusion_mode):
+    if cfg.epsilon_radius == "auto":
         raise OutOfRange("a checkpoint must record the config its model was trained on, with the radius it used")
     arrays = {}
     for name, layer in params.named_layers():
@@ -402,8 +397,6 @@ def load_checkpoint(path: str) -> ModelParams:
         take("gnn_mor") or None,
         take("fusion"),
         take("decoder"),
-        cfg.theta,
-        cfg.fusion_mode,
-        gene_ids=field("gene_ids", 1, "U").tolist(),
-        config=cfg,
+        field("gene_ids", 1, "U").tolist(),
+        cfg,
     )

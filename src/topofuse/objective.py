@@ -201,8 +201,7 @@ def train(data: PreprocessedData, spatial: NeighborGraph, cfg: RunConfig) -> tup
     if spatial.n != n:
         raise ShapeMismatch("spatial graph does not cover the dataset")
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(rng, data.tra.shape[1], None if data.mor is None else data.mor.shape[1], cfg)
-    params.gene_ids = list(data.gene_ids)
+    params = init_params(rng, data.gene_ids, None if data.mor is None else data.mor.shape[1], cfg)
     a_hat = normalized_adjacency(spatial)
 
     mods = [("tra", data.tra, cfg.k_tr, cfg.r_u_tr)]
@@ -250,17 +249,16 @@ def _draw(mods, graphs, priors, a_hat, cfg, rng) -> list[np.ndarray]:
     mask per view would inject noise far larger than the augmentation shift
     and blank the prior.
     """
-    batches = [sample_pairs(len(x), graphs[name], x, N_NEG, p_u, rng) for name, x, _, p_u in mods]
+    batches = [sample_pairs(graphs[name], x, N_NEG, p_u, rng) for name, x, _, p_u in mods]
     masks = [dropout_mask(x.shape, DROPOUT_P, rng) for _, x, *_ in mods]
     arrays = []
     for name, x, *_ in mods:
         (payload, partners), mask = batches.pop(0), masks.pop(0)
-        if mask is not None:  # both are this epoch's own: mask in place
-            payload *= mask
-            mask *= x
+        payload *= mask  # both are this epoch's own: mask in place
+        mask *= x
         view = a_hat @ payload
         del payload  # each goes once its aggregate exists
-        base = a_hat @ (x if mask is None else mask)
+        base = a_hat @ mask
         del mask
         # the prior sees the inputs the trained encoder sees, base rows then view rows
         y = np.concatenate([gcn_forward(agg, a_hat, priors[name])[0] for agg in (base, view)])

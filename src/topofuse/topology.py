@@ -156,14 +156,13 @@ def knn_graph(x: np.ndarray, k: int) -> NeighborGraph:
 
 
 def sample_pairs(
-    n: int,
     graph: NeighborGraph,
     features: np.ndarray,
     n_neg: int,
     p_u: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One augmented partner plus `n_neg` uniform negatives per anchor.
+    """One augmented partner plus `n_neg` uniform negatives per anchor, each of the n rows of `features`.
 
     Returns (payload, partners). `partners` is the (n, 1 + n_neg) table of
     objective.topo_loss: row i is anchor i, column 0 its augmented row
@@ -176,9 +175,10 @@ def sample_pairs(
     negatives over the n - 1 other rows. A seeded generator reproduces the
     batch exactly.
     """
+    n = features.shape[0]
     if n < 2:
         raise OutOfRange("need at least 2 rows to sample pairs")
-    if features.shape[0] != n or graph.n != n:
+    if graph.n != n:
         raise ShapeMismatch("features and graph must cover the same rows")
     if not 0 < p_u <= 1:
         raise OutOfRange("p_u must lie in (0, 1]")

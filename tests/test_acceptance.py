@@ -90,9 +90,9 @@ def test_criterion_1_gradient_fidelity():
     eps = float(np.median(np.linalg.norm(coords[:, None] - coords[None, :], axis=-1))) + 0.5
     a_hat = network.normalized_adjacency(topology.build_spatial_graph(coords, eps))
 
-    params = network.init_params(rng, g, m, cfg)
-    pay_tr, b_tr = topology.sample_pairs(n, topology.knn_graph(x_tra, cfg.k_tr), x_tra, topology.N_NEG, cfg.r_u_tr, rng)
-    pay_mo, b_mo = topology.sample_pairs(n, topology.knn_graph(x_mor, cfg.k_mo), x_mor, topology.N_NEG, cfg.r_u_mo, rng)
+    params = network.init_params(rng, [f"g{i}" for i in range(g)], m, cfg)
+    pay_tr, b_tr = topology.sample_pairs(topology.knn_graph(x_tra, cfg.k_tr), x_tra, topology.N_NEG, cfg.r_u_tr, rng)
+    pay_mo, b_mo = topology.sample_pairs(topology.knn_graph(x_mor, cfg.k_mo), x_mor, topology.N_NEG, cfg.r_u_mo, rng)
 
     def forwards(p):
         es, c = network.forward_all(p, x_tra, x_mor, a_hat)
@@ -205,7 +205,7 @@ def test_criterion_3_kernel_and_prior():
     # latent similarity, so the loss must hit the binary-entropy floor.
     n, d = 8, 3
     feats = rng.normal(size=(n, d))
-    payload, partners = topology.sample_pairs(n, topology.knn_graph(feats, 3), feats, topology.N_NEG, 0.3, rng)
+    payload, partners = topology.sample_pairs(topology.knn_graph(feats, 3), feats, topology.N_NEG, 0.3, rng)
     z_full = np.vstack([feats, payload]) * 0.5
     d2 = ((z_full[:n, None] - z_full[partners]) ** 2).sum(axis=-1).ravel()
     assert d2.min() > 1e-6, "degenerate pair would sit on the clamp boundary"

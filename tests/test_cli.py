@@ -500,8 +500,6 @@ class TestForeignCheckpoint:
         params = network.load_checkpoint(pipeline["ckpt"])
         with pytest.raises(StaleCache, match=f"is {old!r} in the model and 'renamed' in the data"):
             downstream.denoise(params, pre, graph)
-        params.gene_ids = None  # the same tensors, unnamed, would run
-        assert downstream.denoise(params, pre, graph).shape == pre.tra.shape
 
 
 class TestExitCodes:

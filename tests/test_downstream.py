@@ -226,7 +226,7 @@ def _marker_setup(rng, n=18, g=5, with_mor=False):
     coords = np.column_stack([np.arange(n) % 6, np.arange(n) // 6]).astype(np.float64)
     graph = topology.build_spatial_graph(coords, 1.0)
     n_mor = 3 if with_mor else None
-    params = network.init_params(rng, g, n_mor, dataio.config_from_dict({"d_emb": 4, "n_mlp": 1}))
+    params = network.init_params(rng, pre.gene_ids, n_mor, dataio.config_from_dict({"d_emb": 4, "n_mlp": 1}))
     labels = (np.arange(n) >= n // 2).astype(np.int64)
     return pre, graph, params, labels
 

@@ -141,8 +141,7 @@ def test_an_epochs_step_peaks_below_a_bound_in_n_by_d_arrays(epoch_peaks):
 def test_trained_model_analyses_stay_below_a_quarter_of_n_by_n(points, name):
     _, coords = points
     pre = _pre()
-    params = network.init_params(np.random.default_rng(5), 4, None, dataio.config_from_dict({"d_emb": 4}))
-    params.gene_ids = list(pre.gene_ids)
+    params = network.init_params(np.random.default_rng(5), pre.gene_ids, None, dataio.config_from_dict({"d_emb": 4}))
     graph = _spatial(coords)
     peak = _peak_bytes(getattr(downstream, name), params, pre, graph)
     assert peak < NXN_BYTES / 4, f"{name} peaked at {peak / NXN_BYTES:.2f} of one n x n array"

@@ -19,6 +19,10 @@ def _cfg(**kv):
     return dataio.config_from_dict(base)
 
 
+def _genes(n):
+    return [f"g{i}" for i in range(n)]
+
+
 def _config_bytes(arrays, **changes):
     """The `config` member of a checkpoint's arrays with `changes` applied; a change to None drops the key."""
     config = json.loads(arrays["config"].item())
@@ -81,7 +85,7 @@ class TestNormalizedAdjacency:
         nbrs = [tuple(range(2, n, 2)), (5,), (0,), (), (0, 5), (1, 4), (0,), (), (0,), (10,), (0,), ()]
         dense = normalized_adjacency_oracle(nbrs)
         a_hat = network.normalized_adjacency(csr_graph(nbrs))
-        layers = network.init_params(rng, 6, None, _cfg(d_emb=5)).gnn_tra
+        layers = network.init_params(rng, _genes(6), None, _cfg(d_emb=5)).gnn_tra
         x = rng.normal(size=(n, 6))
         y, cache = network.gcn_forward(a_hat @ x, a_hat, layers)  # from the first aggregate
         hidden = np.maximum(dense @ x @ layers[0].w + layers[0].b, 0.0)
@@ -100,24 +104,30 @@ class TestNormalizedAdjacency:
 class TestInitParams:
     def test_shapes_sum_mode(self, rng):
         cfg = _cfg(n_mlp=2)
-        p = network.init_params(rng, 7, 3, cfg)
+        p = network.init_params(rng, _genes(7), 3, cfg)
         assert [l.w.shape for l in p.gnn_tra] == [(7, 4), (4, 4)]
         assert [l.w.shape for l in p.gnn_mor] == [(3, 4), (4, 4)]
         assert [l.w.shape for l in p.fusion] == [(4, 4), (4, 4)]
         assert [l.w.shape for l in p.decoder] == [(4, 7)]
-        assert p.theta == cfg.theta and p.fusion_mode == "sum" and p.has_mor
+        assert p.has_mor
+
+    def test_params_hold_their_genes_and_config(self, rng):
+        cfg = _cfg(theta=0.6, fusion_mode="concat", epsilon_radius=2.5)
+        p = network.init_params(rng, ("a", "b", "c"), None, cfg)
+        assert p.gene_ids == ["a", "b", "c"] and p.config is cfg
+        assert not hasattr(p, "theta") and not hasattr(p, "fusion_mode")
 
     def test_shapes_concat_mode(self, rng):
-        p = network.init_params(rng, 5, 2, _cfg(fusion_mode="concat"))
+        p = network.init_params(rng, _genes(5), 2, _cfg(fusion_mode="concat"))
         assert p.fusion[0].w.shape == (8, 4)
 
     def test_no_mor(self, rng):
-        p = network.init_params(rng, 5, None, _cfg())
+        p = network.init_params(rng, _genes(5), None, _cfg())
         assert p.gnn_mor is None and not p.has_mor
         assert p.fusion[0].w.shape == (4, 4)
 
     def test_glorot_bounds_and_zero_bias(self, rng):
-        p = network.init_params(rng, 9, 4, _cfg())
+        p = network.init_params(rng, _genes(9), 4, _cfg())
         for _, layer in p.named_layers():
             fan_in, fan_out = layer.w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -129,7 +139,7 @@ class TestForward:
     def test_matches_manual_relu_stack(self, rng):
         n, g, m = 5, 6, 3
         cfg = _cfg(n_mlp=2, theta=0.7)
-        params = network.init_params(rng, g, m, cfg)
+        params = network.init_params(rng, _genes(g), m, cfg)
         x_tra = rng.normal(size=(n, g))
         x_mor = rng.normal(size=(n, m))
         a_hat = network.normalized_adjacency(_graph_line(n))
@@ -162,11 +172,26 @@ class TestForward:
             gnn_mor=[],
             fusion=[network.Dense(np.eye(d), np.zeros(d))],
             decoder=[],
-            theta=0.25,
-            fusion_mode="sum",
+            gene_ids=[],
+            config=_cfg(theta=0.25),
         )
         z, _ = network.fuse_forward(y_tra, y_mor, params)
         assert np.allclose(z, 0.25 * y_tra + 0.75 * y_mor, atol=1e-15)
+
+    def test_fusion_follows_the_config(self, rng):
+        n, d = 4, 3
+        cfg = _cfg(d_emb=d)
+        params = network.ModelParams([], [], [network.Dense(np.eye(d), np.zeros(d))], [], [], cfg)
+        params.config = dataclasses.replace(cfg, theta=0.25)
+        y_tra, y_mor, dz = rng.normal(size=(3, n, d))
+        z, cache = network.fuse_forward(y_tra, y_mor, params)
+        assert np.allclose(z, 0.25 * y_tra + 0.75 * y_mor, atol=1e-15)
+        dt, dm = network.fuse_backward(dz, params, cache)
+        assert np.allclose(dt, 0.25 * dz, atol=1e-15) and np.allclose(dm, 0.75 * dz, atol=1e-15)
+        params.config = dataclasses.replace(cfg, fusion_mode="concat")
+        params.fusion = [network.Dense(np.vstack([np.eye(d), np.zeros((d, d))]), np.zeros(d))]
+        z, _ = network.fuse_forward(y_tra, y_mor, params)
+        assert np.array_equal(z, y_tra)
 
     def test_concat_fusion_shapes_and_backward_split(self, rng):
         n, d = 4, 3
@@ -175,8 +200,8 @@ class TestForward:
             gnn_mor=[],
             fusion=[network.Dense(rng.normal(size=(2 * d, d)), np.zeros(d))],
             decoder=[],
-            theta=0.9,
-            fusion_mode="concat",
+            gene_ids=[],
+            config=_cfg(fusion_mode="concat"),
         )
         y_tra = rng.normal(size=(n, d))
         y_mor = rng.normal(size=(n, d))
@@ -186,16 +211,16 @@ class TestForward:
         assert dt.shape == (n, d) and dm.shape == (n, d)
 
     def test_modality_mismatch_raises(self, rng):
-        params = network.init_params(rng, 5, None, _cfg())
+        params = network.init_params(rng, _genes(5), None, _cfg())
         a_hat = network.normalized_adjacency(_graph_line(3))
         with pytest.raises(ShapeMismatch):
             network.forward_all(params, np.zeros((3, 5)), np.zeros((3, 2)), a_hat)
-        params2 = network.init_params(rng, 5, 2, _cfg())
+        params2 = network.init_params(rng, _genes(5), 2, _cfg())
         with pytest.raises(ShapeMismatch):
             network.forward_all(params2, np.zeros((3, 5)), None, a_hat)
 
     def test_wrong_feature_width_raises(self, rng):
-        params = network.init_params(rng, 5, None, _cfg())
+        params = network.init_params(rng, _genes(5), None, _cfg())
         a_hat = network.normalized_adjacency(_graph_line(3))
         with pytest.raises(ShapeMismatch):
             network.forward_all(params, np.zeros((3, 4)), None, a_hat)
@@ -205,7 +230,7 @@ class TestBackward:
     def test_all_upstream_paths_match_finite_differences(self, rng):
         n, g, m = 5, 4, 3
         cfg = _cfg(n_mlp=2, d_emb=3)
-        params = network.init_params(rng, g, m, cfg)
+        params = network.init_params(rng, _genes(g), m, cfg)
         x_tra = rng.normal(size=(n, g))
         x_mor = rng.normal(size=(n, m))
         a_hat = network.normalized_adjacency(_graph_line(n))
@@ -238,7 +263,7 @@ class TestBackward:
         assert worst < 1e-6
 
     def test_only_mlp_stacks_return_an_input_gradient(self, rng):
-        params = network.init_params(rng, 4, None, _cfg(n_mlp=2))
+        params = network.init_params(rng, _genes(4), None, _cfg(n_mlp=2))
         a_hat = network.normalized_adjacency(_graph_line(3))
         y, gcn_cache = network.gcn_forward(rng.normal(size=(3, 4)), a_hat, params.gnn_tra)
         assert network._stack_backward(rng.normal(size=y.shape), params.gnn_tra, gcn_cache) is None
@@ -262,7 +287,7 @@ class TestBackward:
         assert grads[0] == grads[1]
 
     def test_grads_accumulate_until_zeroed(self, rng):
-        params = network.init_params(rng, 4, None, _cfg())
+        params = network.init_params(rng, _genes(4), None, _cfg())
         x = rng.normal(size=(3, 4))
         a_hat = network.normalized_adjacency(_graph_line(3))
         _, caches = network.forward_all(params, x, None, a_hat)
@@ -275,7 +300,7 @@ class TestBackward:
         assert np.array_equal(params.decoder[0].gw, np.zeros_like(once))
 
     def test_stale_cache_rejected(self, rng):
-        params = network.init_params(rng, 4, None, _cfg(n_mlp=2))
+        params = network.init_params(rng, _genes(4), None, _cfg(n_mlp=2))
         x = rng.normal(size=(3, 4))
         a_hat = network.normalized_adjacency(_graph_line(3))
         _, caches = network.forward_all(params, x, None, a_hat)
@@ -286,7 +311,7 @@ class TestBackward:
 
 class TestDropout:
     def test_zero_rate_is_identity(self, rng):
-        assert network.dropout_mask((3, 3), 0.0, rng) is None
+        assert np.array_equal(network.dropout_mask((3, 3), 0.0, rng), np.ones((3, 3)))
 
     def test_mask_values_and_rate(self):
         rng = np.random.default_rng(0)
@@ -299,10 +324,7 @@ class TestDropout:
 
 def _named(rng, n_genes, n_mor, cfg):
     """Parameters as training leaves them: named genes and the config, with the radius its graph used."""
-    params = network.init_params(rng, n_genes, n_mor, cfg)
-    params.gene_ids = [f"g{i}" for i in range(n_genes)]
-    params.config = dataclasses.replace(cfg, epsilon_radius=1.25)
-    return params
+    return network.init_params(rng, _genes(n_genes), n_mor, dataclasses.replace(cfg, epsilon_radius=1.25))
 
 
 class TestCheckpoint:
@@ -311,7 +333,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         network.save_checkpoint(params, str(path))
         back = network.load_checkpoint(str(path))
-        assert back.theta == 0.75 and back.fusion_mode == "concat"
+        assert back.config.theta == 0.75 and back.config.fusion_mode == "concat"
         assert back.gene_ids == params.gene_ids
         assert back.config == params.config
         assert back.config.epsilon_radius == 1.25 and back.config.tau == 3 and back.config.n_mlp == 2
@@ -342,18 +364,12 @@ class TestCheckpoint:
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_params_must_name_their_genes(self, tmp_path, rng):
-        params = network.init_params(rng, 6, None, _cfg())
-        with pytest.raises(ShapeMismatch):
-            network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
+        params = _named(rng, 6, None, _cfg())
         params.gene_ids = ["g0"]
         with pytest.raises(ShapeMismatch):
             network.save_checkpoint(params, str(tmp_path / "ckpt.npz"))
 
-    @pytest.mark.parametrize(
-        "config",
-        [None, _cfg(), _cfg(theta=0.5, epsilon_radius=1.25), _cfg(fusion_mode="concat", epsilon_radius=1.25)],
-        ids=["none", "auto-radius", "other-theta", "other-fusion"],
-    )
+    @pytest.mark.parametrize("config", [_cfg()], ids=["auto-radius"])
     def test_params_must_record_their_config_and_radius(self, tmp_path, rng, config):
         params = _named(rng, 6, None, _cfg())
         params.config = config
@@ -458,11 +474,9 @@ class TestCheckpoint:
 
 
 class TestCheckGenes:
-    def test_same_genes_and_unnamed_params_pass(self, rng):
-        params = network.init_params(rng, 3, None, _cfg())
-        network.check_genes(params, ["a", "b", "c"])
-        params.gene_ids = ["a", "b", "c"]
-        network.check_genes(params, ["a", "b", "c"])
+    def test_same_genes_pass(self, rng):
+        params = network.init_params(rng, ["a", "b", "c"], None, _cfg())
+        network.check_genes(params, ("a", "b", "c"))
 
     @pytest.mark.parametrize(
         "given, where",
@@ -473,7 +487,6 @@ class TestCheckGenes:
         ],
     )
     def test_first_difference_is_named(self, rng, given, where):
-        params = network.init_params(rng, 3, None, _cfg())
-        params.gene_ids = ["a", "b", "c"]
+        params = network.init_params(rng, ["a", "b", "c"], None, _cfg())
         with pytest.raises(StaleCache, match=re.escape(where)):
             network.check_genes(params, given)

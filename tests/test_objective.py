@@ -210,7 +210,7 @@ class TestReconLoss:
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self, rng):
         cfg = dataio.config_from_dict({"d_emb": 3, "n_mlp": 1})
-        params = network.init_params(rng, 4, 2, cfg)
+        params = network.init_params(rng, list("abcd"), 2, cfg)
         before = {name: (l.w.copy(), l.b.copy()) for name, l in params.named_layers()}
         for _, layer in params.named_layers():
             layer.gw[...] = 1.0
@@ -225,7 +225,7 @@ class TestAdam:
 
     def test_zero_lr_freezes_params(self, rng):
         cfg = dataio.config_from_dict({"d_emb": 3, "n_mlp": 1})
-        params = network.init_params(rng, 4, None, cfg)
+        params = network.init_params(rng, list("abcd"), None, cfg)
         w0 = params.decoder[0].w.copy()
         params.decoder[0].gw[...] = 5.0
         objective.Adam([layer for _, layer in params.named_layers()], lr=0.0).step()
@@ -252,14 +252,24 @@ class TestTrain:
         pre, graph = _toy_training(rng)
         cfg = dataio.config_from_dict({"lr": 0.0, "epochs": 3, "seed": 11, "d_emb": 4, "k_tr": 3, "k_mo": 3})
         state, es = objective.train(pre, graph, cfg)
-        fresh = network.init_params(
-            np.random.default_rng(11), pre.tra.shape[1], pre.mor.shape[1], cfg
-        )
+        fresh = network.init_params(np.random.default_rng(11), pre.gene_ids, pre.mor.shape[1], cfg)
         a_hat = network.normalized_adjacency(graph)
         es0, _ = network.forward_all(fresh, pre.tra, pre.mor, a_hat)
         assert np.array_equal(es.z, es0.z)
         assert np.array_equal(es.x_hat, es0.x_hat)
         assert len(state.history) == 3
+
+    def test_trained_model_saves_and_reloads_as_built(self, rng, tmp_path):
+        pre, graph = _toy_training(rng)
+        cfg = dataio.config_from_dict({"epochs": 2, "d_emb": 4, "k_tr": 3, "k_mo": 3, "epsilon_radius": 1.0})
+        state, _ = objective.train(pre, graph, cfg)
+        assert state.params.gene_ids == pre.gene_ids and state.params.config is cfg
+        path = str(tmp_path / "ckpt.npz")
+        network.save_checkpoint(state.params, path)  # nothing is assigned after training
+        back = network.load_checkpoint(path)
+        assert back.gene_ids == pre.gene_ids and back.config == cfg
+        for (name, layer), (_, loaded) in zip(state.params.named_layers(), back.named_layers(), strict=True):
+            assert layer.w.tobytes() == loaded.w.tobytes() and layer.b.tobytes() == loaded.b.tobytes(), name
 
     def test_zero_lambda_total_is_pure_topology(self, rng):
         pre, graph = _toy_training(rng)

@@ -183,7 +183,7 @@ class TestAugment:
         probe = np.random.default_rng(99)
         j = [1, 2][int(probe.integers(np.array([2, 1, 1]))[0])]
         r = float(probe.uniform(0.0, 0.4, 3)[0])
-        payload, _ = topology.sample_pairs(3, g, feats, 1, 0.4, np.random.default_rng(99))
+        payload, _ = topology.sample_pairs(g, feats, 1, 0.4, np.random.default_rng(99))
         assert np.array_equal(payload[0], (1.0 - r) * feats[0] + r * feats[j])
 
     def test_p_u_bounds(self, rng):
@@ -191,7 +191,7 @@ class TestAugment:
         g = csr_graph([(1,), (0,)])
         for bad in (0.0, 1.5, -0.1):
             with pytest.raises(OutOfRange):
-                topology.sample_pairs(2, g, feats, 1, bad, rng)
+                topology.sample_pairs(g, feats, 1, bad, rng)
 
 
 class TestSamplePairs:
@@ -207,7 +207,7 @@ class TestSamplePairs:
             graph = topology.knn_graph(feats, k)
             for bit_generator in (np.random.PCG64, np.random.MT19937):
                 rng, clone = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
-                payload, partners = topology.sample_pairs(n, graph, feats, n_neg, p_u, rng)
+                payload, partners = topology.sample_pairs(graph, feats, n_neg, p_u, rng)
                 anchors, want, h, want_payload = sample_pairs_oracle(n, neighbor_lists(graph), feats, n_neg, p_u, clone)
                 # row i of the table holds anchor i's pairs, the augmented one (h = 1) first
                 assert partners.shape == (n, 1 + n_neg)
@@ -219,12 +219,11 @@ class TestSamplePairs:
                 assert rng.random() == clone.random()
 
     def test_errors(self, rng):
-        feats = np.zeros((3, 2))
         graph = topology.knn_graph(np.arange(3.0)[:, None], 1)
         with pytest.raises(ShapeMismatch):
-            topology.sample_pairs(3, graph, np.zeros((4, 2)), 1, 0.5, rng)
+            topology.sample_pairs(graph, np.zeros((4, 2)), 1, 0.5, rng)
         with pytest.raises(OutOfRange):
-            topology.sample_pairs(1, graph, feats, 1, 0.5, rng)
+            topology.sample_pairs(graph, np.zeros((1, 2)), 1, 0.5, rng)
 
 
 @given(
@@ -236,7 +235,7 @@ def test_sample_pairs_invariants(n, n_neg, seed):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n, 3))
     graph = topology.knn_graph(feats, min(3, n - 1))
-    payload, partners = topology.sample_pairs(n, graph, feats, n_neg, 0.4, rng)
+    payload, partners = topology.sample_pairs(graph, feats, n_neg, 0.4, rng)
     assert partners.shape == (n, 1 + n_neg)
     assert np.array_equal(partners[:, 0], n + np.arange(n))
     neg = partners[:, 1:]
